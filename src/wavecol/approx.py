@@ -4,23 +4,26 @@ Two expansion routes are provided: L2 projection through the dual basis,
 and interpolation at the uniform collocation grid.  The time stepper uses
 interpolation for its initial data (zero residual at the points the scheme
 controls); projection is the natural choice for approximation studies.
+Projection takes its moments from the nodal hats: the moment of basis
+function i is sum_a T[a, i] times the moment of hat a, with T the basis
+values at the grid nodes.  The level split and truncation are the
+multiresolution view of the coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import BasisSpec, basis_matrix, basis_piecewise, basis_vector
+from .basis import BasisSpec, basis_matrix, basis_vector, collocation_points
 from .errors import ConditioningError
 from .operators import CONDITION_LIMIT
 
-# Gauss order per breakpoint cell for smooth integrands: high enough that
+# Gauss order per grid cell for smooth integrands: high enough that
 # projection error is dominated by the basis, not by quadrature.
 _GAUSS5_X, _GAUSS5_W = leggauss(5)
 
@@ -33,39 +36,28 @@ class LevelSplit:
     details: dict[int, np.ndarray]
 
 
-def collocation_points(spec: BasisSpec) -> np.ndarray:
-    """Uniform grid of n_functions points on [0, 1] (spacing 2**-max_level)."""
-    return np.linspace(0.0, 1.0, spec.n_functions)
-
-
 def project_l2(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec,
                dual: np.ndarray) -> np.ndarray:
     """Expansion coefficients from L2 projection: dual times raw moments.
 
-    Moments are integrated with composite Gauss-5 on the cells of the full
-    basis breakpoint grid (step 2**-max_level) inside each function's
-    support, so members of the basis span are integrated exactly and the
-    projection round-trips them.
+    The moments of the nodal hats are integrated with Gauss-5 on every grid
+    cell (step 2**-max_level), where each basis function is linear, so
+    members of the basis span are integrated exactly and the projection
+    round-trips them.
     """
-    pieces = basis_piecewise(spec)
     cells = 2**spec.max_level
-    moments = np.empty(spec.n_functions)
-    for i, piece in enumerate(pieces):
-        lo, hi = piece.support
-        edges = [Fraction(j, cells)
-                 for j in range(int(lo * cells), int(hi * cells) + 1)]
-        acc = 0.0
-        for left, right in zip(edges, edges[1:]):
-            mid = float(left + right) / 2.0
-            half = float(right - left) / 2.0
-            xs = mid + half * _GAUSS5_X
-            fx = np.asarray(f(xs), float)
-            if not np.all(np.isfinite(fx)):
-                raise ValueError("function returned non-finite values")
-            acc += half * np.sum(_GAUSS5_W * fx
-                                 * np.array([piece(x) for x in xs]))
-        moments[i] = acc
-    return dual @ moments
+    half = 0.5 / cells
+    mids = (np.arange(cells) + 0.5) / cells
+    xs = mids[:, None] + half * _GAUSS5_X
+    fx = np.broadcast_to(np.asarray(f(xs.ravel()), float), xs.size)
+    if not np.all(np.isfinite(fx)):
+        raise ValueError("function returned non-finite values")
+    weighted = half * _GAUSS5_W * fx.reshape(xs.shape)
+    rising = (1.0 + _GAUSS5_X) / 2.0  # right node's hat across the cell
+    hat_moments = np.zeros(cells + 1)
+    hat_moments[:-1] += weighted @ (1.0 - rising)
+    hat_moments[1:] += weighted @ rising
+    return dual @ (basis_matrix(spec, collocation_points(spec)).T @ hat_moments)
 
 
 def interpolate(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec) -> np.ndarray:

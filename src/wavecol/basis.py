@@ -8,15 +8,21 @@ block holding an inner wavelet family plus a left and a right
 boundary-adapted wavelet.  All wavelets carry a global 1/6 normalization;
 expansion coefficients absorb any rescaling through the dual basis.
 
-Functions are defined through half-open branches in the dilated coordinate
-x_dil = 2**level * x.  Evaluation at x = 1 takes the limit from the left so
-that the right boundary hat attains 1 there and the partition of unity holds
-on the closed interval.
+Each function is defined by one branch table in the dilated coordinate
+x_dil = 2**level * x.  Every breakpoint is a node of the collocation grid,
+so a function is fixed by its values at the grid nodes, and its value
+anywhere is the hat interpolation of those node values.  basis_matrix
+builds the node values of the whole basis once per resolution and
+interpolates them; at x = 1 the right boundary hat attains 1, so the
+partition of unity holds on the closed interval.  basis_piecewise reads
+the same table into exact segment representations, kept as the reference
+that tests integrate against.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -72,68 +78,112 @@ class BasisSpec:
         return range(2, self.max_level)
 
 
-def _scaling_value(level: int, shift: int, x_dil: float, closed_right: bool) -> float:
-    n = 2**level
-    k = shift
-    if k == -1:  # left boundary half-hat
-        if 0.0 <= x_dil < 1.0:
-            return 2.0 - (x_dil - k)
-        return 0.0
-    if k == n - 1:  # right boundary half-hat
-        if k <= x_dil < k + 1 or (closed_right and x_dil == k + 1):
-            return x_dil - k
-        return 0.0
-    if k <= x_dil < k + 1:
-        return x_dil - k
-    if k + 1 <= x_dil < k + 2:
-        return 2.0 - (x_dil - k)
-    return 0.0
+# Branch coefficient tables in the local coordinate t = 2**level * x - shift:
+# entries ((t_lo, t_hi), (a, b)) meaning value = (a + b * t) / denom on the
+# t-interval; the function is continuous, so neighbouring branches agree at
+# their shared end.  Boundary variants are the restrictions/mirrors of the
+# full stencils.
+_SCALING_BRANCHES = {
+    "inner": (((0.0, 1.0), (0, 1)),
+              ((1.0, 2.0), (2, -1))),
+    "left": (((1.0, 2.0), (2, -1)),),
+    "right": (((0.0, 1.0), (0, 1)),),
+}
+_WAVELET_BRANCHES = {
+    "inner": (((0.0, 0.5), (0, 1)),
+              ((0.5, 1.0), (4, -7)),
+              ((1.0, 1.5), (-19, 16)),
+              ((1.5, 2.0), (29, -16)),
+              ((2.0, 2.5), (-17, 7)),
+              ((2.5, 3.0), (3, -1))),
+    "left": (((1.0, 1.5), (-29, 23)),
+             ((1.5, 2.0), (31, -17)),
+             ((2.0, 2.5), (-17, 7)),
+             ((2.5, 3.0), (3, -1))),
+    "right": (((0.0, 0.5), (0, 1)),
+              ((0.5, 1.0), (4, -7)),
+              ((1.0, 1.5), (-20, 17)),
+              ((1.5, 2.0), (40, -23))),
+}
 
 
-def _wavelet_value(level: int, shift: int, x_dil: float, closed_right: bool) -> float:
-    n = 2**level
-    k = shift
-    if k == -1:  # left boundary wavelet, support x_dil in [0, 2)
-        t = x_dil
-        if 0.0 <= t < 0.5:
-            return (-6.0 + 23.0 * t) / 6.0
-        if 0.5 <= t < 1.0:
-            return (14.0 - 17.0 * t) / 6.0
-        if 1.0 <= t < 1.5:
-            return (-10.0 + 7.0 * t) / 6.0
-        if 1.5 <= t < 2.0:
-            return (2.0 - t) / 6.0
-        return 0.0
-    if k == n - 2:  # right boundary wavelet, mirror of the left one
-        s = (k + 2) - x_dil
-        if k <= x_dil < k + 0.5:
-            return (2.0 - s) / 6.0
-        if k + 0.5 <= x_dil < k + 1:
-            return (-10.0 + 7.0 * s) / 6.0
-        if k + 1 <= x_dil < k + 1.5:
-            return (14.0 - 17.0 * s) / 6.0
-        if k + 1.5 <= x_dil < k + 2 or (closed_right and x_dil == k + 2):
-            return (-6.0 + 23.0 * s) / 6.0
-        return 0.0
-    t = x_dil - k  # inner wavelet, support t in [0, 3)
-    if 0.0 <= t < 0.5:
-        return t / 6.0
-    if 0.5 <= t < 1.0:
-        return (4.0 - 7.0 * t) / 6.0
-    if 1.0 <= t < 1.5:
-        return (-19.0 + 16.0 * t) / 6.0
-    if 1.5 <= t < 2.0:
-        return (29.0 - 16.0 * t) / 6.0
-    if 2.0 <= t < 2.5:
-        return (-17.0 + 7.0 * t) / 6.0
-    if 2.5 <= t < 3.0:
-        return (3.0 - t) / 6.0
-    return 0.0
+def _branches(idx: BasisIndex) -> tuple[tuple, int]:
+    """Branch table rows and denominator of one basis function."""
+    if idx.kind == SCALING:
+        table, denom, last = _SCALING_BRANCHES, 1, 2**idx.level - 1
+    else:
+        table, denom, last = _WAVELET_BRANCHES, 6, 2**idx.level - 2
+    if idx.shift == -1:
+        return table["left"], denom
+    return table["right" if idx.shift == last else "inner"], denom
 
 
-def _check_domain(x: float) -> None:
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x = {x} outside [0, 1]")
+@functools.lru_cache(maxsize=1024)
+def _node_values(idx: BasisIndex, max_level: int) -> np.ndarray:
+    """Read-only values of one basis function at the 2**max_level + 1 nodes.
+
+    The local coordinate of every node is a dyadic rational, so each value
+    is the correctly rounded (a + b * t) / denom.
+    """
+    t = np.arange(2**max_level + 1) * 2.0**(idx.level - max_level) - idx.shift
+    values = np.zeros(t.shape)
+    branches, denom = _branches(idx)
+    for (t_lo, t_hi), (a, b) in branches:
+        on = (t >= t_lo) & (t <= t_hi)
+        values[on] = (a + b * t[on]) / denom
+    values.flags.writeable = False
+    return values
+
+
+@functools.lru_cache(maxsize=8)
+def _nodal_matrix(max_level: int) -> np.ndarray:
+    """Read-only basis values at the grid nodes: one row per node."""
+    spec = BasisSpec(max_level=max_level)
+    nodal = np.column_stack([_node_values(idx, max_level)
+                             for idx in spec.index_map])
+    nodal.flags.writeable = False
+    return nodal
+
+
+def _check_points(xs) -> np.ndarray:
+    xs = np.asarray(xs, float)
+    outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
+    if outside.size:
+        raise ValueError(f"x = {outside[0]} outside [0, 1]")
+    return xs
+
+
+def _hat_interpolate(nodal: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Rows of the piecewise-linear interpolant of the node rows at xs."""
+    n_cells = nodal.shape[0] - 1
+    pos = xs * n_cells
+    cell = np.minimum(pos.astype(int), n_cells - 1)
+    frac = (pos - cell)[:, None]
+    return (1.0 - frac) * nodal[cell] + frac * nodal[cell + 1]
+
+
+def collocation_points(spec: BasisSpec) -> np.ndarray:
+    """Uniform grid of n_functions points on [0, 1] (spacing 2**-max_level)."""
+    return np.linspace(0.0, 1.0, spec.n_functions)
+
+
+def basis_matrix(spec: BasisSpec, xs) -> np.ndarray:
+    """Evaluation matrix with one row of basis values per x, in index_map order.
+
+    At the collocation points this is the nodal matrix T itself; elsewhere
+    each row interpolates the two neighbouring node rows.
+    """
+    return _hat_interpolate(_nodal_matrix(spec.max_level), _check_points(xs))
+
+
+def basis_vector(spec: BasisSpec, x: float) -> np.ndarray:
+    """All basis functions evaluated at x, in index_map order."""
+    return basis_matrix(spec, [x])[0]
+
+
+def _evaluate(idx: BasisIndex, spec: BasisSpec, x: float) -> float:
+    nodal = _node_values(idx, spec.max_level)[:, None]
+    return float(_hat_interpolate(nodal, _check_points([x]))[0, 0])
 
 
 def eval_scaling(spec: BasisSpec, level: int, shift: int, x: float) -> float:
@@ -142,17 +192,15 @@ def eval_scaling(spec: BasisSpec, level: int, shift: int, x: float) -> float:
     Shifts -1 and 2**level - 1 select the boundary half-hats; the shifts in
     between are full hats peaking at (shift + 1) / 2**level.
     """
-    _check_domain(x)
     if not 2 <= level <= spec.max_level:
         raise ValueError(f"scaling level {level} not in 2..{spec.max_level}")
     if not -1 <= shift <= 2**level - 1:
         raise ValueError(f"scaling shift {shift} invalid for level {level}")
-    return _scaling_value(level, shift, 2**level * x, closed_right=(x == 1.0))
+    return _evaluate(BasisIndex(SCALING, level, shift), spec, x)
 
 
 def eval_wavelet(spec: BasisSpec, level: int, shift: int, x: float) -> float:
     """Value of the (boundary-adapted) wavelet at the given level and shift."""
-    _check_domain(x)
     if level not in spec.wavelet_levels():
         raise ValueError(
             f"wavelet level {level} not in 2..{spec.max_level - 1} "
@@ -160,26 +208,7 @@ def eval_wavelet(spec: BasisSpec, level: int, shift: int, x: float) -> float:
         )
     if not -1 <= shift <= 2**level - 2:
         raise ValueError(f"wavelet shift {shift} invalid for level {level}")
-    return _wavelet_value(level, shift, 2**level * x, closed_right=(x == 1.0))
-
-
-def basis_vector(spec: BasisSpec, x: float) -> np.ndarray:
-    """All basis functions evaluated at x, in index_map order."""
-    _check_domain(x)
-    closed = x == 1.0
-    out = np.empty(spec.n_functions)
-    for i, idx in enumerate(spec.index_map):
-        x_dil = 2**idx.level * x
-        if idx.kind == SCALING:
-            out[i] = _scaling_value(idx.level, idx.shift, x_dil, closed)
-        else:
-            out[i] = _wavelet_value(idx.level, idx.shift, x_dil, closed)
-    return out
-
-
-def basis_matrix(spec: BasisSpec, xs) -> np.ndarray:
-    """Evaluation matrix with rows basis_vector(spec, x) for each x."""
-    return np.array([basis_vector(spec, float(x)) for x in np.asarray(xs, float)])
+    return _evaluate(BasisIndex(WAVELET, level, shift), spec, x)
 
 
 @dataclass(frozen=True)
@@ -226,54 +255,16 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.breakpoints, zeros, self.slopes)
 
 
-# Branch coefficient tables in the local coordinate t = 2**level * x - shift:
-# entries ((t_lo, t_hi), (a, b)) meaning value = (a + b * t) / denom on the
-# half-open t-interval.  Boundary variants are the restrictions/mirrors of
-# the full stencils.
-_HALF = Fraction(1, 2)
-_SCALING_BRANCHES = {
-    "inner": (((Fraction(0), Fraction(1)), (0, 1)),
-              ((Fraction(1), Fraction(2)), (2, -1))),
-    "left": (((Fraction(1), Fraction(2)), (2, -1)),),
-    "right": (((Fraction(0), Fraction(1)), (0, 1)),),
-}
-_WAVELET_BRANCHES = {
-    "inner": (((Fraction(0), _HALF), (0, 1)),
-              ((_HALF, Fraction(1)), (4, -7)),
-              ((Fraction(1), 3 * _HALF), (-19, 16)),
-              ((3 * _HALF, Fraction(2)), (29, -16)),
-              ((Fraction(2), 5 * _HALF), (-17, 7)),
-              ((5 * _HALF, Fraction(3)), (3, -1))),
-    "left": (((Fraction(1), 3 * _HALF), (-29, 23)),
-             ((3 * _HALF, Fraction(2)), (31, -17)),
-             ((Fraction(2), 5 * _HALF), (-17, 7)),
-             ((5 * _HALF, Fraction(3)), (3, -1))),
-    "right": (((Fraction(0), _HALF), (0, 1)),
-              ((_HALF, Fraction(1)), (4, -7)),
-              ((Fraction(1), 3 * _HALF), (-20, 17)),
-              ((3 * _HALF, Fraction(2)), (40, -23))),
-}
-
-
-def _variant(idx: BasisIndex) -> str:
-    if idx.shift == -1:
-        return "left"
-    last = 2**idx.level - (1 if idx.kind == SCALING else 2)
-    return "right" if idx.shift == last else "inner"
-
-
 def _piecewise_from_branches(idx: BasisIndex) -> PiecewiseLinear:
-    table = _SCALING_BRANCHES if idx.kind == SCALING else _WAVELET_BRANCHES
-    denom = 1 if idx.kind == SCALING else 6
+    branches, denom = _branches(idx)
     scale = 2**idx.level
     breakpoints = []
     slopes = []
     intercepts = []
-    for (t_lo, t_hi), (a, b) in table[_variant(idx)]:
-        x_lo = (idx.shift + t_lo) / scale
+    for (t_lo, t_hi), (a, b) in branches:
         if not breakpoints:
-            breakpoints.append(x_lo)
-        breakpoints.append((idx.shift + t_hi) / scale)
+            breakpoints.append((idx.shift + Fraction(t_lo)) / scale)
+        breakpoints.append((idx.shift + Fraction(t_hi)) / scale)
         # value = (a + b * (scale * x - shift)) / denom
         slopes.append(b * scale / denom)
         intercepts.append((a - b * idx.shift) / denom)

@@ -19,14 +19,13 @@ import numpy as np
 
 from . import published
 from .approx import truncate
-from .basis import BasisSpec, basis_matrix
+from .basis import BasisSpec, basis_matrix, collocation_points
 from .operators import derivative_matrix, derivative_inner_products, gram_matrix
 from .oracle import POLY_4X_1MX, SIN_PI, ExactSolutionSpec, table_values
 from .solver import (
     DIRICHLET,
     NEUMANN,
     BoundarySpec,
-    CollocationGrid,
     SolutionSeries,
     SolverConfig,
     solve,
@@ -284,9 +283,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         "deriv_op": deriv_op,
     }
     if case.bc.kind == NEUMANN:
-        grid = CollocationGrid.for_spec(spec)
         operators["second_deriv"], _ = weak_second_derivative(
-            basis_matrix(spec, grid.points), case.bc)
+            basis_matrix(spec, collocation_points(spec)), case.bc)
     return RunResult(
         case=case, n_points=n_points, dt=dt, theta=theta, report=report,
         profile_xs=dense_xs, profiles=profiles, series=series,

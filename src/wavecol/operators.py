@@ -1,4 +1,14 @@
-"""Exact integration of basis products and the dense operator matrices.
+"""Wavelet-space operator matrices, built from one nodal P1 kernel.
+
+The basis spans the continuous piecewise-linear functions on the
+collocation grid, as the nodal hats h_a do.  With T = basis_matrix(spec,
+grid), basis function i is sum_a T[a, i] h_a, so every operator is a change
+of coordinates of a closed-form tridiagonal hat matrix: the Gram matrix is
+T^T M T and the derivative inner products are T^T K T, with M the P1 mass
+matrix and K[a, b] = integral of h_a' h_b.
+
+integrate_product is the exact quadrature of two segment representations
+(basis.basis_piecewise).  No operator uses it; the tests compare against it.
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
@@ -12,7 +22,7 @@ import math
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import BasisSpec, PiecewiseLinear, basis_piecewise
+from .basis import BasisSpec, PiecewiseLinear, basis_matrix, collocation_points
 from .errors import ConditioningError
 
 #: Condition-number guard for the dense factorizations.  Failures must be
@@ -48,14 +58,14 @@ def integrate_product(a: PiecewiseLinear, b: PiecewiseLinear) -> float:
 
 
 def gram_matrix(spec: BasisSpec) -> np.ndarray:
-    """Dense matrix of pairwise basis inner products (computed once, mirrored)."""
-    pieces = basis_piecewise(spec)
-    n = spec.n_functions
-    gram = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            gram[i, j] = gram[j, i] = integrate_product(pieces[i], pieces[j])
-    return gram
+    """Dense matrix of pairwise basis inner products, T^T M T.
+
+    The upper triangle is mirrored so that the matrix is exactly symmetric.
+    """
+    nodal = basis_matrix(spec, collocation_points(spec))
+    mass, _ = p1_mass_and_stiffness(spec.n_functions)
+    upper = np.triu(nodal.T @ mass @ nodal)
+    return upper + np.triu(upper, 1).T
 
 
 def _guarded_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
@@ -76,19 +86,9 @@ def dual_transform(gram: np.ndarray) -> np.ndarray:
 
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:
-    """Matrix of integrals (basis function i)' times (basis function j).
-
-    The derivatives are piecewise constant; their point values at the
-    breakpoints never enter, only cell integrals.
-    """
-    pieces = basis_piecewise(spec)
-    derivs = [p.derivative() for p in pieces]
-    n = spec.n_functions
-    inner = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            inner[i, j] = integrate_product(derivs[i], pieces[j])
-    return inner
+    """Matrix of integrals (basis function i)' times (basis function j), T^T K T."""
+    nodal = basis_matrix(spec, collocation_points(spec))
+    return nodal.T @ _hat_derivative_products(spec.n_functions) @ nodal
 
 
 def derivative_matrix(spec: BasisSpec, gram: np.ndarray) -> np.ndarray:
@@ -130,3 +130,15 @@ def p1_mass_and_stiffness(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     mass[0, 0] = mass[-1, -1] = h / 3.0
     stiffness[0, 0] = stiffness[-1, -1] = 1.0 / h
     return mass, stiffness
+
+
+def _hat_derivative_products(n_points: int) -> np.ndarray:
+    """K[a, b] = integral over [0, 1] of h_a' h_b for the nodal hats.
+
+    -1/2 above the diagonal and +1/2 below it; the diagonal vanishes
+    except for the corners, -1/2 and +1/2.
+    """
+    half = np.full(n_points - 1, 0.5)
+    products = np.diag(half, -1) - np.diag(half, 1)
+    products[0, 0], products[-1, -1] = -0.5, 0.5
+    return products

@@ -33,7 +33,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .basis import BasisSpec, basis_matrix
+from .basis import BasisSpec, basis_matrix, collocation_points
 from .errors import ConditioningError, DivergenceError
 from .operators import (
     CONDITION_LIMIT,
@@ -58,25 +58,6 @@ class BoundarySpec:
     def __post_init__(self) -> None:
         if self.kind not in (DIRICHLET, NEUMANN):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class CollocationGrid:
-    """Uniform collocation points: endpoints plus 2**max_level - 1 interior."""
-
-    points: np.ndarray
-
-    @classmethod
-    def for_spec(cls, spec: BasisSpec) -> "CollocationGrid":
-        return cls(points=np.linspace(0.0, 1.0, spec.n_functions))
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.points[1:-1]
-
-    @property
-    def endpoints(self) -> tuple[float, float]:
-        return float(self.points[0]), float(self.points[-1])
 
 
 @dataclass(frozen=True)
@@ -110,13 +91,14 @@ class SolverConfig:
 class CollocationSystem:
     """Factored left-hand side plus the cached evaluation rows it was built from.
 
-    values / first_deriv / second_deriv hold, row per grid point, the
+    grid holds the collocation points.  values / first_deriv /
+    second_deriv hold, row per grid point, the
     coefficients-to-point-values maps for u, du/dx and d2u/dx2.  flux is
     the constant part of d2u/dx2 that comes from the boundary data (the
     weak operator's M^-1 b); it is None for Dirichlet data.
     """
 
-    grid: CollocationGrid
+    grid: np.ndarray
     matrix: np.ndarray
     lu: tuple
     values: np.ndarray
@@ -150,8 +132,8 @@ def weak_second_derivative(values: np.ndarray,
 
 def assemble_lhs(config: SolverConfig, deriv_op: np.ndarray) -> CollocationSystem:
     """Build and factor the (time-independent) left-hand matrix."""
-    grid = CollocationGrid.for_spec(config.spec)
-    values = basis_matrix(config.spec, grid.points)
+    grid = collocation_points(config.spec)
+    values = basis_matrix(config.spec, grid)
     first_deriv = values @ deriv_op.T
     flux = None
     if config.bc.kind == NEUMANN:
@@ -219,7 +201,7 @@ def initial_coefficients(config: SolverConfig,
     values come from the constrained interpolant rather than the raw data.
     """
     matrix = system.values.copy()
-    rhs = np.asarray(config.ic(system.grid.points), float)
+    rhs = np.asarray(config.ic(system.grid), float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("initial condition returned non-finite values")
     matrix[0], matrix[-1] = _boundary_rows(config, system.values,
@@ -238,12 +220,21 @@ class SolutionSeries:
     config: SolverConfig
 
     def coefficients_at(self, t: float) -> np.ndarray:
-        """Coefficients at the stored step nearest to t (exact at multiples of dt)."""
+        """Coefficients at time t, which must be a stored step.
+
+        t / dt may miss an integer by roundoff (the same 1e-9 of a step
+        that n_steps tolerates); any larger miss raises ValueError rather
+        than serving a neighbouring step under t's label.
+        """
         if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
             raise ValueError(
                 f"t = {t} outside stored range [{self.times[0]}, {self.times[-1]}]"
             )
-        return self.coeffs[int(np.argmin(np.abs(self.times - t)))]
+        steps = t / self.config.dt
+        if abs(steps - round(steps)) > 1e-9:
+            raise ValueError(
+                f"t = {t:g} is not a multiple of dt = {self.config.dt:g}")
+        return self.coeffs[round(steps)]
 
 
 def solve(config: SolverConfig, deriv_op: np.ndarray | None = None) -> SolutionSeries:
@@ -267,7 +258,7 @@ def solve(config: SolverConfig, deriv_op: np.ndarray | None = None) -> SolutionS
 
 
 def sample(series: SolutionSeries, t: float, xs) -> list[float]:
-    """Solution values at the stored step nearest t, one per location."""
+    """Solution values at stored time t, one per location."""
     coeffs = series.coefficients_at(t)
     rows = basis_matrix(series.config.spec, xs)
     return [float(v) for v in rows @ coeffs]

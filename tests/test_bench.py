@@ -157,6 +157,19 @@ class TestRunCase:
         with pytest.raises(ValueError, match="n_points"):
             w.spec_for_points(12)
 
+    def test_report_time_off_the_step_grid_rejected(self):
+        # the nearest stored step, t = 0.051, must not be reported as 0.05
+        case = w.case_definition(1, times=(0.05,))
+        with pytest.raises(ValueError, match=r"t = 0\.05 .*dt = 0\.003"):
+            w.run_case(case, 9, dt=0.003)
+
+    def test_report_times_within_roundoff_of_a_step_accepted(self):
+        # 0.15 / 1e-3 is 149.99999999999997 in floating point
+        case = w.case_definition(3, times=(0.05, 0.1, 0.15))
+        result = w.run_case(case, 9)
+        np.testing.assert_array_equal(result.series.coefficients_at(0.15),
+                                      result.series.coeffs[150])
+
     def test_truncated_view_coarsens_the_report(self):
         case = w.case_definition(1, times=(0.05,))
         full = w.run_case(case, 17)

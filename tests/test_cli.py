@@ -113,3 +113,13 @@ def test_identical_flags_produce_byte_identical_outputs(tmp_path):
     for name in names:
         assert ((tmp_path / "a" / name).read_bytes()
                 == (tmp_path / "b" / name).read_bytes())
+
+
+def test_report_time_off_the_step_grid_is_a_usage_error(tmp_path, capsys):
+    # t = 0.05 is 16.67 steps of 0.003: there is no stored state to report
+    code = cli.main(["--case", "1", "--np", "9", "--dt", "0.003",
+                     "--times", "0.05", "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "t = 0.05" in err and "dt = 0.003" in err
+    assert not list(tmp_path.iterdir())

@@ -1,11 +1,13 @@
 """Quadrature exactness and the Gram / dual / derivative operator contracts."""
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import wavecol as w
+from wavecol import basis, cli
 from wavecol.basis import SCALING, WAVELET, constant_one
 from wavecol.errors import ConditioningError
 from wavecol.operators import p1_mass_and_stiffness
@@ -107,6 +109,57 @@ class TestGramMatrix:
         for shift in range(-1, 7):
             j = spec.index_map.index(w.BasisIndex(WAVELET, 3, shift))
             assert abs(gram[i, j]) <= 1e-12
+
+
+class TestNodalKernel:
+    """The nodal-kernel operators against exact quadrature of the segments."""
+
+    @staticmethod
+    def _relative_gap(built, reference):
+        return np.max(np.abs(built - reference)) / np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_gram_matches_reference_quadrature(self, level):
+        spec = w.BasisSpec(max_level=level)
+        pieces = w.basis_piecewise(spec)
+        reference = np.array([[w.integrate_product(a, b) for b in pieces]
+                              for a in pieces])
+        assert self._relative_gap(w.gram_matrix(spec), reference) <= 1e-13
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    def test_derivative_inner_products_match_reference_quadrature(self, level):
+        spec = w.BasisSpec(max_level=level)
+        pieces = w.basis_piecewise(spec)
+        reference = np.array([[w.integrate_product(a.derivative(), b)
+                               for b in pieces] for a in pieces])
+        assert self._relative_gap(w.derivative_inner_products(spec),
+                                  reference) <= 1e-13
+
+    def test_program_never_reaches_the_reference(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reference quadrature reached")
+
+        originals = (w.integrate_product, w.basis_piecewise)
+        sites = []
+        for name, module in list(sys.modules.items()):
+            if name == "wavecol" or name.startswith("wavecol."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is original for original in originals):
+                        monkeypatch.setattr(module, attr, refuse)
+                        sites.append(f"{name}.{attr}")
+        assert {"wavecol.basis.basis_piecewise",
+                "wavecol.operators.integrate_product"} <= set(sites)
+        monkeypatch.setattr(Fraction, "__new__", refuse)
+        # rebuild the cached node values under the guard
+        basis._node_values.cache_clear()
+        basis._nodal_matrix.cache_clear()
+
+        for case_id in (1, 3):
+            w.run_case(w.case_definition(case_id, times=(0.05,)), 9)
+        code = cli.main(["--case", "1", "--np", "9", "--times", "0.05",
+                         "--profiles", "--dump-operators",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
 
 
 class TestDualTransform:
