@@ -17,11 +17,10 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import lu_solve
 
 from .basis import BasisSpec, basis_matrix, basis_vector, collocation_points
-from .errors import ConditioningError
-from .operators import CONDITION_LIMIT
+from .operators import guarded_lu_factor
 
 # Gauss order per grid cell for smooth integrands: high enough that
 # projection error is dominated by the basis, not by quadrature.
@@ -63,14 +62,11 @@ def project_l2(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec,
 def interpolate(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec) -> np.ndarray:
     """Expansion coefficients that reproduce f exactly at the collocation grid."""
     grid = collocation_points(spec)
-    system = basis_matrix(spec, grid)
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise ConditioningError("collocation matrix is numerically singular", cond)
+    lu = guarded_lu_factor(basis_matrix(spec, grid), "collocation matrix")
     values = np.asarray(f(grid), float)
     if not np.all(np.isfinite(values)):
         raise ValueError("function returned non-finite values")
-    return lu_solve(lu_factor(system), values)
+    return lu_solve(lu, values)
 
 
 def reconstruct(coeffs: np.ndarray, spec: BasisSpec, x: float) -> float:

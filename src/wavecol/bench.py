@@ -29,6 +29,7 @@ from .solver import (
     SolutionSeries,
     SolverConfig,
     solve,
+    steps_to,
     weak_second_derivative,
 )
 
@@ -223,7 +224,11 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     For Neumann cases the operators include ``second_deriv``, the weak
     Laplacian's node rows that the solver used (see ``wavecol.solver``);
     the Dirichlet second derivative is D*D of the dumped ``deriv_op``.
+    A report time that is not a multiple of dt raises ValueError before
+    any operator is built or step taken.
     """
+    for t in case.report_times:
+        steps_to(t, dt)
     spec = spec_for_points(n_points)
     gram = gram_matrix(spec)
     deriv_op = derivative_matrix(spec, gram)

@@ -4,7 +4,9 @@
 class ConditioningError(RuntimeError):
     """A dense linear system is too ill-conditioned to solve reliably.
 
-    Carries the condition estimate that tripped the guard.
+    Carries the condition estimate that tripped the guard: LAPACK gecon's
+    estimate of the 1-norm condition number from the LU factors, infinite
+    for an exactly singular or non-finite matrix.
     """
 
     def __init__(self, message: str, condition: float):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .basis import BasisSpec, PiecewiseLinear, basis_matrix, collocation_points
 from .errors import ConditioningError
@@ -28,6 +28,8 @@ from .errors import ConditioningError
 #: Condition-number guard for the dense factorizations.  Failures must be
 #: loud: a silently inaccurate dual basis corrupts every later expansion.
 CONDITION_LIMIT = 1e12
+
+_getrf, _gecon = get_lapack_funcs(("getrf", "gecon"), dtype=np.float64)
 
 # 2-point Gauss-Legendre on [-1, 1]: exact through cubics.  Products of two
 # piecewise-linear segments are at most quadratic per cell.
@@ -68,12 +70,21 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def _guarded_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    cond = np.linalg.cond(matrix)
+def guarded_lu_factor(matrix: np.ndarray,
+                      what: str) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of matrix, as scipy.linalg.lu_factor returns them.
+
+    The condition number is LAPACK gecon's estimate of the 1-norm condition
+    from these factors, so no second factorisation or SVD is needed.  An
+    exactly singular or non-finite matrix estimates as infinite.  Raises
+    ConditioningError when the estimate exceeds CONDITION_LIMIT.
+    """
+    lu, piv, _ = _getrf(matrix)
+    rcond, info = _gecon(lu, np.linalg.norm(matrix, 1))
+    cond = 1.0 / rcond if info == 0 and rcond > 0 else math.inf
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise ConditioningError(f"{what} is numerically singular", cond)
-    lu = lu_factor(matrix)
-    return lu_solve(lu, np.eye(matrix.shape[0]))
+    return lu, piv
 
 
 def dual_transform(gram: np.ndarray) -> np.ndarray:
@@ -82,7 +93,8 @@ def dual_transform(gram: np.ndarray) -> np.ndarray:
     Raises ConditioningError if the condition estimate exceeds
     CONDITION_LIMIT.
     """
-    return _guarded_inverse(gram, "Gram matrix")
+    lu = guarded_lu_factor(gram, "Gram matrix")
+    return lu_solve(lu, np.eye(gram.shape[0]))
 
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:

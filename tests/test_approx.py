@@ -5,6 +5,18 @@ import pytest
 
 import wavecol as w
 from wavecol.approx import collocation_points
+from wavecol.errors import ConditioningError
+
+
+class TestInterpolationGuard:
+    def test_singular_collocation_matrix_rejected(self, monkeypatch):
+        spec = w.BasisSpec(max_level=3)
+        singular = w.basis_matrix(spec, collocation_points(spec)).copy()
+        singular[:, -1] = 0.0
+        monkeypatch.setattr("wavecol.approx.basis_matrix",
+                            lambda spec, xs: singular)
+        with pytest.raises(ConditioningError, match="collocation matrix"):
+            w.interpolate(lambda x: np.sin(np.pi * x), spec)
 
 
 class TestProjection:

@@ -163,6 +163,16 @@ class TestRunCase:
         with pytest.raises(ValueError, match=r"t = 0\.05 .*dt = 0\.003"):
             w.run_case(case, 9, dt=0.003)
 
+    def test_report_time_off_the_step_grid_rejected_before_solving(
+            self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_case integrated before checking times")
+
+        monkeypatch.setattr("wavecol.bench.solve", no_solve)
+        case = w.case_definition(1, times=(0.05,))
+        with pytest.raises(ValueError, match="not a multiple"):
+            w.run_case(case, 17, dt=0.003)
+
     def test_report_times_within_roundoff_of_a_step_accepted(self):
         # 0.15 / 1e-3 is 149.99999999999997 in floating point
         case = w.case_definition(3, times=(0.05, 0.1, 0.15))

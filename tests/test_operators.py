@@ -202,6 +202,11 @@ class TestDualTransform:
             new = sum(dual_scaled[k, m] * scaled[m](float(x)) for m in range(n))
             assert new == pytest.approx(base / c, abs=1e-11)
 
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ConditioningError, match="Gram matrix") as info:
+            w.dual_transform(np.ones((4, 4)))
+        assert info.value.condition == np.inf
+
     def test_ill_conditioned_matrix_rejected(self):
         nearly_singular = np.diag([1.0, 1e-15])
         with pytest.raises(ConditioningError, match="condition"):

@@ -1,11 +1,14 @@
 """Time stepping: assembly, stepping, boundary enforcement, published anchors."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 import wavecol as w
 from wavecol.approx import collocation_points
-from wavecol.errors import DivergenceError
+from wavecol.errors import ConditioningError, DivergenceError
 from wavecol.solver import (
     DIRICHLET,
     NEUMANN,
@@ -28,6 +31,27 @@ def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, theta=0.5,
 
 
 CASE3_IC = lambda x: 50.0 * (0.5 - x) ** 3
+
+
+def _reference_history(config, deriv_op):
+    """The step algebra spelled out with scipy's lu_factor and lu_solve.
+
+    Returns the coefficient history, or the DivergenceError the run ends in.
+    """
+    system = assemble_lhs(config, deriv_op)
+    lu = lu_factor(system.matrix)
+    coeffs = initial_coefficients(config, system)
+    history = [coeffs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(config.n_steps()):
+            rhs = build_rhs(coeffs, config, system)
+            if not np.all(np.isfinite(rhs)):
+                return DivergenceError(n, n * config.dt)
+            coeffs = lu_solve(lu, rhs)
+            if not np.all(np.isfinite(coeffs)):
+                return DivergenceError(n + 1, (n + 1) * config.dt)
+            history.append(coeffs)
+    return np.array(history)
 
 
 class TestConfigValidation:
@@ -84,6 +108,17 @@ class TestAssembleLhs:
         system = assemble_lhs(config, deriv_op)
         assert system.matrix.shape == (5, 5)
         assert np.isfinite(np.linalg.cond(system.matrix))
+
+    def test_singular_system_rejected(self, operators):
+        # theta * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
+        spec, _, _, _ = operators(2)
+        config = w.SolverConfig(reynolds=1.0, t_end=0.5, dt=0.5, theta=0.5,
+                                bc=w.BoundarySpec(DIRICHLET),
+                                ic=lambda x: np.sin(np.pi * x), spec=spec)
+        with pytest.raises(ConditioningError,
+                           match="collocation system") as info:
+            assemble_lhs(config, 2.0 * np.eye(spec.n_functions))
+        assert info.value.condition == np.inf
 
     def test_neumann_rows_are_derivative_rows(self, operators):
         config, deriv_op = _config(operators, bc=w.BoundarySpec(NEUMANN))
@@ -261,6 +296,40 @@ class TestSolve:
         with pytest.raises(DivergenceError, match="t = 0.5") as info:
             w.solve(config, deriv_op=deriv_op)
         assert 0.5 <= info.value.time <= 0.6
+
+    @pytest.mark.parametrize("bc, ic, reynolds", [
+        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
+        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
+    ], ids=["case1-dirichlet", "case3-neumann"])
+    def test_history_is_bitwise_the_reference_algebra(self, operators, bc, ic,
+                                                      reynolds):
+        config, deriv_op = _config(operators, level=4, reynolds=reynolds,
+                                   t_end=0.5, bc=bc, ic=ic)
+        reference = _reference_history(config, deriv_op)
+        assert reference.shape == (501, config.spec.n_functions)
+        assert np.array_equal(w.solve(config, deriv_op=deriv_op).coeffs,
+                              reference)
+
+    def test_divergence_step_matches_the_reference_algebra(self, operators):
+        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=1.0,
+                                   dt=0.05, bc=w.BoundarySpec(NEUMANN),
+                                   ic=CASE3_IC)
+        reference = _reference_history(config, deriv_op)
+        assert isinstance(reference, DivergenceError)
+        with pytest.raises(DivergenceError) as info:
+            w.solve(config, deriv_op=deriv_op)
+        assert info.value.step == reference.step
+
+    def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
+        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=1.0,
+                                   dt=0.05, bc=w.BoundarySpec(NEUMANN),
+                                   ic=CASE3_IC)
+        # with every warning an error, an overflow warning from the loop
+        # would surface here instead of the DivergenceError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError):
+                w.solve(config, deriv_op=deriv_op)
 
 
 class TestSample:
