@@ -102,12 +102,17 @@ def combine_levels(parts: LevelSplit, spec: BasisSpec) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def truncate(coeffs: np.ndarray, spec: BasisSpec, keep_level: int) -> np.ndarray:
-    """Zero every detail block finer than keep_level (coarse view of the data)."""
+def check_keep_level(keep_level: int, spec: BasisSpec) -> None:
+    """Raise ValueError unless truncate can keep levels up to keep_level."""
     if not 2 <= keep_level <= spec.max_level:
         raise ValueError(
             f"keep_level {keep_level} not in 2..{spec.max_level}"
         )
+
+
+def truncate(coeffs: np.ndarray, spec: BasisSpec, keep_level: int) -> np.ndarray:
+    """Zero every detail block finer than keep_level (coarse view of the data)."""
+    check_keep_level(keep_level, spec)
     out = np.asarray(coeffs, float).copy()
     for level, sl in _level_slices(spec).items():
         if level > keep_level:

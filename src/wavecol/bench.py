@@ -18,8 +18,8 @@ from typing import Callable
 import numpy as np
 
 from . import published
-from .approx import truncate
-from .basis import BasisSpec, basis_matrix, collocation_points
+from .approx import check_keep_level, truncate
+from .basis import BasisSpec, basis_matrix
 from .operators import derivative_matrix, derivative_inner_products, gram_matrix
 from .oracle import POLY_4X_1MX, SIN_PI, ExactSolutionSpec, table_values
 from .solver import (
@@ -30,7 +30,6 @@ from .solver import (
     SolverConfig,
     solve,
     steps_to,
-    weak_second_derivative,
 )
 
 VALID_N_POINTS = (5, 9, 17, 33, 65)
@@ -224,20 +223,21 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     For Neumann cases the operators include ``second_deriv``, the weak
     Laplacian's node rows that the solver used (see ``wavecol.solver``);
     the Dirichlet second derivative is D*D of the dumped ``deriv_op``.
-    A report time that is not a multiple of dt raises ValueError before
-    any operator is built or step taken.
+    Bad run parameters (dt, theta, a report time that is not a multiple
+    of dt, truncate_level) raise ValueError before any operator is built
+    or step taken.
     """
-    for t in case.report_times:
-        steps_to(t, dt)
     spec = spec_for_points(n_points)
-    gram = gram_matrix(spec)
-    deriv_op = derivative_matrix(spec, gram)
     config = SolverConfig(
         reynolds=case.reynolds,
         t_end=max(case.report_times) if t_end is None else t_end,
         bc=case.bc, ic=case.ic, spec=spec, dt=dt, theta=theta,
     )
-    series = solve(config, deriv_op=deriv_op)
+    for t in case.report_times:
+        steps_to(t, dt)
+    if truncate_level is not None:
+        check_keep_level(truncate_level, spec)
+    series = solve(config)
 
     dense_xs = np.linspace(0.0, 1.0, PROFILE_POINTS)
     dense_rows = basis_matrix(spec, dense_xs)
@@ -261,7 +261,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             case, n_points, dt, theta, numeric, exact)
     else:
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
-        endpoint_deriv = basis_matrix(spec, [0.0, 1.0]) @ deriv_op.T
+        endpoint_deriv = series.system.first_deriv[[0, -1]]
         antisymmetry = {}
         center = {}
         residuals = {}
@@ -270,8 +270,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             c = coeffs_at(t)
             u = profiles[t]
             antisymmetry[t] = float(np.max(np.abs(u + u[::-1])))
-            center[t] = abs(float(
-                basis_matrix(spec, [0.5])[0] @ c))
+            center[t] = abs(float(u[PROFILE_POINTS // 2]))  # x = 1/2
             left, right = endpoint_deriv @ c
             residuals[t] = (abs(float(left)), abs(float(right)))
             oscillation[t] = oscillation_excess(u[window])
@@ -282,14 +281,17 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             neumann_residuals=residuals, front_oscillation=oscillation,
         )
 
+    # The solver needs none of these; they are the run's only operator
+    # builds (gram, dual and deriv_inner inside derivative_matrix, and
+    # deriv_inner again), a count wavebench/selfcheck.py pins.
+    gram = gram_matrix(spec)
     operators = {
         "gram": gram,
         "deriv_inner": derivative_inner_products(spec),
-        "deriv_op": deriv_op,
+        "deriv_op": derivative_matrix(spec, gram),
     }
     if case.bc.kind == NEUMANN:
-        operators["second_deriv"], _ = weak_second_derivative(
-            basis_matrix(spec, collocation_points(spec)), case.bc)
+        operators["second_deriv"] = series.system.second_deriv
     return RunResult(
         case=case, n_points=n_points, dt=dt, theta=theta, report=report,
         profile_xs=dense_xs, profiles=profiles, series=series,

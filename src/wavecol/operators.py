@@ -1,11 +1,13 @@
-"""Wavelet-space operator matrices, built from one nodal P1 kernel.
+"""The nodal P1 kernel and the wavelet-space operators built from it.
 
 The basis spans the continuous piecewise-linear functions on the
 collocation grid, as the nodal hats h_a do.  With T = basis_matrix(spec,
 grid), basis function i is sum_a T[a, i] h_a, so every operator is a change
-of coordinates of a closed-form tridiagonal hat matrix: the Gram matrix is
-T^T M T and the derivative inner products are T^T K T, with M the P1 mass
-matrix and K[a, b] = integral of h_a' h_b.
+of coordinates of the closed-form tridiagonal hat matrices of p1_kernel:
+the Gram matrix is T^T M T and the derivative inner products are T^T K T,
+with M the P1 mass matrix and K[a, b] = integral of h_a' h_b.  The solver
+reads the kernel directly; the wavelet-space matrices serve approximation
+studies and the operator dumps.
 
 integrate_product is the exact quadrature of two segment representations
 (basis.basis_piecewise).  No operator uses it; the tests compare against it.
@@ -65,7 +67,7 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
     The upper triangle is mirrored so that the matrix is exactly symmetric.
     """
     nodal = basis_matrix(spec, collocation_points(spec))
-    mass, _ = p1_mass_and_stiffness(spec.n_functions)
+    mass, _, _ = p1_kernel(spec.n_functions)
     upper = np.triu(nodal.T @ mass @ nodal)
     return upper + np.triu(upper, 1).T
 
@@ -100,7 +102,8 @@ def dual_transform(gram: np.ndarray) -> np.ndarray:
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:
     """Matrix of integrals (basis function i)' times (basis function j), T^T K T."""
     nodal = basis_matrix(spec, collocation_points(spec))
-    return nodal.T @ _hat_derivative_products(spec.n_functions) @ nodal
+    _, _, hat_deriv = p1_kernel(spec.n_functions)
+    return nodal.T @ hat_deriv @ nodal
 
 
 def derivative_matrix(spec: BasisSpec, gram: np.ndarray) -> np.ndarray:
@@ -114,22 +117,15 @@ def derivative_matrix(spec: BasisSpec, gram: np.ndarray) -> np.ndarray:
     return derivative_inner_products(spec) @ dual_transform(gram)
 
 
-def second_derivative_matrix(deriv_op: np.ndarray) -> np.ndarray:
-    """Projected second derivative: the first-derivative operator squared.
-
-    The basis has zero classical second derivative almost everywhere, so
-    this compounds two L2 projections; accuracy improves with resolution.
-    """
-    return deriv_op @ deriv_op
-
-
-def p1_mass_and_stiffness(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Consistent mass and stiffness matrices of the nodal hats on [0, 1].
+def p1_kernel(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mass M, stiffness S and derivative products K of the nodal hats on [0, 1].
 
     The hats sit on the uniform grid of n_points nodes, spacing
-    h = 1 / (n_points - 1).  Mass: tridiagonal h/6, 2h/3, h/6 with corner
-    entries h/3.  Stiffness: tridiagonal -1/h, 2/h, -1/h with corner
-    entries 1/h.
+    h = 1 / (n_points - 1).  M[a, b] = integral of h_a h_b: tridiagonal
+    h/6, 2h/3, h/6 with corner entries h/3.  S[a, b] = integral of
+    h_a' h_b': tridiagonal -1/h, 2/h, -1/h with corner entries 1/h.
+    K[a, b] = integral of h_a' h_b: -1/2 above the diagonal and +1/2
+    below it; the diagonal vanishes except for the corners, -1/2 and +1/2.
     """
     if n_points < 2:
         raise ValueError("need at least two nodes")
@@ -141,16 +137,7 @@ def p1_mass_and_stiffness(n_points: int) -> tuple[np.ndarray, np.ndarray]:
                  - np.diag(off / h, 1) - np.diag(off / h, -1))
     mass[0, 0] = mass[-1, -1] = h / 3.0
     stiffness[0, 0] = stiffness[-1, -1] = 1.0 / h
-    return mass, stiffness
-
-
-def _hat_derivative_products(n_points: int) -> np.ndarray:
-    """K[a, b] = integral over [0, 1] of h_a' h_b for the nodal hats.
-
-    -1/2 above the diagonal and +1/2 below it; the diagonal vanishes
-    except for the corners, -1/2 and +1/2.
-    """
     half = np.full(n_points - 1, 0.5)
-    products = np.diag(half, -1) - np.diag(half, 1)
-    products[0, 0], products[-1, -1] = -0.5, 0.5
-    return products
+    hat_deriv = np.diag(half, -1) - np.diag(half, 1)
+    hat_deriv[0, 0], hat_deriv[-1, -1] = -0.5, 0.5
+    return mass, stiffness, hat_deriv

@@ -8,20 +8,25 @@ collocate the scheme at the uniform grid points; the first and last rows
 impose the boundary conditions on the new coefficients, as value rows for
 Dirichlet data or first-derivative rows for Neumann data.
 
-The second derivative depends on the boundary data.  For Dirichlet data
-it is the paper operator, the projected first derivative compounded, D*D.
-For Neumann data it is the weak P1 Laplacian on the collocation grid,
--M^-1 S applied to the nodal values, with the prescribed slopes entering
-as the boundary flux M^-1 b.  D*D with the Neumann rows is unstable for
-the steep antisymmetric front of benchmark case 3: the run blows up near
-t = 0.26 whatever the time step or theta.  Diffusion alone is stable with
-either operator, but D*D damps the grid-scale modes far less (with
-Neumann rows at 17 points its most negative eigenvalue is about -730,
-against -2970 for the weak operator), which is the likely reason it
-cannot hold the modes that convection excites at the front.  The weak
-operator keeps case 3 bounded to t = 1.  The paper does not say how u_xx
-is discretised under Neumann data, so the weak operator is a deviation
-from its method, not a reading of it.
+The rows come from the nodal P1 kernel alone.  The basis spans the hats
+of the collocation grid, so with V the basis values at the grid nodes the
+paper's projected first derivative D has node rows M^-1 K^T V, with M the
+P1 mass matrix and K[a, b] = integral of h_a' h_b; no Gram matrix, dual or
+wavelet-space D is formed.  The second derivative depends on the boundary
+data.  For Dirichlet data it is the paper operator, the projected first
+derivative compounded, D*D, whose node rows are M^-1 K^T applied to the
+first-derivative rows.  For Neumann data it is the weak P1 Laplacian on
+the collocation grid, -M^-1 S applied to the nodal values, with the
+prescribed slopes entering as the boundary flux M^-1 b.  D*D with the
+Neumann rows is unstable for the steep antisymmetric front of benchmark
+case 3: the run blows up near t = 0.26 whatever the time step or theta.
+Diffusion alone is stable with either operator, but D*D damps the
+grid-scale modes far less (with Neumann rows at 17 points its most
+negative eigenvalue is about -730, against -2970 for the weak operator),
+which is the likely reason it cannot hold the modes that convection
+excites at the front.  The weak operator keeps case 3 bounded to t = 1.
+The paper does not say how u_xx is discretised under Neumann data, so the
+weak operator is a deviation from its method, not a reading of it.
 
 A step is three mat-vecs for u, u_x and u_xx, then one LAPACK getrs
 solve on the factors assemble_lhs keeps; getrs is called directly rather
@@ -43,13 +48,7 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .basis import BasisSpec, basis_matrix, collocation_points
 from .errors import DivergenceError
-from .operators import (
-    derivative_matrix,
-    gram_matrix,
-    guarded_lu_factor,
-    p1_mass_and_stiffness,
-    second_derivative_matrix,
-)
+from .operators import guarded_lu_factor, p1_kernel
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -141,32 +140,38 @@ def _boundary_rows(config: SolverConfig, values: np.ndarray,
     return values[0], values[-1]
 
 
-def weak_second_derivative(values: np.ndarray,
-                           bc: BoundarySpec) -> tuple[np.ndarray, np.ndarray]:
-    """Weak P1 Laplacian rows and the Neumann flux, at the grid nodes.
+def derivative_rows(values: np.ndarray, bc: BoundarySpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """First- and second-derivative node rows, and the Neumann flux.
 
-    values maps coefficients to nodal values u = V c.  Returns -M^-1 S V
-    and M^-1 b with b = (-g_L, 0, ..., 0, g_R), where g_L and g_R are the
-    prescribed slopes.  Their sum is exact for quadratics: for u = x**2
-    with g_L = 0 and g_R = 2 it is 2 at every node, endpoints included.
+    values maps coefficients to nodal values u = V c.  Returns the paper's
+    projected first derivative M^-1 K^T V; the second derivative, which is
+    M^-1 K^T applied to those rows (D*D) for Dirichlet data and the weak
+    Laplacian -M^-1 S V for Neumann data; and, for Neumann data, the flux
+    M^-1 b with b = (-g_L, 0, ..., 0, g_R), where g_L and g_R are the
+    prescribed slopes (None for Dirichlet data).  The weak Laplacian plus
+    the flux is exact for quadratics: for u = x**2 with g_L = 0 and g_R = 2
+    it is 2 at every node, endpoints included.  M is factored once and
+    every independent right-hand side goes through one solve.
     """
-    mass, stiffness = p1_mass_and_stiffness(values.shape[0])
-    boundary = np.zeros(values.shape[0])
-    boundary[0], boundary[-1] = -bc.left_value, bc.right_value
+    mass, stiffness, hat_deriv = p1_kernel(values.shape[0])
     lu = lu_factor(mass)
-    return -lu_solve(lu, stiffness @ values), lu_solve(lu, boundary)
+    if bc.kind == DIRICHLET:
+        first_deriv = lu_solve(lu, hat_deriv.T @ values)
+        return first_deriv, lu_solve(lu, hat_deriv.T @ first_deriv), None
+    n = values.shape[1]
+    boundary = np.zeros((values.shape[0], 1))
+    boundary[0], boundary[-1] = -bc.left_value, bc.right_value
+    rows = lu_solve(lu, np.hstack(
+        [hat_deriv.T @ values, -(stiffness @ values), boundary]))
+    return rows[:, :n], rows[:, n:2 * n], rows[:, -1]
 
 
-def assemble_lhs(config: SolverConfig, deriv_op: np.ndarray) -> CollocationSystem:
+def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     """Build and factor the (time-independent) left-hand matrix."""
     grid = collocation_points(config.spec)
     values = basis_matrix(config.spec, grid)
-    first_deriv = values @ deriv_op.T
-    flux = None
-    if config.bc.kind == NEUMANN:
-        second_deriv, flux = weak_second_derivative(values, config.bc)
-    else:
-        second_deriv = values @ second_derivative_matrix(deriv_op).T
+    first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
     matrix = values - config.theta * (config.dt / config.reynolds) * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
     return CollocationSystem(
@@ -239,16 +244,20 @@ def initial_coefficients(config: SolverConfig,
                                            system.first_deriv)
     rhs[0] = config.bc.left_value
     rhs[-1] = config.bc.right_value
-    return np.linalg.solve(matrix, rhs)
+    return lu_solve(guarded_lu_factor(matrix, "initial interpolation"), rhs)
 
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Coefficient history at every time step of one run."""
+    """Coefficient history at every time step of one run.
+
+    system is the collocation system the run was stepped with.
+    """
 
     times: np.ndarray
     coeffs: np.ndarray
     config: SolverConfig
+    system: CollocationSystem
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """Coefficients at time t, which must be a stored step; see steps_to."""
@@ -259,15 +268,9 @@ class SolutionSeries:
         return self.coeffs[steps_to(t, self.config.dt)]
 
 
-def solve(config: SolverConfig, deriv_op: np.ndarray | None = None) -> SolutionSeries:
-    """Run the full time integration and record every step.
-
-    The derivative operator may be passed in to share one build across runs
-    on the same basis; otherwise it is constructed here.
-    """
-    if deriv_op is None:
-        deriv_op = derivative_matrix(config.spec, gram_matrix(config.spec))
-    system = assemble_lhs(config, deriv_op)
+def solve(config: SolverConfig) -> SolutionSeries:
+    """Run the full time integration and record every step."""
+    system = assemble_lhs(config)
     coeffs = initial_coefficients(config, system)
     n_steps = config.n_steps()
     history = np.empty((n_steps + 1, config.spec.n_functions))
@@ -277,7 +280,8 @@ def solve(config: SolverConfig, deriv_op: np.ndarray | None = None) -> SolutionS
             coeffs = step(coeffs, system, config, step_index=n)
             history[n + 1] = coeffs
     times = np.arange(n_steps + 1) * config.dt
-    return SolutionSeries(times=times, coeffs=history, config=config)
+    return SolutionSeries(times=times, coeffs=history, config=config,
+                          system=system)
 
 
 def sample(series: SolutionSeries, t: float, xs) -> list[float]:

@@ -15,7 +15,7 @@ from wavecol.bench import (
     emit_reports,
 )
 from wavecol.published import AVERAGE_REL_ERRORS
-from wavecol.solver import NEUMANN, assemble_lhs
+from wavecol.solver import NEUMANN, assemble_lhs, derivative_rows
 
 
 def _case3_reference(case, times, n_nodes=2 * PROFILE_POINTS - 1):
@@ -173,6 +173,28 @@ class TestRunCase:
         with pytest.raises(ValueError, match="not a multiple"):
             w.run_case(case, 17, dt=0.003)
 
+    def test_bad_truncate_level_rejected_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_case integrated before checking the level")
+
+        monkeypatch.setattr("wavecol.bench.solve", no_solve)
+        case = w.case_definition(1, times=(0.05,))
+        with pytest.raises(ValueError, match="keep_level 9 not in 2..4"):
+            w.run_case(case, 17, truncate_level=9)
+
+    def test_case3_builds_the_solver_rows_once(self, monkeypatch):
+        calls = []
+
+        def counted(values, bc):
+            calls.append(bc.kind)
+            return derivative_rows(values, bc)
+
+        assert not hasattr(w.bench, "derivative_rows")
+        monkeypatch.setattr("wavecol.solver.derivative_rows", counted)
+        result = w.run_case(w.case_definition(3, times=(0.1,)), 17)
+        assert calls == [NEUMANN]
+        assert result.operators["second_deriv"] is result.series.system.second_deriv
+
     def test_report_times_within_roundoff_of_a_step_accepted(self):
         # 0.15 / 1e-3 is 149.99999999999997 in floating point
         case = w.case_definition(3, times=(0.05, 0.1, 0.15))
@@ -323,7 +345,7 @@ class TestEmission:
             "operators_np9_deriv_op.csv", "operators_np9_second_deriv.csv"}
         dumped = np.loadtxt(tmp_path / "operators_np9_second_deriv.csv",
                             delimiter=",")
-        system = assemble_lhs(result.series.config, result.operators["deriv_op"])
+        system = assemble_lhs(result.series.config)
         np.testing.assert_array_equal(dumped, system.second_deriv)
 
     def test_emission_is_deterministic(self, benchmark_run, tmp_path):

@@ -97,6 +97,13 @@ def test_bad_truncate_level_exits_1(tmp_path):
     assert code == cli.EXIT_USAGE
 
 
+def test_zero_dt_is_a_usage_error(tmp_path, capsys):
+    code = cli.main(["--case", "1", "--np", "9", "--times", "0.01",
+                     "--dt", "0", "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert "dt must be positive" in capsys.readouterr().err
+
+
 def test_reported_paths_are_printed(tmp_path, capsys):
     cli.main(["--case", "1", "--np", "9", "--times", "0.05",
               "--out", str(tmp_path)])

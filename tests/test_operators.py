@@ -10,7 +10,8 @@ import wavecol as w
 from wavecol import basis, cli
 from wavecol.basis import SCALING, WAVELET, constant_one
 from wavecol.errors import ConditioningError
-from wavecol.operators import p1_mass_and_stiffness
+from wavecol.operators import p1_kernel
+from wavecol.solver import DIRICHLET, derivative_rows
 
 
 def _pieces(max_level):
@@ -240,35 +241,47 @@ class TestDerivativeOperator:
         assert np.max(np.abs(deriv_op @ gram - inner)) <= 1e-10
 
 
+def _dirichlet_rows(spec):
+    values = w.basis_matrix(spec, basis.collocation_points(spec))
+    first, second, _ = derivative_rows(values, w.BoundarySpec(DIRICHLET))
+    return values, first, second
+
+
 class TestSecondDerivative:
+    """The paper's D*D, as the solver's node rows for Dirichlet data."""
+
     def test_is_the_square_of_the_first(self, operators):
-        _, _, _, deriv_op = operators(3)
-        np.testing.assert_array_equal(
-            w.second_derivative_matrix(deriv_op), deriv_op @ deriv_op)
+        # the nodal first derivative G = first V^-1 applied to the first
+        # rows gives the second rows
+        spec, _, _, _ = operators(3)
+        values, first, second = _dirichlet_rows(spec)
+        nodal = np.linalg.solve(values.T, first.T).T
+        np.testing.assert_allclose(second, nodal @ first, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(second)))
 
     def test_affine_second_derivative_vanishes(self, operators):
-        spec, _, _, deriv_op = operators(4)
-        second = w.second_derivative_matrix(deriv_op)
+        spec, _, _, _ = operators(4)
+        _, _, second = _dirichlet_rows(spec)
         coeffs = w.interpolate(lambda x: 0.3 + 2.0 * x, spec)
-        assert np.max(np.abs(second.T @ coeffs)) <= 1e-8
+        assert np.max(np.abs(second @ coeffs)) <= 1e-8
         constant = w.interpolate(lambda x: np.ones_like(x), spec)
-        assert np.max(np.abs(second.T @ constant)) <= 1e-9
+        assert np.max(np.abs(second @ constant)) <= 1e-9
 
     @pytest.mark.parametrize("level, bound", [(4, 3e-4), (5, 3e-5), (6, 2e-6)])
     def test_sine_curvature_converges(self, operators, level, bound):
         # midpoint errors measured once over levels 4-6 and frozen; the
         # spec-level guarantee is the much looser O(2**-level)
-        spec, _, _, deriv_op = operators(level)
-        second = w.second_derivative_matrix(deriv_op)
+        spec, _, _, _ = operators(level)
+        _, _, second = _dirichlet_rows(spec)
         coeffs = w.interpolate(lambda x: np.sin(np.pi * x), spec)
-        value = float(w.basis_vector(spec, 0.5) @ (second.T @ coeffs))
+        value = float(second[2**(level - 1)] @ coeffs)  # node x = 1/2
         assert abs(value + np.pi**2) <= bound
         assert abs(value + np.pi**2) <= 0.01 * 2.0**-level
 
 
 class TestP1MassAndStiffness:
     def test_entries_and_annihilation(self):
-        mass, stiffness = p1_mass_and_stiffness(5)
+        mass, stiffness, _ = p1_kernel(5)
         h = 0.25
         np.testing.assert_allclose(np.diag(mass), [h / 3, 2 * h / 3, 2 * h / 3,
                                                    2 * h / 3, h / 3])
@@ -280,6 +293,15 @@ class TestP1MassAndStiffness:
         assert np.sum(mass) == pytest.approx(1.0, abs=1e-15)
         np.testing.assert_allclose(stiffness @ np.ones(5), 0.0, atol=1e-12)
 
+    def test_derivative_products_integrate_by_parts(self):
+        # K + K^T holds the integrals of (h_a h_b)', which vanish except
+        # at the two end nodes
+        _, _, hat_deriv = p1_kernel(5)
+        np.testing.assert_array_equal(np.diag(hat_deriv, 1), -0.5)
+        np.testing.assert_array_equal(np.diag(hat_deriv, -1), 0.5)
+        np.testing.assert_array_equal(hat_deriv + hat_deriv.T,
+                                      np.diag([-1.0, 0.0, 0.0, 0.0, 1.0]))
+
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="two nodes"):
-            p1_mass_and_stiffness(1)
+            p1_kernel(1)

@@ -1,5 +1,6 @@
 """Time stepping: assembly, stepping, boundary enforcement, published anchors."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 import wavecol as w
+from wavecol import solver
 from wavecol.approx import collocation_points
 from wavecol.errors import ConditioningError, DivergenceError
 from wavecol.solver import (
@@ -20,25 +22,24 @@ from wavecol.solver import (
 
 def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, theta=0.5,
             bc=None, ic=None):
-    spec, _, _, deriv_op = operators(level)
-    config = w.SolverConfig(
+    spec, _, _, _ = operators(level)
+    return w.SolverConfig(
         reynolds=reynolds, t_end=t_end, dt=dt, theta=theta,
         bc=bc or w.BoundarySpec(DIRICHLET),
         ic=ic or (lambda x: np.sin(np.pi * x)),
         spec=spec,
     )
-    return config, deriv_op
 
 
 CASE3_IC = lambda x: 50.0 * (0.5 - x) ** 3
 
 
-def _reference_history(config, deriv_op):
+def _reference_history(config):
     """The step algebra spelled out with scipy's lu_factor and lu_solve.
 
     Returns the coefficient history, or the DivergenceError the run ends in.
     """
-    system = assemble_lhs(config, deriv_op)
+    system = assemble_lhs(config)
     lu = lu_factor(system.matrix)
     coeffs = initial_coefficients(config, system)
     history = [coeffs]
@@ -74,7 +75,7 @@ class TestConfigValidation:
             w.BoundarySpec("periodic")
 
     def test_step_count_is_robust_to_roundoff(self, operators):
-        config, _ = _config(operators, t_end=0.1, dt=1e-3)
+        config = _config(operators, t_end=0.1, dt=1e-3)
         assert config.n_steps() == 100
 
 
@@ -91,38 +92,40 @@ class TestCollocationGrid:
 
 class TestAssembleLhs:
     def test_zero_coefficients_satisfy_homogeneous_boundary_rows(self, operators):
-        config, deriv_op = _config(operators)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators)
+        system = assemble_lhs(config)
         applied = system.matrix @ np.zeros(config.spec.n_functions)
         assert applied[0] == 0.0 and applied[-1] == 0.0
 
     def test_vanishing_dt_reduces_interior_rows_to_point_evaluation(
             self, operators):
-        config, deriv_op = _config(operators, dt=1e-12)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, dt=1e-12)
+        system = assemble_lhs(config)
         np.testing.assert_allclose(system.matrix[1:-1], system.values[1:-1],
                                    atol=1e-8)
 
     def test_smallest_admissible_space_yields_invertible_5x5(self, operators):
-        config, deriv_op = _config(operators, level=2)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, level=2)
+        system = assemble_lhs(config)
         assert system.matrix.shape == (5, 5)
         assert np.isfinite(np.linalg.cond(system.matrix))
 
-    def test_singular_system_rejected(self, operators):
+    def test_singular_system_rejected(self, operators, monkeypatch):
         # theta * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
         spec, _, _, _ = operators(2)
         config = w.SolverConfig(reynolds=1.0, t_end=0.5, dt=0.5, theta=0.5,
                                 bc=w.BoundarySpec(DIRICHLET),
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
+        monkeypatch.setattr(solver, "derivative_rows",
+                            lambda values, bc: (2.0 * values, 4.0 * values, None))
         with pytest.raises(ConditioningError,
                            match="collocation system") as info:
-            assemble_lhs(config, 2.0 * np.eye(spec.n_functions))
+            assemble_lhs(config)
         assert info.value.condition == np.inf
 
     def test_neumann_rows_are_derivative_rows(self, operators):
-        config, deriv_op = _config(operators, bc=w.BoundarySpec(NEUMANN))
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, bc=w.BoundarySpec(NEUMANN))
+        system = assemble_lhs(config)
         np.testing.assert_array_equal(system.matrix[0], system.first_deriv[0])
         np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
 
@@ -133,23 +136,23 @@ class TestWeakSecondDerivative:
         # u = x**2 has u'(0) = 0, u'(1) = 2 and u'' = 2; with the consistent
         # P1 mass matrix the weak Laplacian plus the flux M^-1 b reproduces
         # it exactly, so a dropped or mis-signed flux shows at the ends
-        config, deriv_op = _config(operators,
+        config = _config(operators,
                                    bc=w.BoundarySpec(NEUMANN, 0.0, 2.0))
-        system = assemble_lhs(config, deriv_op)
+        system = assemble_lhs(config)
         coeffs = np.linalg.solve(system.values, system.grid ** 2)
         curvature = system.second_deriv @ coeffs + system.flux
         np.testing.assert_allclose(curvature, 2.0, rtol=0, atol=1e-11)
 
     def test_boundary_rows_stay_derivative_rows(self, operators):
-        config, deriv_op = _config(operators, bc=w.BoundarySpec(NEUMANN))
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, bc=w.BoundarySpec(NEUMANN))
+        system = assemble_lhs(config)
         np.testing.assert_array_equal(system.matrix[0], system.first_deriv[0])
         np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
 
     def test_flux_enters_rhs_interior_at_full_weight(self, operators):
-        config, deriv_op = _config(operators, theta=0.3,
+        config = _config(operators, theta=0.3,
                                    bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
-        system = assemble_lhs(config, deriv_op)
+        system = assemble_lhs(config)
         rhs = build_rhs(np.zeros(config.spec.n_functions), config, system)
         np.testing.assert_allclose(
             rhs[1:-1], (config.dt / config.reynolds) * system.flux[1:-1],
@@ -157,26 +160,38 @@ class TestWeakSecondDerivative:
         assert rhs[0] == 0.5 and rhs[-1] == -1.0
 
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
-        config, deriv_op = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.5, 1.0))
-        system = assemble_lhs(config, deriv_op)
+        # the rows are formed from the nodal kernel, not from the
+        # wavelet-space D, so they agree with V (D D)^T to roundoff only
+        _, _, _, deriv_op = operators(4)
+        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.5, 1.0))
+        system = assemble_lhs(config)
         assert system.flux is None
-        np.testing.assert_array_equal(
-            system.second_deriv,
-            system.values @ w.second_derivative_matrix(deriv_op).T)
+        paper = system.values @ (deriv_op @ deriv_op).T
+        assert (np.max(np.abs(system.second_deriv - paper))
+                <= 1e-14 * np.max(np.abs(paper)))
+
+
+class TestInitialCoefficients:
+    def test_singular_interpolation_rejected(self, operators):
+        config = _config(operators, level=3)
+        system = assemble_lhs(config)
+        broken = dataclasses.replace(system, values=np.ones_like(system.values))
+        with pytest.raises(ConditioningError, match="initial interpolation"):
+            initial_coefficients(config, broken)
 
 
 class TestBuildRhs:
     def test_zero_state_leaves_only_boundary_values(self, operators):
-        config, deriv_op = _config(operators,
+        config = _config(operators,
                                    bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2))
-        system = assemble_lhs(config, deriv_op)
+        system = assemble_lhs(config)
         rhs = build_rhs(np.zeros(config.spec.n_functions), config, system)
         assert rhs[0] == 0.3 and rhs[-1] == -0.2
         assert np.max(np.abs(rhs[1:-1])) == 0.0
 
     def test_constant_state_is_nearly_stationary_inside(self, operators):
-        config, deriv_op = _config(operators)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators)
+        system = assemble_lhs(config)
         coeffs = w.interpolate(lambda x: np.full_like(x, 0.7), config.spec)
         rhs = build_rhs(coeffs, config, system)
         np.testing.assert_allclose(rhs[1:-1], 0.7, atol=1e-10)
@@ -186,8 +201,8 @@ class TestBuildRhs:
                                                                level):
         # at the center the convection term vanishes and the diffusion share
         # gives 1 - dt pi^2 / 2; discrete curvature error is O(2**-level)
-        config, deriv_op = _config(operators, level=level)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, level=level)
+        system = assemble_lhs(config)
         coeffs = w.interpolate(lambda x: np.sin(np.pi * x), config.spec)
         rhs = build_rhs(coeffs, config, system)
         center = config.spec.n_functions // 2
@@ -197,14 +212,14 @@ class TestBuildRhs:
 
 class TestStep:
     def test_zero_is_a_fixed_point(self, operators):
-        config, deriv_op = _config(operators)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators)
+        system = assemble_lhs(config)
         zero = np.zeros(config.spec.n_functions)
         np.testing.assert_allclose(w.step(zero, system, config), zero, atol=1e-14)
 
     def test_linear_system_residual_stays_tiny(self, operators):
-        config, deriv_op = _config(operators, level=5)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, level=5)
+        system = assemble_lhs(config)
         coeffs = initial_coefficients(config, system)
         for n in range(5):
             rhs = build_rhs(coeffs, config, system)
@@ -214,8 +229,8 @@ class TestStep:
 
     def test_fifty_steps_reach_published_anchor(self, operators):
         # sin initial data, Re = 1: u(0.5, 0.05) = 0.60907 published
-        config, deriv_op = _config(operators, level=5, t_end=0.05)
-        system = assemble_lhs(config, deriv_op)
+        config = _config(operators, level=5, t_end=0.05)
+        system = assemble_lhs(config)
         coeffs = initial_coefficients(config, system)
         for n in range(50):
             coeffs = w.step(coeffs, system, config, step_index=n)
@@ -223,9 +238,9 @@ class TestStep:
             0.60907, abs=1e-3)
 
     def test_antisymmetric_state_stays_antisymmetric(self, operators):
-        config, deriv_op = _config(operators, level=4, reynolds=10.0,
+        config = _config(operators, level=4, reynolds=10.0,
                                    bc=w.BoundarySpec(NEUMANN), ic=CASE3_IC)
-        system = assemble_lhs(config, deriv_op)
+        system = assemble_lhs(config)
         coeffs = initial_coefficients(config, system)
         for n in range(100):
             coeffs = w.step(coeffs, system, config, step_index=n)
@@ -235,20 +250,20 @@ class TestStep:
 
 class TestSolve:
     def test_zero_horizon_returns_initial_state_only(self, operators):
-        config, deriv_op = _config(operators, t_end=0.0)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, t_end=0.0)
+        series = w.solve(config)
         assert series.times.shape == (1,)
         assert series.times[0] == 0.0
 
     def test_published_anchor_case1_re10(self, operators):
-        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=0.5)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, level=5, reynolds=10.0, t_end=0.5)
+        series = w.solve(config)
         assert w.sample(series, 0.5, [0.7])[0] == pytest.approx(0.57585, abs=1e-3)
 
     def test_published_anchor_case2_re1(self, operators):
-        config, deriv_op = _config(operators, level=5, t_end=0.05,
+        config = _config(operators, level=5, t_end=0.05,
                                    ic=lambda x: 4.0 * x * (1.0 - x))
-        series = w.solve(config, deriv_op=deriv_op)
+        series = w.solve(config)
         assert w.sample(series, 0.05, [0.3])[0] == pytest.approx(0.49093, abs=1e-3)
 
     def test_builds_operators_when_not_supplied(self):
@@ -259,17 +274,35 @@ class TestSolve:
         series = w.solve(config)
         assert series.coeffs.shape == (3, spec.n_functions)
 
+    @pytest.mark.parametrize("bc, ic", [
+        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x)),
+        (w.BoundarySpec(NEUMANN), CASE3_IC),
+    ], ids=["dirichlet", "neumann"])
+    def test_needs_no_wavelet_space_operator(self, operators, monkeypatch,
+                                             bc, ic):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the solver built a wavelet-space operator")
+
+        for name in ("gram_matrix", "dual_transform", "derivative_matrix"):
+            assert not hasattr(solver, name)
+            monkeypatch.setattr(f"wavecol.operators.{name}", forbidden)
+            monkeypatch.setattr(f"wavecol.{name}", forbidden)
+        config = _config(operators, level=4, reynolds=10.0, t_end=0.01,
+                         bc=bc, ic=ic)
+        assert w.solve(config).coeffs.shape == (11, config.spec.n_functions)
+
     def test_dirichlet_boundaries_enforced_every_step(self, operators):
-        config, deriv_op = _config(operators, level=4, t_end=0.05)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, level=4, t_end=0.05)
+        series = w.solve(config)
         ends = w.basis_matrix(config.spec, [0.0, 1.0])
         for coeffs in series.coeffs:
             assert np.max(np.abs(ends @ coeffs)) <= 1e-9
 
     def test_neumann_boundaries_enforced_every_step(self, operators):
-        config, deriv_op = _config(operators, level=4, reynolds=10.0, t_end=0.05,
+        config = _config(operators, level=4, reynolds=10.0, t_end=0.05,
                                    bc=w.BoundarySpec(NEUMANN), ic=CASE3_IC)
-        series = w.solve(config, deriv_op=deriv_op)
+        series = w.solve(config)
+        _, _, _, deriv_op = operators(4)
         slope_rows = w.basis_matrix(config.spec, [0.0, 1.0]) @ deriv_op.T
         for coeffs in series.coeffs[1:]:
             assert np.max(np.abs(slope_rows @ coeffs)) <= 1e-8
@@ -277,8 +310,8 @@ class TestSolve:
     @pytest.mark.parametrize("ic", [lambda x: np.sin(np.pi * x),
                                     lambda x: 4.0 * x * (1.0 - x)])
     def test_peak_magnitude_never_grows(self, operators, ic):
-        config, deriv_op = _config(operators, level=4, t_end=0.1, ic=ic)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, level=4, t_end=0.1, ic=ic)
+        series = w.solve(config)
         grid_values = series.coeffs @ w.basis_matrix(
             config.spec, collocation_points(config.spec)).T
         peaks = np.max(np.abs(grid_values), axis=1)
@@ -290,11 +323,11 @@ class TestSolve:
         # explicit convection term cannot hold the front and the run
         # overflows near t = 0.55; the failure must be loud and carry the
         # blow-up time
-        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=1.0,
+        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
                                    dt=0.05, bc=w.BoundarySpec(NEUMANN),
                                    ic=CASE3_IC)
         with pytest.raises(DivergenceError, match="t = 0.5") as info:
-            w.solve(config, deriv_op=deriv_op)
+            w.solve(config)
         assert 0.5 <= info.value.time <= 0.6
 
     @pytest.mark.parametrize("bc, ic, reynolds", [
@@ -303,25 +336,25 @@ class TestSolve:
     ], ids=["case1-dirichlet", "case3-neumann"])
     def test_history_is_bitwise_the_reference_algebra(self, operators, bc, ic,
                                                       reynolds):
-        config, deriv_op = _config(operators, level=4, reynolds=reynolds,
+        config = _config(operators, level=4, reynolds=reynolds,
                                    t_end=0.5, bc=bc, ic=ic)
-        reference = _reference_history(config, deriv_op)
+        reference = _reference_history(config)
         assert reference.shape == (501, config.spec.n_functions)
-        assert np.array_equal(w.solve(config, deriv_op=deriv_op).coeffs,
+        assert np.array_equal(w.solve(config).coeffs,
                               reference)
 
     def test_divergence_step_matches_the_reference_algebra(self, operators):
-        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=1.0,
+        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
                                    dt=0.05, bc=w.BoundarySpec(NEUMANN),
                                    ic=CASE3_IC)
-        reference = _reference_history(config, deriv_op)
+        reference = _reference_history(config)
         assert isinstance(reference, DivergenceError)
         with pytest.raises(DivergenceError) as info:
-            w.solve(config, deriv_op=deriv_op)
+            w.solve(config)
         assert info.value.step == reference.step
 
     def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
-        config, deriv_op = _config(operators, level=5, reynolds=10.0, t_end=1.0,
+        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
                                    dt=0.05, bc=w.BoundarySpec(NEUMANN),
                                    ic=CASE3_IC)
         # with every warning an error, an overflow warning from the loop
@@ -329,32 +362,32 @@ class TestSolve:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError):
-                w.solve(config, deriv_op=deriv_op)
+                w.solve(config)
 
 
 class TestSample:
     def test_boundary_samples_match_prescribed_values(self, operators):
-        config, deriv_op = _config(operators, t_end=0.02)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, t_end=0.02)
+        series = w.solve(config)
         left, right = w.sample(series, 0.02, [0.0, 1.0])
         assert abs(left) <= 1e-9 and abs(right) <= 1e-9
 
     def test_initial_samples_match_initial_data_at_grid(self, operators):
-        config, deriv_op = _config(operators, t_end=0.01)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, t_end=0.01)
+        series = w.solve(config)
         grid = collocation_points(config.spec)
         values = w.sample(series, 0.0, grid)
         np.testing.assert_allclose(values, np.sin(np.pi * grid), atol=1e-10)
 
     def test_published_row_sampled_from_one_series(self, operators):
-        config, deriv_op = _config(operators, level=5, t_end=0.1)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, level=5, t_end=0.1)
+        series = w.solve(config)
         values = w.sample(series, 0.1, [0.1, 0.3, 0.5, 0.7, 0.9])
         published = (0.10954, 0.29190, 0.37158, 0.30991, 0.12069)
         np.testing.assert_allclose(values, published, atol=1e-3)
 
     def test_out_of_range_time_rejected(self, operators):
-        config, deriv_op = _config(operators, t_end=0.01)
-        series = w.solve(config, deriv_op=deriv_op)
+        config = _config(operators, t_end=0.01)
+        series = w.solve(config)
         with pytest.raises(ValueError, match="outside"):
             w.sample(series, 0.5, [0.5])
