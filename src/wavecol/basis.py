@@ -31,9 +31,6 @@ import numpy as np
 SCALING = "scaling"
 WAVELET = "wavelet"
 
-#: Spline order; only order 2 (piecewise linear) is supported.
-SPLINE_ORDER = 2
-
 
 @dataclass(frozen=True)
 class BasisIndex:
@@ -55,12 +52,9 @@ class BasisSpec:
     """
 
     max_level: int
-    order: int = SPLINE_ORDER
     index_map: tuple[BasisIndex, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.order != SPLINE_ORDER:
-            raise ValueError(f"only spline order {SPLINE_ORDER} is supported")
         if self.max_level < 2:
             raise ValueError("max_level must be at least 2")
         layout = [BasisIndex(SCALING, 2, k) for k in range(-1, 4)]
@@ -118,9 +112,8 @@ def _branches(idx: BasisIndex) -> tuple[tuple, int]:
     return table["right" if idx.shift == last else "inner"], denom
 
 
-@functools.lru_cache(maxsize=1024)
 def _node_values(idx: BasisIndex, max_level: int) -> np.ndarray:
-    """Read-only values of one basis function at the 2**max_level + 1 nodes.
+    """Values of one basis function at the 2**max_level + 1 nodes.
 
     The local coordinate of every node is a dyadic rational, so each value
     is the correctly rounded (a + b * t) / denom.
@@ -131,7 +124,6 @@ def _node_values(idx: BasisIndex, max_level: int) -> np.ndarray:
     for (t_lo, t_hi), (a, b) in branches:
         on = (t >= t_lo) & (t <= t_hi)
         values[on] = (a + b * t[on]) / denom
-    values.flags.writeable = False
     return values
 
 

@@ -42,19 +42,19 @@ PROFILE_POINTS = 401
 #: advance from the boundaries and meet at the center.
 FRONT_WINDOW = (0.25, 0.75)
 
-_REPORT_XS = published.COMPARISON_X
-
 
 @dataclass(frozen=True)
 class CaseDefinition:
-    """One benchmark problem: initial data, boundaries and report layout."""
+    """One benchmark problem: initial data, boundaries and report times.
+
+    Every case reports at the published locations published.COMPARISON_X.
+    """
 
     case_id: int
     reynolds: float
     ic: Callable[[np.ndarray], np.ndarray]
     bc: BoundarySpec
     report_times: tuple[float, ...]
-    report_xs: tuple[float, ...]
     oracle_family: str | None
 
 
@@ -91,7 +91,7 @@ def case_definition(case_id: int, reynolds: float | None = None,
     if times is None:
         times = _default_times(case_id, reynolds)
     return CaseDefinition(case_id, float(reynolds), ic, bc, tuple(times),
-                          _REPORT_XS, family)
+                          family)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,6 @@ class ErrorReport:
     case_id: int
     reynolds: float
     n_points: int
-    dt: float
-    theta: float
     times: tuple[float, ...]
     xs: tuple[float, ...]
     numeric: np.ndarray
@@ -127,7 +125,7 @@ def _relative_errors(numeric: np.ndarray, exact: np.ndarray) -> np.ndarray:
     return rel
 
 
-def error_metrics(case: CaseDefinition, n_points: int, dt: float, theta: float,
+def error_metrics(case: CaseDefinition, n_points: int,
                   numeric: np.ndarray, exact: np.ndarray) -> ErrorReport:
     """Assemble the full error report from numeric and exact value grids."""
     numeric = np.asarray(numeric, float)
@@ -141,24 +139,23 @@ def error_metrics(case: CaseDefinition, n_points: int, dt: float, theta: float,
 
     comparator_rows: dict[str, dict[float, tuple[float, ...]]] = {}
     comparator_avg: dict[str, dict[float, float]] = {}
-    if tuple(case.report_xs) == published.COMPARISON_X:
-        for method in ("ifdm", "bem", "cw_np33", "cw_np65"):
-            rows = {}
-            avgs = {}
-            for i, t in enumerate(case.report_times):
-                row = published.profile_row(case.case_id, case.reynolds, t, method)
-                if row is None:
-                    continue
-                rows[t] = row
-                rel = _relative_errors(np.asarray(row), exact[i])
-                avgs[t] = float(np.nanmean(rel))
-            if rows:
-                comparator_rows[method] = rows
-                comparator_avg[method] = avgs
+    for method in ("ifdm", "bem", "cw_np33", "cw_np65"):
+        rows = {}
+        avgs = {}
+        for i, t in enumerate(case.report_times):
+            row = published.profile_row(case.case_id, case.reynolds, t, method)
+            if row is None:
+                continue
+            rows[t] = row
+            rel = _relative_errors(np.asarray(row), exact[i])
+            avgs[t] = float(np.nanmean(rel))
+        if rows:
+            comparator_rows[method] = rows
+            comparator_avg[method] = avgs
 
     return ErrorReport(
         case_id=case.case_id, reynolds=case.reynolds, n_points=n_points,
-        dt=dt, theta=theta, times=case.report_times, xs=case.report_xs,
+        times=case.report_times, xs=published.COMPARISON_X,
         numeric=numeric, exact=exact, abs_err=abs_err, rel_err=rel_err,
         avg_rel_err=avg, comparator_rows=comparator_rows,
         comparator_avg=comparator_avg,
@@ -180,11 +177,8 @@ class Case3Report:
     the oscillation excess inside FRONT_WINDOW.
     """
 
-    case_id: int
     reynolds: float
     n_points: int
-    dt: float
-    theta: float
     times: tuple[float, ...]
     antisymmetry: dict[float, float]
     center_abs: dict[float, float]
@@ -194,18 +188,18 @@ class Case3Report:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one benchmark run produced, ready for report emission."""
+    """Everything one benchmark run produced, ready for report emission.
+
+    The run configuration (dt, theta, t_end) is series.config.
+    """
 
     case: CaseDefinition
     n_points: int
-    dt: float
-    theta: float
     report: ErrorReport | Case3Report
     profile_xs: np.ndarray
     profiles: dict[float, np.ndarray]
     series: SolutionSeries
     operators: dict[str, np.ndarray]
-    truncate_level: int | None = None
 
 
 def spec_for_points(n_points: int) -> BasisSpec:
@@ -241,7 +235,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
 
     dense_xs = np.linspace(0.0, 1.0, PROFILE_POINTS)
     dense_rows = basis_matrix(spec, dense_xs)
-    report_rows = basis_matrix(spec, case.report_xs)
+    report_rows = basis_matrix(spec, published.COMPARISON_X)
 
     def coeffs_at(t: float) -> np.ndarray:
         c = series.coefficients_at(t)
@@ -255,10 +249,10 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         numeric = np.array([report_rows @ coeffs_at(t) for t in case.report_times])
         exact = table_values(
             ExactSolutionSpec(reynolds=case.reynolds, ic_family=case.oracle_family),
-            case.report_times, case.report_xs,
+            case.report_times, published.COMPARISON_X,
         )
         report: ErrorReport | Case3Report = error_metrics(
-            case, n_points, dt, theta, numeric, exact)
+            case, n_points, numeric, exact)
     else:
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
         endpoint_deriv = series.system.first_deriv[[0, -1]]
@@ -275,8 +269,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             residuals[t] = (abs(float(left)), abs(float(right)))
             oscillation[t] = oscillation_excess(u[window])
         report = Case3Report(
-            case_id=case.case_id, reynolds=case.reynolds, n_points=n_points,
-            dt=dt, theta=theta, times=case.report_times,
+            reynolds=case.reynolds, n_points=n_points, times=case.report_times,
             antisymmetry=antisymmetry, center_abs=center,
             neumann_residuals=residuals, front_oscillation=oscillation,
         )
@@ -293,9 +286,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     if case.bc.kind == NEUMANN:
         operators["second_deriv"] = series.system.second_deriv
     return RunResult(
-        case=case, n_points=n_points, dt=dt, theta=theta, report=report,
+        case=case, n_points=n_points, report=report,
         profile_xs=dense_xs, profiles=profiles, series=series,
-        operators=operators, truncate_level=truncate_level,
+        operators=operators,
     )
 
 

@@ -11,6 +11,11 @@ equation, giving
 with E_n(t) = exp(-n**2 pi**2 t / Re) and c_n the cosine moments of the
 transformed initial condition (factor 2 for n >= 1).  The series converges
 fast for the benchmark times but degenerates as t -> 0+, which is guarded.
+
+The tolerances are fixed: each moment's quadrature is doubled until two
+successive values agree to QUAD_TOL (1e-12), and summation stops once two
+consecutive terms contribute below TERM_TOL (1e-14, relative) or after
+MAX_TERMS (400) terms, which emits a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -32,29 +37,33 @@ POLY_4X_1MX = "poly_4x_1mx"
 #: benchmark never needs anything earlier, so refuse instead of degrading.
 MIN_TIME = 1e-4
 
+#: Absolute agreement of two successive quadratures of one cosine moment.
+QUAD_TOL = 1e-12
+#: Relative contribution below which a series term counts as quiet.
+TERM_TOL = 1e-14
+#: Series terms summed before giving up with a RuntimeWarning.
+MAX_TERMS = 400
+
 _GAUSS10_X, _GAUSS10_W = leggauss(10)
 _MAX_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
 class ExactSolutionSpec:
-    """Problem family, Reynolds number and series/quadrature tolerances."""
+    """Problem family and Reynolds number of one exact solution.
+
+    The series and quadrature tolerances are the module constants QUAD_TOL,
+    TERM_TOL and MAX_TERMS.
+    """
 
     reynolds: float
     ic_family: str
-    quad_tol: float = 1e-12
-    max_terms: int = 400
-    term_tol: float = 1e-14
 
     def __post_init__(self) -> None:
-        if self.reynolds <= 0:
-            raise ValueError("reynolds must be positive")
+        if not (math.isfinite(self.reynolds) and self.reynolds > 0):
+            raise ValueError("reynolds must be positive and finite")
         if self.ic_family not in (SIN_PI, POLY_4X_1MX):
             raise ValueError(f"unknown ic_family {self.ic_family!r}")
-        if self.quad_tol <= 0 or self.term_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be at least 1")
 
 
 def _transformed_ic(spec: ExactSolutionSpec, x: np.ndarray) -> np.ndarray:
@@ -85,12 +94,12 @@ def _coefficient(spec: ExactSolutionSpec, n: int) -> float:
     while cells <= _MAX_CELLS:
         cells *= 2
         current = _composite_gauss(integrand, cells)
-        if abs(current - previous) <= spec.quad_tol:
+        if abs(current - previous) <= QUAD_TOL:
             factor = 1.0 if n == 0 else 2.0
             return factor * current
         previous = current
     raise QuadratureError(
-        f"cosine moment n={n} did not reach tol {spec.quad_tol} "
+        f"cosine moment n={n} did not reach tol {QUAD_TOL} "
         f"within {_MAX_CELLS} cells"
     )
 
@@ -106,9 +115,9 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """Series solution u(x, t) for t > 0.
 
     Terms are summed until the relative contribution of the newest term to
-    both the numerator and the denominator drops below term_tol for two
+    both the numerator and the denominator drops below TERM_TOL for two
     consecutive terms (single-term checks would stop early at points where
-    sin(n pi x) vanishes).  Hitting max_terms first emits a RuntimeWarning.
+    sin(n pi x) vanishes).  Hitting MAX_TERMS first emits a RuntimeWarning.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
@@ -125,15 +134,15 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     numerator = 0.0
     denominator = fourier_coefficient(spec, 0)
     quiet_terms = 0
-    for n in range(1, spec.max_terms + 1):
+    for n in range(1, MAX_TERMS + 1):
         c_n = fourier_coefficient(spec, n)
         damped = c_n * math.exp(-decay * n * n)
         term_num = damped * n * math.sin(n * math.pi * x)
         term_den = damped * math.cos(n * math.pi * x)
         numerator += term_num
         denominator += term_den
-        small_num = abs(term_num) <= spec.term_tol * max(abs(numerator), 1e-300)
-        small_den = abs(term_den) <= spec.term_tol * abs(denominator)
+        small_num = abs(term_num) <= TERM_TOL * max(abs(numerator), 1e-300)
+        small_den = abs(term_den) <= TERM_TOL * abs(denominator)
         if small_num and small_den:
             quiet_terms += 1
             if quiet_terms >= 2:
@@ -142,8 +151,8 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             quiet_terms = 0
     else:
         warnings.warn(
-            f"series hit max_terms={spec.max_terms} before reaching "
-            f"term_tol={spec.term_tol} (x={x}, t={t})",
+            f"series hit MAX_TERMS={MAX_TERMS} before reaching "
+            f"TERM_TOL={TERM_TOL} (x={x}, t={t})",
             RuntimeWarning,
             stacklevel=2,
         )

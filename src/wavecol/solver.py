@@ -65,8 +65,10 @@ def steps_to(t: float, dt: float) -> int:
 
     t / dt may miss an integer by _STEP_TOLERANCE of a step; any larger miss
     raises ValueError rather than letting a neighbouring step stand in
-    for t.
+    for t.  So does a non-finite t.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
     steps = t / dt
     if abs(steps - round(steps)) > _STEP_TOLERANCE:
         raise ValueError(f"t = {t:g} is not a multiple of dt = {dt:g}")
@@ -99,14 +101,14 @@ class SolverConfig:
     theta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.reynolds <= 0:
-            raise ValueError("reynolds must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.reynolds) and self.reynolds > 0):
+            raise ValueError("reynolds must be positive and finite")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be positive and finite")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if self.t_end < 0:
-            raise ValueError("t_end must be non-negative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError("t_end must be non-negative and finite")
 
     def n_steps(self) -> int:
         # tolerate roundoff in t_end / dt so exact multiples stay exact

@@ -43,10 +43,6 @@ class TestLayout:
         with pytest.raises(ValueError, match="max_level"):
             w.BasisSpec(max_level=1)
 
-    def test_order_other_than_two_rejected(self):
-        with pytest.raises(ValueError, match="order"):
-            w.BasisSpec(max_level=3, order=3)
-
 
 class TestScalingValues:
     def test_left_boundary_hat_is_one_at_origin(self):

@@ -84,7 +84,7 @@ class TestErrorMetrics:
     def test_identical_inputs_give_zero_errors(self):
         case = w.case_definition(1)
         values = np.ones((3, 5))
-        report = w.error_metrics(case, 33, 1e-3, 0.5, values, values)
+        report = w.error_metrics(case, 33, values, values)
         assert np.max(report.abs_err) == 0.0
         assert np.max(report.rel_err) == 0.0
         assert all(v == 0.0 for v in report.avg_rel_err.values())
@@ -93,7 +93,7 @@ class TestErrorMetrics:
         case = w.case_definition(1, times=(0.05,))
         exact = np.array([[0.2, 0.4, 0.5, 0.4, 0.2]])
         numeric = exact + np.array([[0.002, -0.004, 0.005, 0.0, 0.002]])
-        report = w.error_metrics(case, 33, 1e-3, 0.5, numeric, exact)
+        report = w.error_metrics(case, 33, numeric, exact)
         expected = np.mean([0.002 / 0.2, 0.004 / 0.4, 0.005 / 0.5, 0.0,
                             0.002 / 0.2])
         assert report.avg_rel_err[0.05] == pytest.approx(expected, rel=1e-12)
@@ -102,7 +102,7 @@ class TestErrorMetrics:
         case = w.case_definition(1, times=(0.05,))
         exact = np.array([[0.0, 0.4, 0.5, 0.4, 0.2]])
         numeric = exact + 0.004
-        report = w.error_metrics(case, 33, 1e-3, 0.5, numeric, exact)
+        report = w.error_metrics(case, 33, numeric, exact)
         assert np.isnan(report.rel_err[0, 0])
         expected = np.mean([0.004 / 0.4, 0.004 / 0.5, 0.004 / 0.4, 0.004 / 0.2])
         assert report.avg_rel_err[0.05] == pytest.approx(expected, rel=1e-12)
@@ -110,7 +110,7 @@ class TestErrorMetrics:
     def test_shape_mismatch_rejected(self):
         case = w.case_definition(1)
         with pytest.raises(ValueError, match="shape"):
-            w.error_metrics(case, 33, 1e-3, 0.5, np.ones((3, 5)), np.ones((2, 5)))
+            w.error_metrics(case, 33, np.ones((3, 5)), np.ones((2, 5)))
 
     @pytest.mark.parametrize("reynolds", [1.0, 10.0])
     @pytest.mark.parametrize("method", ["ifdm", "bem"])
@@ -285,8 +285,7 @@ class TestEmission:
 
     def test_empty_report_emits_header_only(self):
         case = w.case_definition(1, times=())
-        report = w.error_metrics(case, 33, 1e-3, 0.5,
-                                 np.empty((0, 5)), np.empty((0, 5)))
+        report = w.error_metrics(case, 33, np.empty((0, 5)), np.empty((0, 5)))
         assert _comparison_csv(report) == ("time,x,numeric,exact,abs_err,"
                                            "rel_err,ifdm,bem\n")
         assert _summary_csv(report).count("\n") == 1

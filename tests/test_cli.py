@@ -104,6 +104,17 @@ def test_zero_dt_is_a_usage_error(tmp_path, capsys):
     assert "dt must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [
+    ["--times", "inf"], ["--t-end", "inf"], ["--re", "inf"], ["--dt", "inf"],
+    ["--re", "nan"], ["--dt", "nan"], ["--times", "nan"],
+], ids=" ".join)
+def test_non_finite_run_inputs_are_usage_errors(tmp_path, capsys, flags):
+    code = cli.main(["--case", "1", "--np", "9", *flags, "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_reported_paths_are_printed(tmp_path, capsys):
     cli.main(["--case", "1", "--np", "9", "--times", "0.05",
               "--out", str(tmp_path)])

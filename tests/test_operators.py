@@ -151,8 +151,7 @@ class TestNodalKernel:
         assert {"wavecol.basis.basis_piecewise",
                 "wavecol.operators.integrate_product"} <= set(sites)
         monkeypatch.setattr(Fraction, "__new__", refuse)
-        # rebuild the cached node values under the guard
-        basis._node_values.cache_clear()
+        # rebuild the cached nodal matrix under the guard
         basis._nodal_matrix.cache_clear()
 
         for case_id in (1, 3):
