@@ -237,16 +237,14 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     dense_rows = basis_matrix(spec, dense_xs)
     report_rows = basis_matrix(spec, published.COMPARISON_X)
 
-    def coeffs_at(t: float) -> np.ndarray:
-        c = series.coefficients_at(t)
-        if truncate_level is not None:
-            c = truncate(c, spec, truncate_level)
-        return c
-
-    profiles = {t: dense_rows @ coeffs_at(t) for t in case.report_times}
+    # the reported state at each report time, truncated once
+    states = {t: series.coefficients_at(t) for t in case.report_times}
+    if truncate_level is not None:
+        states = {t: truncate(c, spec, truncate_level) for t, c in states.items()}
+    profiles = {t: dense_rows @ c for t, c in states.items()}
 
     if case.oracle_family is not None:
-        numeric = np.array([report_rows @ coeffs_at(t) for t in case.report_times])
+        numeric = np.array([report_rows @ states[t] for t in case.report_times])
         exact = table_values(
             ExactSolutionSpec(reynolds=case.reynolds, ic_family=case.oracle_family),
             case.report_times, published.COMPARISON_X,
@@ -261,7 +259,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         residuals = {}
         oscillation = {}
         for t in case.report_times:
-            c = coeffs_at(t)
+            c = states[t]
             u = profiles[t]
             antisymmetry[t] = float(np.max(np.abs(u + u[::-1])))
             center[t] = abs(float(u[PROFILE_POINTS // 2]))  # x = 1/2

@@ -3,7 +3,8 @@
 Runs one benchmark case at one resolution, writes comparison reports and
 optional profile / operator dumps, and reports failures through exit codes:
 0 success, 1 usage error, 2 solver divergence, 3 conditioning failure,
-4 I/O failure.
+4 I/O failure, 5 exact solution not trustworthy (the Cole-Hopf series lost
+its accuracy to cancellation, or a moment's quadrature did not converge).
 """
 
 from __future__ import annotations
@@ -20,13 +21,19 @@ from .bench import (
     emit_reports,
     run_case,
 )
-from .errors import ConditioningError, DivergenceError
+from .errors import (
+    ConditioningError,
+    DivergenceError,
+    QuadratureError,
+    SeriesAccuracyError,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DIVERGENCE = 2
 EXIT_CONDITIONING = 3
 EXIT_IO = 4
+EXIT_ORACLE = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,6 +105,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConditioningError as exc:
         print(f"wavecol: conditioning failure: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
+    except (SeriesAccuracyError, QuadratureError) as exc:
+        print(f"wavecol: exact solution unavailable: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
     except ValueError as exc:
         print(f"wavecol: {exc}", file=sys.stderr)
         return EXIT_USAGE

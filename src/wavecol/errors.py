@@ -31,3 +31,17 @@ class DivergenceError(RuntimeError):
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
+
+
+class SeriesAccuracyError(RuntimeError):
+    """The exact series solution cannot be trusted at this point.
+
+    At high Reynolds numbers the transformed initial data span many orders
+    of magnitude and the series sums large terms of both signs, so the
+    quadrature tolerance and roundoff swamp the result.  Carries the
+    estimated relative error of u that exceeded the oracle's bound.
+    """
+
+    def __init__(self, message: str, estimate: float):
+        super().__init__(f"{message} (estimated relative error {estimate:.3e})")
+        self.estimate = estimate

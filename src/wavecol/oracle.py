@@ -16,19 +16,28 @@ The tolerances are fixed: each moment's quadrature is doubled until two
 successive values agree to QUAD_TOL (1e-12), and summation stops once two
 consecutive terms contribute below TERM_TOL (1e-14, relative) or after
 MAX_TERMS (400) terms, which emits a RuntimeWarning.
+
+At high Reynolds numbers the transformed data fall from 1 to about
+exp(-Re/pi), and the series cancels: at t = 0.5, x = 0.9 the denominator's
+sum of |term| exceeds |sum of terms| by 5 at Re = 10, 9e9 at Re = 100 and
+1e16 at Re = 200.  exact_u therefore estimates the relative error of u
+from the quadrature tolerance and the summation roundoff, and raises
+SeriesAccuracyError above MAX_REL_ERROR (1e-6) instead of returning a
+wrong value.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import QuadratureError
+from .errors import QuadratureError, SeriesAccuracyError
 
 SIN_PI = "sin_pi"
 POLY_4X_1MX = "poly_4x_1mx"
@@ -43,9 +52,12 @@ QUAD_TOL = 1e-12
 TERM_TOL = 1e-14
 #: Series terms summed before giving up with a RuntimeWarning.
 MAX_TERMS = 400
+#: Largest estimated relative error of u that exact_u returns.
+MAX_REL_ERROR = 1e-6
 
 _GAUSS10_X, _GAUSS10_W = leggauss(10)
 _MAX_CELLS = 1 << 18
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -118,6 +130,12 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     both the numerator and the denominator drops below TERM_TOL for two
     consecutive terms (single-term checks would stop early at points where
     sin(n pi x) vanishes).  Hitting MAX_TERMS first emits a RuntimeWarning.
+
+    The relative error of u is estimated as that of the numerator plus that
+    of the denominator.  Each sum is off by at most the moments' quadrature
+    error (QUAD_TOL per moment, twice that for n >= 1) times the summed
+    damping factors, plus roundoff: machine epsilon times the sum of |term|.
+    Above MAX_REL_ERROR the result is refused with SeriesAccuracyError.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
@@ -133,14 +151,23 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     decay = math.pi**2 * t / spec.reynolds
     numerator = 0.0
     denominator = fourier_coefficient(spec, 0)
+    abs_num, abs_den = 0.0, abs(denominator)
+    damping_num, damping_den = 0.0, 0.0
     quiet_terms = 0
     for n in range(1, MAX_TERMS + 1):
         c_n = fourier_coefficient(spec, n)
-        damped = c_n * math.exp(-decay * n * n)
-        term_num = damped * n * math.sin(n * math.pi * x)
-        term_den = damped * math.cos(n * math.pi * x)
+        damping = math.exp(-decay * n * n)
+        damped = c_n * damping
+        sin_n = math.sin(n * math.pi * x)
+        cos_n = math.cos(n * math.pi * x)
+        term_num = damped * n * sin_n
+        term_den = damped * cos_n
         numerator += term_num
         denominator += term_den
+        abs_num += abs(term_num)
+        abs_den += abs(term_den)
+        damping_num += damping * n * abs(sin_n)
+        damping_den += damping * abs(cos_n)
         small_num = abs(term_num) <= TERM_TOL * max(abs(numerator), 1e-300)
         small_den = abs(term_den) <= TERM_TOL * abs(denominator)
         if small_num and small_den:
@@ -156,6 +183,17 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
+    error_num = 2.0 * QUAD_TOL * damping_num + _EPS * abs_num
+    error_den = QUAD_TOL * (1.0 + 2.0 * damping_den) + _EPS * abs_den
+    if numerator == 0.0 or denominator == 0.0:
+        # the transformed data underflowed: nothing of u is left
+        estimate = math.inf
+    else:
+        estimate = error_num / abs(numerator) + error_den / abs(denominator)
+    if not estimate <= MAX_REL_ERROR:
+        raise SeriesAccuracyError(
+            f"series solution at x = {x:g}, t = {t:g}, Re = {spec.reynolds:g} "
+            f"is not accurate to MAX_REL_ERROR = {MAX_REL_ERROR:g}", estimate)
     return (2.0 * math.pi / spec.reynolds) * numerator / denominator
 
 

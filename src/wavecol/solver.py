@@ -28,13 +28,20 @@ excites at the front.  The weak operator keeps case 3 bounded to t = 1.
 The paper does not say how u_xx is discretised under Neumann data, so the
 weak operator is a deviation from its method, not a reading of it.
 
-A step is three mat-vecs for u, u_x and u_xx, then one LAPACK getrs
-solve on the factors assemble_lhs keeps; getrs is called directly rather
-than through scipy.linalg.lu_solve, whose wrapper costs about nine times
-the solve at 33 points; the result is bitwise what lu_solve gives.
-Both ends of a step are checked finite.  The np.errstate that lets a
-diverging run reach that check without overflow warnings is entered once
-around solve's loop, not per step.
+A step is one mat-vec, two in-place products and one LAPACK getrs solve.
+assemble_lhs stacks the explicit operator once, as the (3N x N) array
+[V; D1; V + (1 - theta)(dt/Re) D2], so one gemv gives u, u_x and the
+old-level part u + (1 - theta)(dt/Re) u_xx together; the lagged convection
+dt u u_x is then subtracted in place.  getrs is called directly on the
+factors assemble_lhs keeps, rather than through scipy.linalg.lu_solve,
+whose wrapper costs about nine times the solve at 33 points; the result is
+bitwise what lu_solve gives.  solve checks finiteness once per
+_CHECK_EVERY stored steps and at the last step, not per step: getrs cannot
+turn a non-finite right-hand side into a finite solution, so the first
+non-finite stored state places the failure (see _divergence), and the
+step it reports is the one a per-step check would have reported.  The
+np.errstate that lets a diverging run reach that check without overflow
+warnings is entered once around solve's loop, not per step.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ NEUMANN = "neumann"
 #: A time t / dt may miss an integer by this much of a step (roundoff in
 #: the division) and still count as that step.
 _STEP_TOLERANCE = 1e-9
+
+#: solve checks the stored states for non-finite values once per this many
+#: steps, and after the last step.
+_CHECK_EVERY = 64
 
 _getrs, = get_lapack_funcs(("getrs",), dtype=np.float64)
 
@@ -119,16 +130,21 @@ class SolverConfig:
 class CollocationSystem:
     """Factored left-hand side plus the cached evaluation rows it was built from.
 
-    grid holds the collocation points.  values / first_deriv /
-    second_deriv hold, row per grid point, the
-    coefficients-to-point-values maps for u, du/dx and d2u/dx2.  flux is
-    the constant part of d2u/dx2 that comes from the boundary data (the
-    weak operator's M^-1 b); it is None for Dirichlet data.
+    grid holds the collocation points.  explicit is the stacked explicit
+    operator [V; D1; V + (1 - theta)(dt/Re) D2], one C-contiguous
+    (3N x N) array, read-only, so that one mat-vec gives u, du/dx and the
+    old-level part of the step (see build_rhs).  values and first_deriv
+    are its first two row blocks, as views: row per grid point, the
+    coefficients-to-point-values maps for u and du/dx.  second_deriv is
+    the unscaled map for d2u/dx2, and flux the constant part of d2u/dx2
+    that comes from the boundary data (the weak operator's M^-1 b); flux
+    is None for Dirichlet data.
     """
 
     grid: np.ndarray
     matrix: np.ndarray
     lu: tuple
+    explicit: np.ndarray
     values: np.ndarray
     first_deriv: np.ndarray
     second_deriv: np.ndarray
@@ -170,16 +186,24 @@ def derivative_rows(values: np.ndarray, bc: BoundarySpec
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build and factor the (time-independent) left-hand matrix."""
+    """Build and factor the (time-independent) left-hand matrix, and stack
+    the explicit operator the right-hand side is formed with."""
     grid = collocation_points(config.spec)
     values = basis_matrix(config.spec, grid)
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
-    matrix = values - config.theta * (config.dt / config.reynolds) * second_deriv
+    weight = config.dt / config.reynolds
+    n = len(grid)
+    explicit = np.vstack(
+        [values, first_deriv, values + (1.0 - config.theta) * weight * second_deriv])
+    explicit.flags.writeable = False
+    values, first_deriv = explicit[:n], explicit[n:2 * n]
+    matrix = values - config.theta * weight * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
     return CollocationSystem(
         grid=grid,
         matrix=matrix,
         lu=guarded_lu_factor(matrix, "collocation system"),
+        explicit=explicit,
         values=values,
         first_deriv=first_deriv,
         second_deriv=second_deriv,
@@ -195,15 +219,18 @@ def build_rhs(coeffs: np.ndarray, config: SolverConfig,
     diffusion share plus the lagged convection product) and, for Neumann
     data, the weak operator's boundary flux at full weight, since it is
     the same at both time levels; the first and last entries are the
-    prescribed boundary values.  Overflow in a diverging run is left to the
-    caller's np.errstate; solve ignores it and step reports it.
+    prescribed boundary values.  One mat-vec with system.explicit gives
+    u, u_x and u + (1 - theta)(dt/Re) u_xx; the convection product is
+    formed in the u block and subtracted in place.  Overflow in a diverging
+    run is left to the caller's np.errstate; solve ignores it and step
+    reports it.
     """
-    u = system.values @ coeffs
-    u_x = system.first_deriv @ coeffs
-    u_xx = system.second_deriv @ coeffs
-    rhs = (u
-           + (1.0 - config.theta) * (config.dt / config.reynolds) * u_xx
-           - config.dt * u * u_x)
+    n = coeffs.shape[0]
+    stacked = system.explicit @ coeffs
+    u, u_x, rhs = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
+    u *= config.dt
+    u *= u_x
+    rhs -= u
     if system.flux is not None:
         rhs += (config.dt / config.reynolds) * system.flux
     rhs[0] = config.bc.left_value
@@ -211,22 +238,36 @@ def build_rhs(coeffs: np.ndarray, config: SolverConfig,
     return rhs
 
 
+def _divergence(coeffs: np.ndarray, step_index: int, config: SolverConfig,
+                system: CollocationSystem) -> DivergenceError:
+    """The error for a step from coeffs whose solution is non-finite.
+
+    A non-finite right-hand side fails the step itself (step_index);
+    otherwise the solve overflowed and the new state fails
+    (step_index + 1).  getrs cannot turn a non-finite right-hand side into
+    a finite solution, so a non-finite solution always lands here.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = build_rhs(coeffs, config, system)
+    if not np.isfinite(rhs).all():
+        return DivergenceError(step_index, step_index * config.dt)
+    return DivergenceError(step_index + 1, (step_index + 1) * config.dt)
+
+
 def step(coeffs: np.ndarray, system: CollocationSystem, config: SolverConfig,
          step_index: int = 0) -> np.ndarray:
-    """Advance the coefficients by one time step.
+    """Advance the coefficients by one time step, checking the result finite.
 
     The solve is LAPACK getrs on the stored factors, the routine lu_solve
-    wraps, called directly: rhs has just been checked finite and is not
-    used again, so it is solved in place.
+    wraps, called directly: rhs is not used again, so it is solved in
+    place.
     """
     rhs = build_rhs(coeffs, config, system)
-    if not np.isfinite(rhs).all():
-        raise DivergenceError(step_index, step_index * config.dt)
     new, info = _getrs(*system.lu, rhs, overwrite_b=True)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of getrs")
     if not np.isfinite(new).all():
-        raise DivergenceError(step_index + 1, (step_index + 1) * config.dt)
+        raise _divergence(coeffs, step_index, config, system)
     return new
 
 
@@ -271,16 +312,33 @@ class SolutionSeries:
 
 
 def solve(config: SolverConfig) -> SolutionSeries:
-    """Run the full time integration and record every step."""
+    """Run the full time integration and record every step.
+
+    The stored states are checked finite once per _CHECK_EVERY steps and
+    after the last step; the first non-finite one decides which step
+    raises DivergenceError, by the same rule as step (see _divergence).
+    """
     system = assemble_lhs(config)
+    lu, piv = system.lu
     coeffs = initial_coefficients(config, system)
     n_steps = config.n_steps()
     history = np.empty((n_steps + 1, config.spec.n_functions))
     history[0] = coeffs
+    checked = 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(n_steps):
-            coeffs = step(coeffs, system, config, step_index=n)
-            history[n + 1] = coeffs
+        for n in range(1, n_steps + 1):
+            rhs = build_rhs(coeffs, config, system)
+            coeffs, info = _getrs(lu, piv, rhs, overwrite_b=True)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of getrs")
+            history[n] = coeffs
+            if n % _CHECK_EVERY == 0 or n == n_steps:
+                finite = np.isfinite(history[checked:n + 1]).all(axis=1)
+                if not finite.all():
+                    first = checked + int(np.argmin(finite))
+                    raise _divergence(history[first - 1], first - 1, config,
+                                      system)
+                checked = n + 1
     times = np.arange(n_steps + 1) * config.dt
     return SolutionSeries(times=times, coeffs=history, config=config,
                           system=system)

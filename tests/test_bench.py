@@ -14,6 +14,7 @@ from wavecol.bench import (
     emit_profiles,
     emit_reports,
 )
+from wavecol.approx import truncate
 from wavecol.published import AVERAGE_REL_ERRORS
 from wavecol.solver import NEUMANN, assemble_lhs, derivative_rows
 
@@ -209,6 +210,19 @@ class TestRunCase:
         same = w.run_case(case, 17, truncate_level=4)
         assert np.max(np.abs(coarse.report.numeric - full.report.numeric)) > 1e-6
         np.testing.assert_array_equal(same.report.numeric, full.report.numeric)
+
+    @pytest.mark.parametrize("case_id", [1, 3])
+    def test_truncates_once_per_report_time(self, monkeypatch, case_id):
+        calls = []
+
+        def counted(coeffs, spec, keep_level):
+            calls.append(keep_level)
+            return truncate(coeffs, spec, keep_level)
+
+        monkeypatch.setattr("wavecol.bench.truncate", counted)
+        case = w.case_definition(case_id, times=(0.05, 0.1))
+        w.run_case(case, 17, truncate_level=3)
+        assert calls == [3, 3]
 
     def test_case3_report_measures_front_properties(self):
         case = w.case_definition(3, times=(0.05, 0.1))

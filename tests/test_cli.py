@@ -2,8 +2,8 @@
 
 import pytest
 
-from wavecol import cli
-from wavecol.errors import ConditioningError
+from wavecol import cli, oracle
+from wavecol.errors import ConditioningError, QuadratureError
 
 
 def test_fast_dirichlet_run_writes_reports(tmp_path):
@@ -141,3 +141,32 @@ def test_report_time_off_the_step_grid_is_a_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "t = 0.05" in err and "dt = 0.003" in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags", [
+    ["--re", "1000"],
+    ["--re", "1e308", "--times", "0.1"],
+], ids=" ".join)
+def test_untrustworthy_exact_solution_maps_to_exit_5(tmp_path, capsys, flags):
+    # at Re = 1000 the series cancels to an estimated relative error of
+    # order 10; at Re = 1e308 the transformed data underflow to zero and
+    # the series divided zero by zero
+    try:
+        code = cli.main(["--case", "1", "--np", "33", *flags,
+                         "--out", str(tmp_path)])
+    finally:
+        # leave no high-Re moments cached for the oracle's own tests
+        oracle._coefficient.cache_clear()
+    assert code == cli.EXIT_ORACLE
+    assert "MAX_REL_ERROR" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_quadrature_failure_maps_to_exit_5(tmp_path, monkeypatch):
+    def explode(*args, **kwargs):
+        raise QuadratureError("forced")
+
+    monkeypatch.setattr(cli, "run_case", explode)
+    code = cli.main(["--case", "1", "--np", "5", "--times", "0.01",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_ORACLE

@@ -7,7 +7,10 @@ import pytest
 
 import wavecol as w
 from wavecol import oracle
-from wavecol.oracle import MIN_TIME, POLY_4X_1MX, SIN_PI
+from scipy.special import ive
+
+from wavecol.errors import SeriesAccuracyError
+from wavecol.oracle import MAX_REL_ERROR, MIN_TIME, POLY_4X_1MX, SIN_PI
 
 SIN_RE1 = w.ExactSolutionSpec(reynolds=1.0, ic_family=SIN_PI)
 SIN_RE10 = w.ExactSolutionSpec(reynolds=10.0, ic_family=SIN_PI)
@@ -114,6 +117,31 @@ class TestExactSolution:
         # after MAX_TERMS terms
         with pytest.warns(RuntimeWarning, match="MAX_TERMS"):
             w.exact_u(POLY_RE10, 0.7, MIN_TIME)
+
+    @pytest.mark.parametrize("reynolds", [100.0, 150.0, 200.0])
+    def test_cancelled_series_is_refused(self, reynolds):
+        # at t = 0.5, x = 0.9 the denominator's sum of |term| exceeds the
+        # sum itself by 9e9 at Re = 100 and 1e16 at Re = 200; unchecked,
+        # Re = 150 gave u = 1.0137, above the maximum of the initial data
+        spec = w.ExactSolutionSpec(reynolds=reynolds, ic_family=SIN_PI)
+        with pytest.raises(SeriesAccuracyError) as info:
+            w.exact_u(spec, 0.9, 0.5)
+        assert info.value.estimate > MAX_REL_ERROR
+
+    def test_served_values_hold_the_bound_at_re_50(self):
+        # the highest Reynolds number still served at the report grid; the
+        # Bessel closed form c_0 = ive(0, k), c_n = 2 ive(n, k), k = Re/2pi,
+        # carries no quadrature error
+        reynolds, k, n = 50.0, 50.0 / (2.0 * math.pi), np.arange(1, 200)
+        spec = w.ExactSolutionSpec(reynolds=reynolds, ic_family=SIN_PI)
+        for t in (0.5, 1.0, 2.0):
+            decayed = 2.0 * ive(n, k) * np.exp(-n * n * math.pi**2 * t / reynolds)
+            for x in LOCATIONS:
+                closed = (2.0 * math.pi / reynolds
+                          * np.sum(decayed * n * np.sin(n * math.pi * x))
+                          / (ive(0, k) + np.sum(decayed * np.cos(n * math.pi * x))))
+                value = w.exact_u(spec, x, t)
+                assert abs(value - closed) <= MAX_REL_ERROR * abs(closed)
 
     def test_decays_in_time_over_the_tabulated_ranges(self):
         ranges = {SIN_RE1: (0.05, 0.2), POLY_RE1: (0.05, 0.2),

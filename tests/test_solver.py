@@ -16,6 +16,7 @@ from wavecol.solver import (
     NEUMANN,
     assemble_lhs,
     build_rhs,
+    derivative_rows,
     initial_coefficients,
 )
 
@@ -210,6 +211,36 @@ class TestBuildRhs:
         assert abs(rhs[center] - target) <= 1e-3 * 2.0**-level
 
 
+    @pytest.mark.parametrize("bc, ic, reynolds", [
+        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x), 1.0),
+        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC, 10.0),
+    ], ids=["dirichlet", "neumann"])
+    def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
+                                              reynolds):
+        # the scheme spelled out from rows built apart from assemble_lhs:
+        # u + (1 - theta)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux)
+        config = _config(operators, level=5, reynolds=reynolds, theta=0.3,
+                         dt=0.01, bc=bc, ic=ic)
+        system = assemble_lhs(config)
+        n = config.spec.n_functions
+        assert system.explicit.shape == (3 * n, n)
+        values = w.basis_matrix(config.spec, collocation_points(config.spec))
+        first, second, flux = derivative_rows(values, bc)
+        coeffs = initial_coefficients(config, system)
+        for n_step in range(3):
+            u, u_x, u_xx = values @ coeffs, first @ coeffs, second @ coeffs
+            expected = (u
+                        + (1.0 - config.theta) * (config.dt / reynolds) * u_xx
+                        - config.dt * u * u_x)
+            if flux is not None:
+                expected += (config.dt / reynolds) * flux
+            expected[0], expected[-1] = bc.left_value, bc.right_value
+            rhs = build_rhs(coeffs, config, system)
+            assert (np.max(np.abs(rhs - expected))
+                    <= 1e-14 * np.max(np.abs(expected)))
+            coeffs = w.step(coeffs, system, config, step_index=n_step)
+
+
 class TestStep:
     def test_zero_is_a_fixed_point(self, operators):
         config = _config(operators)
@@ -352,6 +383,66 @@ class TestSolve:
         with pytest.raises(DivergenceError) as info:
             w.solve(config)
         assert info.value.step == reference.step
+
+    @pytest.mark.parametrize("check_every", [None, 1, 7])
+    @pytest.mark.parametrize("level, dt, bc, ic, reynolds, diverges_at", [
+        # the convection product overflows in the first right-hand side
+        (5, 1e-3, w.BoundarySpec(DIRICHLET),
+         lambda x: 1e160 * np.sin(np.pi * x), 1.0, 0),
+        # case 3 past its Courant limit, at 33 and at 65 points
+        (5, 0.02, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 15),
+        (6, 0.0125, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 19),
+    ], ids=["rhs-overflow", "case3-np33", "case3-np65"])
+    def test_divergence_step_is_pinned_under_the_block_check(
+            self, operators, monkeypatch, check_every, level, dt, bc, ic,
+            reynolds, diverges_at):
+        if check_every is not None:
+            monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
+        config = _config(operators, level=level, reynolds=reynolds,
+                         t_end=1.0, dt=dt, bc=bc, ic=ic)
+        reference = _reference_history(config)
+        assert isinstance(reference, DivergenceError)
+        assert reference.step == diverges_at
+        with pytest.raises(DivergenceError) as info:
+            w.solve(config)
+        assert info.value.step == diverges_at
+        system = assemble_lhs(config)
+        coeffs = initial_coefficients(config, system)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                for n in range(config.n_steps()):
+                    coeffs = w.step(coeffs, system, config, step_index=n)
+        assert info.value.step == diverges_at
+
+    @pytest.mark.parametrize("check_every", [None, 1, 7])
+    def test_overflowing_solve_fails_the_next_step(self, operators,
+                                                   monkeypatch, check_every):
+        # a finite right-hand side whose solution is not finite: the solve
+        # of step 5 overflows, so step 6's state is the first bad one
+        if check_every is not None:
+            monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
+        real_getrs = solver._getrs
+        calls = []
+
+        def overflowing_getrs(lu, piv, b, overwrite_b=False):
+            calls.append(len(calls))
+            if len(calls) == 6:
+                return np.full_like(b, np.inf), 0
+            return real_getrs(lu, piv, b, overwrite_b=overwrite_b)
+
+        monkeypatch.setattr(solver, "_getrs", overflowing_getrs)
+        config = _config(operators, level=4, t_end=0.05)
+        with pytest.raises(DivergenceError) as info:
+            w.solve(config)
+        assert info.value.step == 6
+        calls.clear()
+        system = assemble_lhs(config)
+        coeffs = initial_coefficients(config, system)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as info:
+                for n in range(config.n_steps()):
+                    coeffs = w.step(coeffs, system, config, step_index=n)
+        assert info.value.step == 6
 
     def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
