@@ -190,7 +190,7 @@ class Case3Report:
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
-    The run configuration (dt, theta, t_end) is series.config.
+    The run configuration (dt, t_end) is series.config.
     """
 
     case: CaseDefinition
@@ -210,22 +210,20 @@ def spec_for_points(n_points: int) -> BasisSpec:
 
 
 def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
-             theta: float = 0.5, t_end: float | None = None,
              truncate_level: int | None = None) -> RunResult:
     """Solve one case at one resolution and measure everything the reports need.
 
-    For Neumann cases the operators include ``second_deriv``, the weak
-    Laplacian's node rows that the solver used (see ``wavecol.solver``);
-    the Dirichlet second derivative is D*D of the dumped ``deriv_op``.
-    Bad run parameters (dt, theta, a report time that is not a multiple
-    of dt, truncate_level) raise ValueError before any operator is built
-    or step taken.
+    The run ends at the last report time.  For Neumann cases the operators
+    include ``second_deriv``, the weak Laplacian's node rows that the
+    solver used (see ``wavecol.solver``); the Dirichlet second derivative
+    is D*D of the dumped ``deriv_op``.  Bad run parameters (dt, a report
+    time that is not a multiple of dt, truncate_level) raise ValueError
+    before any operator is built or step taken.
     """
     spec = spec_for_points(n_points)
     config = SolverConfig(
-        reynolds=case.reynolds,
-        t_end=max(case.report_times) if t_end is None else t_end,
-        bc=case.bc, ic=case.ic, spec=spec, dt=dt, theta=theta,
+        reynolds=case.reynolds, t_end=max(case.report_times),
+        bc=case.bc, ic=case.ic, spec=spec, dt=dt,
     )
     for t in case.report_times:
         steps_to(t, dt)

@@ -67,10 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--np", type=int, choices=VALID_N_POINTS, default=33,
                         dest="n_points", help="number of collocation points")
     parser.add_argument("--dt", type=float, default=1e-3, help="time step")
-    parser.add_argument("--theta", type=float, default=0.5,
-                        help="implicit weight of the diffusion term")
-    parser.add_argument("--t-end", type=float, default=None,
-                        help="integration end time (default: last report time)")
     parser.add_argument("--times", type=_parse_times, default=None,
                         help="comma-separated report times")
     parser.add_argument("--format", choices=("csv", "md"), default="csv",
@@ -92,11 +88,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         case = case_definition(args.case, reynolds=args.re, times=args.times)
-        if args.t_end is not None and args.t_end < max(case.report_times):
-            parser.error(f"--t-end {args.t_end:g} is before the last report "
-                         f"time {max(case.report_times):g}")
-        result = run_case(case, args.n_points, dt=args.dt, theta=args.theta,
-                          t_end=args.t_end, truncate_level=args.truncate_level)
+        result = run_case(case, args.n_points, dt=args.dt,
+                          truncate_level=args.truncate_level)
     except DivergenceError as exc:
         print(f"wavecol: solver diverged: {exc}", file=sys.stderr)
         print("wavecol: the convection term is explicit; try a smaller "

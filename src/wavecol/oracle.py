@@ -21,7 +21,7 @@ At high Reynolds numbers the transformed data fall from 1 to about
 exp(-Re/pi), and the series cancels: at t = 0.5, x = 0.9 the denominator's
 sum of |term| exceeds |sum of terms| by 5 at Re = 10, 9e9 at Re = 100 and
 1e16 at Re = 200.  exact_u therefore estimates the relative error of u
-from the quadrature tolerance and the summation roundoff, and raises
+from the moments' quadrature errors and the summation roundoff, and raises
 SeriesAccuracyError above MAX_REL_ERROR (1e-6) instead of returning a
 wrong value.
 """
@@ -95,8 +95,9 @@ def _composite_gauss(f, n_cells: int) -> float:
     return float(total)
 
 
-@functools.lru_cache(maxsize=None)
-def _coefficient(spec: ExactSolutionSpec, n: int) -> float:
+@functools.lru_cache(maxsize=2048)
+def _coefficient(spec: ExactSolutionSpec, n: int) -> tuple[float, float]:
+    """Moment n and its error estimate, the last doubling's change."""
     def integrand(x: np.ndarray) -> np.ndarray:
         return _transformed_ic(spec, x) * np.cos(n * math.pi * x)
 
@@ -106,9 +107,10 @@ def _coefficient(spec: ExactSolutionSpec, n: int) -> float:
     while cells <= _MAX_CELLS:
         cells *= 2
         current = _composite_gauss(integrand, cells)
-        if abs(current - previous) <= QUAD_TOL:
+        change = abs(current - previous)
+        if change <= QUAD_TOL:
             factor = 1.0 if n == 0 else 2.0
-            return factor * current
+            return factor * current, factor * change
         previous = current
     raise QuadratureError(
         f"cosine moment n={n} did not reach tol {QUAD_TOL} "
@@ -120,7 +122,7 @@ def fourier_coefficient(spec: ExactSolutionSpec, n: int) -> float:
     """Cosine moment of the transformed initial condition (factor 2 for n >= 1)."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _coefficient(spec, n)
+    return _coefficient(spec, n)[0]
 
 
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
@@ -133,9 +135,10 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
 
     The relative error of u is estimated as that of the numerator plus that
     of the denominator.  Each sum is off by at most the moments' quadrature
-    error (QUAD_TOL per moment, twice that for n >= 1) times the summed
-    damping factors, plus roundoff: machine epsilon times the sum of |term|.
-    Above MAX_REL_ERROR the result is refused with SeriesAccuracyError.
+    errors, each the change of the moment's last doubling (times 2 for
+    n >= 1, like the moment), times its damping factor, plus roundoff:
+    machine epsilon times the sum of |term|.  Above MAX_REL_ERROR the
+    result is refused with SeriesAccuracyError.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
@@ -149,13 +152,12 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
         # every numerator term carries sin(n pi x) = 0
         return 0.0
     decay = math.pi**2 * t / spec.reynolds
-    numerator = 0.0
-    denominator = fourier_coefficient(spec, 0)
+    numerator, error_num = 0.0, 0.0
+    denominator, error_den = _coefficient(spec, 0)
     abs_num, abs_den = 0.0, abs(denominator)
-    damping_num, damping_den = 0.0, 0.0
     quiet_terms = 0
     for n in range(1, MAX_TERMS + 1):
-        c_n = fourier_coefficient(spec, n)
+        c_n, error_n = _coefficient(spec, n)
         damping = math.exp(-decay * n * n)
         damped = c_n * damping
         sin_n = math.sin(n * math.pi * x)
@@ -166,8 +168,8 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
         denominator += term_den
         abs_num += abs(term_num)
         abs_den += abs(term_den)
-        damping_num += damping * n * abs(sin_n)
-        damping_den += damping * abs(cos_n)
+        error_num += error_n * damping * n * abs(sin_n)
+        error_den += error_n * damping * abs(cos_n)
         small_num = abs(term_num) <= TERM_TOL * max(abs(numerator), 1e-300)
         small_den = abs(term_den) <= TERM_TOL * abs(denominator)
         if small_num and small_den:
@@ -183,8 +185,8 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-    error_num = 2.0 * QUAD_TOL * damping_num + _EPS * abs_num
-    error_den = QUAD_TOL * (1.0 + 2.0 * damping_den) + _EPS * abs_den
+    error_num += _EPS * abs_num
+    error_den += _EPS * abs_den
     if numerator == 0.0 or denominator == 0.0:
         # the transformed data underflowed: nothing of u is left
         estimate = math.inf

@@ -1,12 +1,12 @@
 """Time integration of the viscous Burgers equation by wavelet collocation.
 
-Each step solves a linear system: diffusion is theta-weighted between the
-old and new time levels (Crank-Nicolson at the default theta = 1/2) while
-the convection product is evaluated fully at the old level.  The left-hand
-matrix is therefore constant in time and factored once.  Interior rows
-collocate the scheme at the uniform grid points; the first and last rows
-impose the boundary conditions on the new coefficients, as value rows for
-Dirichlet data or first-derivative rows for Neumann data.
+Each step solves a linear system: diffusion is Crank-Nicolson, weighted
+THETA = 1/2 between the old and new time levels, while the convection
+product is evaluated fully at the old level.  The left-hand matrix is
+therefore constant in time and factored once.  Interior rows collocate
+the scheme at the uniform grid points; the first and last rows impose the
+boundary conditions on the new coefficients, as value rows for Dirichlet
+data or first-derivative rows for Neumann data.
 
 The rows come from the nodal P1 kernel alone.  The basis spans the hats
 of the collocation grid, so with V the basis values at the grid nodes the
@@ -19,7 +19,7 @@ first-derivative rows.  For Neumann data it is the weak P1 Laplacian on
 the collocation grid, -M^-1 S applied to the nodal values, with the
 prescribed slopes entering as the boundary flux M^-1 b.  D*D with the
 Neumann rows is unstable for the steep antisymmetric front of benchmark
-case 3: the run blows up near t = 0.26 whatever the time step or theta.
+case 3: the run blows up near t = 0.26 whatever the time step.
 Diffusion alone is stable with either operator, but D*D damps the
 grid-scale modes far less (with Neumann rows at 17 points its most
 negative eigenvalue is about -730, against -2970 for the weak operator),
@@ -30,18 +30,18 @@ weak operator is a deviation from its method, not a reading of it.
 
 A step is one mat-vec, two in-place products and one LAPACK getrs solve.
 assemble_lhs stacks the explicit operator once, as the (3N x N) array
-[V; D1; V + (1 - theta)(dt/Re) D2], so one gemv gives u, u_x and the
-old-level part u + (1 - theta)(dt/Re) u_xx together; the lagged convection
+[V; D1; V + (1 - THETA)(dt/Re) D2], so one gemv gives u, u_x and the
+old-level part u + (1 - THETA)(dt/Re) u_xx together; the lagged convection
 dt u u_x is then subtracted in place.  getrs is called directly on the
 factors assemble_lhs keeps, rather than through scipy.linalg.lu_solve,
 whose wrapper costs about nine times the solve at 33 points; the result is
 bitwise what lu_solve gives.  solve checks finiteness once per
 _CHECK_EVERY stored steps and at the last step, not per step: getrs cannot
 turn a non-finite right-hand side into a finite solution, so the first
-non-finite stored state places the failure (see _divergence), and the
-step it reports is the one a per-step check would have reported.  The
-np.errstate that lets a diverging run reach that check without overflow
-warnings is entered once around solve's loop, not per step.
+non-finite stored state places the failure, and the step solve reports
+is the one a per-step check would have reported.  The np.errstate that
+lets a diverging run reach that check without overflow warnings is
+entered once around solve's loop, not per step.
 """
 
 from __future__ import annotations
@@ -59,6 +59,9 @@ from .operators import guarded_lu_factor, p1_kernel
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
+
+#: Implicit weight of the diffusion term: Crank-Nicolson.
+THETA = 0.5
 
 #: A time t / dt may miss an integer by this much of a step (roundoff in
 #: the division) and still count as that step.
@@ -109,21 +112,17 @@ class SolverConfig:
     ic: Callable[[np.ndarray], np.ndarray]
     spec: BasisSpec
     dt: float = 1e-3
-    theta: float = 0.5
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.reynolds) and self.reynolds > 0):
             raise ValueError("reynolds must be positive and finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if not (math.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError("t_end must be non-negative and finite")
 
     def n_steps(self) -> int:
-        # tolerate roundoff in t_end / dt so exact multiples stay exact
-        return max(0, math.ceil(self.t_end / self.dt - _STEP_TOLERANCE))
+        return steps_to(self.t_end, self.dt)
 
 
 @dataclass(frozen=True)
@@ -131,7 +130,7 @@ class CollocationSystem:
     """Factored left-hand side plus the cached evaluation rows it was built from.
 
     grid holds the collocation points.  explicit is the stacked explicit
-    operator [V; D1; V + (1 - theta)(dt/Re) D2], one C-contiguous
+    operator [V; D1; V + (1 - THETA)(dt/Re) D2], one C-contiguous
     (3N x N) array, read-only, so that one mat-vec gives u, du/dx and the
     old-level part of the step (see build_rhs).  values and first_deriv
     are its first two row blocks, as views: row per grid point, the
@@ -194,10 +193,10 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     weight = config.dt / config.reynolds
     n = len(grid)
     explicit = np.vstack(
-        [values, first_deriv, values + (1.0 - config.theta) * weight * second_deriv])
+        [values, first_deriv, values + (1.0 - THETA) * weight * second_deriv])
     explicit.flags.writeable = False
     values, first_deriv = explicit[:n], explicit[n:2 * n]
-    matrix = values - config.theta * weight * second_deriv
+    matrix = values - THETA * weight * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
     return CollocationSystem(
         grid=grid,
@@ -220,10 +219,9 @@ def build_rhs(coeffs: np.ndarray, config: SolverConfig,
     data, the weak operator's boundary flux at full weight, since it is
     the same at both time levels; the first and last entries are the
     prescribed boundary values.  One mat-vec with system.explicit gives
-    u, u_x and u + (1 - theta)(dt/Re) u_xx; the convection product is
+    u, u_x and u + (1 - THETA)(dt/Re) u_xx; the convection product is
     formed in the u block and subtracted in place.  Overflow in a diverging
-    run is left to the caller's np.errstate; solve ignores it and step
-    reports it.
+    run is left to the caller's np.errstate, under which solve ignores it.
     """
     n = coeffs.shape[0]
     stacked = system.explicit @ coeffs
@@ -236,39 +234,6 @@ def build_rhs(coeffs: np.ndarray, config: SolverConfig,
     rhs[0] = config.bc.left_value
     rhs[-1] = config.bc.right_value
     return rhs
-
-
-def _divergence(coeffs: np.ndarray, step_index: int, config: SolverConfig,
-                system: CollocationSystem) -> DivergenceError:
-    """The error for a step from coeffs whose solution is non-finite.
-
-    A non-finite right-hand side fails the step itself (step_index);
-    otherwise the solve overflowed and the new state fails
-    (step_index + 1).  getrs cannot turn a non-finite right-hand side into
-    a finite solution, so a non-finite solution always lands here.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        rhs = build_rhs(coeffs, config, system)
-    if not np.isfinite(rhs).all():
-        return DivergenceError(step_index, step_index * config.dt)
-    return DivergenceError(step_index + 1, (step_index + 1) * config.dt)
-
-
-def step(coeffs: np.ndarray, system: CollocationSystem, config: SolverConfig,
-         step_index: int = 0) -> np.ndarray:
-    """Advance the coefficients by one time step, checking the result finite.
-
-    The solve is LAPACK getrs on the stored factors, the routine lu_solve
-    wraps, called directly: rhs is not used again, so it is solved in
-    place.
-    """
-    rhs = build_rhs(coeffs, config, system)
-    new, info = _getrs(*system.lu, rhs, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
-    if not np.isfinite(new).all():
-        raise _divergence(coeffs, step_index, config, system)
-    return new
 
 
 def initial_coefficients(config: SolverConfig,
@@ -294,29 +259,31 @@ def initial_coefficients(config: SolverConfig,
 class SolutionSeries:
     """Coefficient history at every time step of one run.
 
-    system is the collocation system the run was stepped with.
+    coeffs[k] is the state at time k * config.dt; system is the collocation
+    system the run was stepped with.
     """
 
-    times: np.ndarray
     coeffs: np.ndarray
     config: SolverConfig
     system: CollocationSystem
 
     def coefficients_at(self, t: float) -> np.ndarray:
         """Coefficients at time t, which must be a stored step; see steps_to."""
-        if t < self.times[0] - 1e-12 or t > self.times[-1] + 1e-12:
-            raise ValueError(
-                f"t = {t} outside stored range [{self.times[0]}, {self.times[-1]}]"
-            )
-        return self.coeffs[steps_to(t, self.config.dt)]
+        k = steps_to(t, self.config.dt)
+        if not 0 <= k < len(self.coeffs):
+            raise ValueError(f"t = {t} outside the stored steps 0 to "
+                             f"{len(self.coeffs) - 1} of dt = {self.config.dt}")
+        return self.coeffs[k]
 
 
 def solve(config: SolverConfig) -> SolutionSeries:
     """Run the full time integration and record every step.
 
-    The stored states are checked finite once per _CHECK_EVERY steps and
-    after the last step; the first non-finite one decides which step
-    raises DivergenceError, by the same rule as step (see _divergence).
+    t_end must be a multiple of dt (see steps_to).  The stored states are
+    checked finite once per _CHECK_EVERY steps and after the last step.  The
+    first non-finite state j raises DivergenceError: if the right-hand side
+    built from state j - 1 is non-finite, step j - 1 fails; otherwise that
+    solve overflowed and step j fails.
     """
     system = assemble_lhs(config)
     lu, piv = system.lu
@@ -336,12 +303,12 @@ def solve(config: SolverConfig) -> SolutionSeries:
                 finite = np.isfinite(history[checked:n + 1]).all(axis=1)
                 if not finite.all():
                     first = checked + int(np.argmin(finite))
-                    raise _divergence(history[first - 1], first - 1, config,
-                                      system)
+                    rhs = build_rhs(history[first - 1], config, system)
+                    if not np.isfinite(rhs).all():
+                        first -= 1
+                    raise DivergenceError(first, first * config.dt)
                 checked = n + 1
-    times = np.arange(n_steps + 1) * config.dt
-    return SolutionSeries(times=times, coeffs=history, config=config,
-                          system=system)
+    return SolutionSeries(coeffs=history, config=config, system=system)
 
 
 def sample(series: SolutionSeries, t: float, xs) -> list[float]:

@@ -21,11 +21,11 @@ from wavecol.solver import (
 )
 
 
-def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, theta=0.5,
-            bc=None, ic=None):
+def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, bc=None,
+            ic=None):
     spec, _, _, _ = operators(level)
     return w.SolverConfig(
-        reynolds=reynolds, t_end=t_end, dt=dt, theta=theta,
+        reynolds=reynolds, t_end=t_end, dt=dt,
         bc=bc or w.BoundarySpec(DIRICHLET),
         ic=ic or (lambda x: np.sin(np.pi * x)),
         spec=spec,
@@ -65,9 +65,6 @@ class TestConfigValidation:
             w.SolverConfig(reynolds=-1.0, t_end=0.1, bc=bc, ic=ic, spec=spec)
         with pytest.raises(ValueError, match="dt"):
             w.SolverConfig(reynolds=1.0, t_end=0.1, dt=0.0, bc=bc, ic=ic, spec=spec)
-        with pytest.raises(ValueError, match="theta"):
-            w.SolverConfig(reynolds=1.0, t_end=0.1, theta=1.5, bc=bc, ic=ic,
-                           spec=spec)
         with pytest.raises(ValueError, match="t_end"):
             w.SolverConfig(reynolds=1.0, t_end=-0.1, bc=bc, ic=ic, spec=spec)
 
@@ -112,9 +109,9 @@ class TestAssembleLhs:
         assert np.isfinite(np.linalg.cond(system.matrix))
 
     def test_singular_system_rejected(self, operators, monkeypatch):
-        # theta * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
+        # THETA * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
         spec, _, _, _ = operators(2)
-        config = w.SolverConfig(reynolds=1.0, t_end=0.5, dt=0.5, theta=0.5,
+        config = w.SolverConfig(reynolds=1.0, t_end=0.5, dt=0.5,
                                 bc=w.BoundarySpec(DIRICHLET),
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         monkeypatch.setattr(solver, "derivative_rows",
@@ -151,8 +148,7 @@ class TestWeakSecondDerivative:
         np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
 
     def test_flux_enters_rhs_interior_at_full_weight(self, operators):
-        config = _config(operators, theta=0.3,
-                                   bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
         system = assemble_lhs(config)
         rhs = build_rhs(np.zeros(config.spec.n_functions), config, system)
         np.testing.assert_allclose(
@@ -218,19 +214,18 @@ class TestBuildRhs:
     def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
                                               reynolds):
         # the scheme spelled out from rows built apart from assemble_lhs:
-        # u + (1 - theta)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux)
-        config = _config(operators, level=5, reynolds=reynolds, theta=0.3,
-                         dt=0.01, bc=bc, ic=ic)
+        # u + (1 - THETA)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux)
+        config = _config(operators, level=5, reynolds=reynolds, dt=0.01,
+                         bc=bc, ic=ic)
         system = assemble_lhs(config)
         n = config.spec.n_functions
         assert system.explicit.shape == (3 * n, n)
         values = w.basis_matrix(config.spec, collocation_points(config.spec))
         first, second, flux = derivative_rows(values, bc)
-        coeffs = initial_coefficients(config, system)
-        for n_step in range(3):
+        for coeffs in w.solve(config).coeffs[:3]:
             u, u_x, u_xx = values @ coeffs, first @ coeffs, second @ coeffs
             expected = (u
-                        + (1.0 - config.theta) * (config.dt / reynolds) * u_xx
+                        + (1.0 - solver.THETA) * (config.dt / reynolds) * u_xx
                         - config.dt * u * u_x)
             if flux is not None:
                 expected += (config.dt / reynolds) * flux
@@ -238,44 +233,35 @@ class TestBuildRhs:
             rhs = build_rhs(coeffs, config, system)
             assert (np.max(np.abs(rhs - expected))
                     <= 1e-14 * np.max(np.abs(expected)))
-            coeffs = w.step(coeffs, system, config, step_index=n_step)
 
 
 class TestStep:
     def test_zero_is_a_fixed_point(self, operators):
-        config = _config(operators)
-        system = assemble_lhs(config)
-        zero = np.zeros(config.spec.n_functions)
-        np.testing.assert_allclose(w.step(zero, system, config), zero, atol=1e-14)
+        config = _config(operators, ic=np.zeros_like)
+        np.testing.assert_allclose(w.solve(config).coeffs, 0.0, atol=1e-14)
 
     def test_linear_system_residual_stays_tiny(self, operators):
-        config = _config(operators, level=5)
-        system = assemble_lhs(config)
-        coeffs = initial_coefficients(config, system)
-        for n in range(5):
-            rhs = build_rhs(coeffs, config, system)
-            coeffs = w.step(coeffs, system, config, step_index=n)
-            residual = np.max(np.abs(system.matrix @ coeffs - rhs))
+        config = _config(operators, level=5, t_end=0.005)
+        series = w.solve(config)
+        system = series.system
+        for old, new in zip(series.coeffs, series.coeffs[1:]):
+            rhs = build_rhs(old, config, system)
+            residual = np.max(np.abs(system.matrix @ new - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
     def test_fifty_steps_reach_published_anchor(self, operators):
         # sin initial data, Re = 1: u(0.5, 0.05) = 0.60907 published
         config = _config(operators, level=5, t_end=0.05)
-        system = assemble_lhs(config)
-        coeffs = initial_coefficients(config, system)
-        for n in range(50):
-            coeffs = w.step(coeffs, system, config, step_index=n)
+        coeffs = w.solve(config).coeffs[50]
         assert w.reconstruct(coeffs, config.spec, 0.5) == pytest.approx(
             0.60907, abs=1e-3)
 
     def test_antisymmetric_state_stays_antisymmetric(self, operators):
         config = _config(operators, level=4, reynolds=10.0,
                                    bc=w.BoundarySpec(NEUMANN), ic=CASE3_IC)
-        system = assemble_lhs(config)
-        coeffs = initial_coefficients(config, system)
-        for n in range(100):
-            coeffs = w.step(coeffs, system, config, step_index=n)
-            u = system.values @ coeffs
+        series = w.solve(config)
+        for coeffs in series.coeffs[1:]:
+            u = series.system.values @ coeffs
             assert np.max(np.abs(u + u[::-1])) <= 1e-8
 
 
@@ -283,8 +269,13 @@ class TestSolve:
     def test_zero_horizon_returns_initial_state_only(self, operators):
         config = _config(operators, t_end=0.0)
         series = w.solve(config)
-        assert series.times.shape == (1,)
-        assert series.times[0] == 0.0
+        assert series.coeffs.shape == (1, config.spec.n_functions)
+
+    def test_horizon_off_the_step_grid_is_rejected(self, operators):
+        # 0.0105 is 10.5 steps of 1e-3: no step count reaches it
+        config = _config(operators, t_end=0.0105, dt=1e-3)
+        with pytest.raises(ValueError, match="not a multiple"):
+            w.solve(config)
 
     def test_published_anchor_case1_re10(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=0.5)
@@ -406,13 +397,6 @@ class TestSolve:
         with pytest.raises(DivergenceError) as info:
             w.solve(config)
         assert info.value.step == diverges_at
-        system = assemble_lhs(config)
-        coeffs = initial_coefficients(config, system)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                for n in range(config.n_steps()):
-                    coeffs = w.step(coeffs, system, config, step_index=n)
-        assert info.value.step == diverges_at
 
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     def test_overflowing_solve_fails_the_next_step(self, operators,
@@ -434,14 +418,6 @@ class TestSolve:
         config = _config(operators, level=4, t_end=0.05)
         with pytest.raises(DivergenceError) as info:
             w.solve(config)
-        assert info.value.step == 6
-        calls.clear()
-        system = assemble_lhs(config)
-        coeffs = initial_coefficients(config, system)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as info:
-                for n in range(config.n_steps()):
-                    coeffs = w.step(coeffs, system, config, step_index=n)
         assert info.value.step == 6
 
     def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
