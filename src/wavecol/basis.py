@@ -16,7 +16,7 @@ builds the node values of the whole basis once per resolution and
 interpolates them; at x = 1 the right boundary hat attains 1, so the
 partition of unity holds on the closed interval.  basis_piecewise reads
 the same table into exact segment representations, kept as the reference
-that tests integrate against.
+that tests integrate against (tests/exact_reference.py).
 """
 
 from __future__ import annotations
@@ -266,8 +266,3 @@ def _piecewise_from_branches(idx: BasisIndex) -> PiecewiseLinear:
 def basis_piecewise(spec: BasisSpec) -> list[PiecewiseLinear]:
     """Exact segment representations of all basis functions, in order."""
     return [_piecewise_from_branches(idx) for idx in spec.index_map]
-
-
-def constant_one() -> PiecewiseLinear:
-    """The constant function 1 on [0, 1], as a single segment."""
-    return PiecewiseLinear((Fraction(0), Fraction(1)), (0.0,), (1.0,))

@@ -29,7 +29,6 @@ from .solver import (
     SolutionSeries,
     SolverConfig,
     solve,
-    steps_to,
 )
 
 VALID_N_POINTS = (5, 9, 17, 33, 65)
@@ -190,7 +189,7 @@ class Case3Report:
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
-    The run configuration (dt, t_end) is series.config.
+    The run configuration (dt, report times) is series.config.
     """
 
     case: CaseDefinition
@@ -217,16 +216,15 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     include ``second_deriv``, the weak Laplacian's node rows that the
     solver used (see ``wavecol.solver``); the Dirichlet second derivative
     is D*D of the dumped ``deriv_op``.  Bad run parameters (dt, a report
-    time that is not a multiple of dt, truncate_level) raise ValueError
-    before any operator is built or step taken.
+    time that is not a multiple of dt, two report times on the same step,
+    truncate_level) raise ValueError before any operator is built or step
+    taken.
     """
     spec = spec_for_points(n_points)
     config = SolverConfig(
-        reynolds=case.reynolds, t_end=max(case.report_times),
+        reynolds=case.reynolds, times=case.report_times,
         bc=case.bc, ic=case.ic, spec=spec, dt=dt,
     )
-    for t in case.report_times:
-        steps_to(t, dt)
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     series = solve(config)

@@ -9,9 +9,6 @@ with M the P1 mass matrix and K[a, b] = integral of h_a' h_b.  The solver
 reads the kernel directly; the wavelet-space matrices serve approximation
 studies and the operator dumps.
 
-integrate_product is the exact quadrature of two segment representations
-(basis.basis_piecewise).  No operator uses it; the tests compare against it.
-
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
 matrix, so it is asserted in tests rather than used.
@@ -24,7 +21,7 @@ import math
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_solve
 
-from .basis import BasisSpec, PiecewiseLinear, basis_matrix, collocation_points
+from .basis import BasisSpec, basis_matrix, collocation_points
 from .errors import ConditioningError
 
 #: Condition-number guard for the dense factorizations.  Failures must be
@@ -32,33 +29,6 @@ from .errors import ConditioningError
 CONDITION_LIMIT = 1e12
 
 _getrf, _gecon = get_lapack_funcs(("getrf", "gecon"), dtype=np.float64)
-
-# 2-point Gauss-Legendre on [-1, 1]: exact through cubics.  Products of two
-# piecewise-linear segments are at most quadratic per cell.
-_GAUSS2 = (-1.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0))
-
-
-def integrate_product(a: PiecewiseLinear, b: PiecewiseLinear) -> float:
-    """Exact integral of a * b over [0, 1].
-
-    The integrand is polynomial of degree <= 2 on every cell of the merged
-    breakpoint grid, so per-cell 2-point Gauss is exact up to roundoff.
-    """
-    lo = max(a.breakpoints[0], b.breakpoints[0])
-    hi = min(a.breakpoints[-1], b.breakpoints[-1])
-    if lo >= hi:
-        return 0.0
-    cuts = sorted({lo, hi}
-                  | {p for p in a.breakpoints if lo < p < hi}
-                  | {p for p in b.breakpoints if lo < p < hi})
-    total = 0.0
-    for left, right in zip(cuts, cuts[1:]):
-        mid = float(left + right) / 2.0
-        half = float(right - left) / 2.0
-        for g in _GAUSS2:
-            x = mid + half * g
-            total += half * a(x) * b(x)
-    return total
 
 
 def gram_matrix(spec: BasisSpec) -> np.ndarray:

@@ -36,12 +36,17 @@ dt u u_x is then subtracted in place.  getrs is called directly on the
 factors assemble_lhs keeps, rather than through scipy.linalg.lu_solve,
 whose wrapper costs about nine times the solve at 33 points; the result is
 bitwise what lu_solve gives.  solve checks finiteness once per
-_CHECK_EVERY stored steps and at the last step, not per step: getrs cannot
-turn a non-finite right-hand side into a finite solution, so the first
-non-finite stored state places the failure, and the step solve reports
-is the one a per-step check would have reported.  The np.errstate that
-lets a diverging run reach that check without overflow warnings is
-entered once around solve's loop, not per step.
+_CHECK_EVERY steps and at the last step, not per step: getrs cannot turn a
+non-finite right-hand side into a finite solution, so the first non-finite
+state of a block places the failure, and the step solve reports is the one
+a per-step check would have reported.  The np.errstate that lets a
+diverging run reach that check without overflow warnings is entered once
+around solve's loop, not per step.
+
+A run keeps only the states at its report times, SolverConfig.times, so
+its memory does not grow with the number of steps: the loop holds one
+block of _CHECK_EVERY + 1 states for the finiteness check, and copies the
+report-time states out of each block once it is checked.
 """
 
 from __future__ import annotations
@@ -104,10 +109,17 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Run parameters: physics, time discretization, boundary and initial data."""
+    """Run parameters: physics, time discretization, boundary and initial data.
+
+    times are the report times: the run steps to the last of them and keeps
+    the state at each, in the order given; a time of 0 names the initial
+    state.  Every report time must be a non-negative multiple of dt (see
+    steps_to), and no two may land on the same step; a bad one raises
+    ValueError here, before anything is built.
+    """
 
     reynolds: float
-    t_end: float
+    times: tuple[float, ...]
     bc: BoundarySpec
     ic: Callable[[np.ndarray], np.ndarray]
     spec: BasisSpec
@@ -118,11 +130,25 @@ class SolverConfig:
             raise ValueError("reynolds must be positive and finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError("dt must be positive and finite")
-        if not (math.isfinite(self.t_end) and self.t_end >= 0):
-            raise ValueError("t_end must be non-negative and finite")
+        object.__setattr__(self, "times", tuple(self.times))
+        if not self.times:
+            raise ValueError("times must hold at least one report time")
+        seen: dict[int, float] = {}
+        for t, k in zip(self.times, self.report_steps()):
+            if k < 0:
+                raise ValueError(f"report time t = {t:g} is negative")
+            if k in seen:
+                raise ValueError(f"report times t = {seen[k]:g} and t = {t:g} "
+                                 f"land on the same step of dt = {self.dt:g}")
+            seen[k] = t
+
+    def report_steps(self) -> tuple[int, ...]:
+        """Step number of each report time, in the order of times."""
+        return tuple(steps_to(t, self.dt) for t in self.times)
 
     def n_steps(self) -> int:
-        return steps_to(self.t_end, self.dt)
+        """Number of steps the run takes: to the last report time."""
+        return max(self.report_steps())
 
 
 @dataclass(frozen=True)
@@ -257,10 +283,10 @@ def initial_coefficients(config: SolverConfig,
 
 @dataclass(frozen=True)
 class SolutionSeries:
-    """Coefficient history at every time step of one run.
+    """Coefficients of one run at its report times.
 
-    coeffs[k] is the state at time k * config.dt; system is the collocation
-    system the run was stepped with.
+    coeffs[i] is the state at time config.times[i]; system is the
+    collocation system the run was stepped with.
     """
 
     coeffs: np.ndarray
@@ -268,51 +294,58 @@ class SolutionSeries:
     system: CollocationSystem
 
     def coefficients_at(self, t: float) -> np.ndarray:
-        """Coefficients at time t, which must be a stored step; see steps_to."""
-        k = steps_to(t, self.config.dt)
-        if not 0 <= k < len(self.coeffs):
-            raise ValueError(f"t = {t} outside the stored steps 0 to "
-                             f"{len(self.coeffs) - 1} of dt = {self.config.dt}")
-        return self.coeffs[k]
+        """Coefficients at time t, which must be one of config.times."""
+        if t not in self.config.times:
+            raise ValueError(f"t = {t} outside the report times of this run")
+        return self.coeffs[self.config.times.index(t)]
 
 
 def solve(config: SolverConfig) -> SolutionSeries:
-    """Run the full time integration and record every step.
+    """Step to the last report time and keep the state at each report time.
 
-    t_end must be a multiple of dt (see steps_to).  The stored states are
-    checked finite once per _CHECK_EVERY steps and after the last step.  The
+    The states are checked finite once per _CHECK_EVERY steps and after the
+    last step, in a block whose row 0 holds the last checked state.  The
     first non-finite state j raises DivergenceError: if the right-hand side
     built from state j - 1 is non-finite, step j - 1 fails; otherwise that
-    solve overflowed and step j fails.
+    solve overflowed and step j fails.  Nothing solve allocates grows with
+    the number of steps.
     """
     system = assemble_lhs(config)
     lu, piv = system.lu
     coeffs = initial_coefficients(config, system)
-    n_steps = config.n_steps()
-    history = np.empty((n_steps + 1, config.spec.n_functions))
-    history[0] = coeffs
-    checked = 1
+    report = np.array(config.report_steps())
+    n_steps = int(report.max())
+    kept = np.empty((len(report), config.spec.n_functions))
+    kept[report == 0] = coeffs
+    # block[r] is the state at step base + r; block[0] is checked finite
+    block = np.empty((_CHECK_EVERY + 1, config.spec.n_functions))
+    block[0] = coeffs
+    base = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             rhs = build_rhs(coeffs, config, system)
             coeffs, info = _getrs(lu, piv, rhs, overwrite_b=True)
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of getrs")
-            history[n] = coeffs
-            if n % _CHECK_EVERY == 0 or n == n_steps:
-                finite = np.isfinite(history[checked:n + 1]).all(axis=1)
+            block[n - base] = coeffs
+            if n - base == _CHECK_EVERY or n == n_steps:
+                finite = np.isfinite(block[1:n - base + 1]).all(axis=1)
                 if not finite.all():
-                    first = checked + int(np.argmin(finite))
-                    rhs = build_rhs(history[first - 1], config, system)
+                    row = 1 + int(np.argmin(finite))
+                    first = base + row
+                    rhs = build_rhs(block[row - 1], config, system)
                     if not np.isfinite(rhs).all():
                         first -= 1
                     raise DivergenceError(first, first * config.dt)
-                checked = n + 1
-    return SolutionSeries(coeffs=history, config=config, system=system)
+                due = (report > base) & (report <= n)
+                kept[due] = block[report[due] - base]
+                block[0] = block[n - base]
+                base = n
+    return SolutionSeries(coeffs=kept, config=config, system=system)
 
 
 def sample(series: SolutionSeries, t: float, xs) -> list[float]:
-    """Solution values at stored time t, one per location."""
+    """Solution values at report time t, one per location."""
     coeffs = series.coefficients_at(t)
     rows = basis_matrix(series.config.spec, xs)
     return [float(v) for v in rows @ coeffs]

@@ -90,6 +90,10 @@ def test_usage_errors_exit_1(tmp_path):
             cli.main([*flags, "--out", str(tmp_path)])
         assert info.value.code == cli.EXIT_USAGE
         assert not list(tmp_path.iterdir())
+    # two report times on one step: the run configuration refuses them
+    code = cli.main(["--case", "1", "--times", "0.1,0.1", "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert not list(tmp_path.iterdir())
 
 
 def test_bad_truncate_level_exits_1(tmp_path):

@@ -1,6 +1,7 @@
 """Time stepping: assembly, stepping, boundary enforcement, published anchors."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +24,11 @@ from wavecol.solver import (
 
 def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, bc=None,
             ic=None):
+    # every step up to t_end is a report time, so coeffs[k] is step k
     spec, _, _, _ = operators(level)
+    times = tuple(k * dt for k in range(round(t_end / dt))) + (t_end,)
     return w.SolverConfig(
-        reynolds=reynolds, t_end=t_end, dt=dt,
+        reynolds=reynolds, times=times, dt=dt,
         bc=bc or w.BoundarySpec(DIRICHLET),
         ic=ic or (lambda x: np.sin(np.pi * x)),
         spec=spec,
@@ -62,11 +65,17 @@ class TestConfigValidation:
         bc = w.BoundarySpec(DIRICHLET)
         ic = lambda x: np.zeros_like(x)
         with pytest.raises(ValueError, match="reynolds"):
-            w.SolverConfig(reynolds=-1.0, t_end=0.1, bc=bc, ic=ic, spec=spec)
+            w.SolverConfig(reynolds=-1.0, times=(0.1,), bc=bc, ic=ic, spec=spec)
         with pytest.raises(ValueError, match="dt"):
-            w.SolverConfig(reynolds=1.0, t_end=0.1, dt=0.0, bc=bc, ic=ic, spec=spec)
-        with pytest.raises(ValueError, match="t_end"):
-            w.SolverConfig(reynolds=1.0, t_end=-0.1, bc=bc, ic=ic, spec=spec)
+            w.SolverConfig(reynolds=1.0, times=(0.1,), dt=0.0, bc=bc, ic=ic,
+                           spec=spec)
+        with pytest.raises(ValueError, match="negative"):
+            w.SolverConfig(reynolds=1.0, times=(0.1, -0.1), bc=bc, ic=ic,
+                           spec=spec)
+        # 0.1 + 1e-13 is within roundoff of step 100, as 0.1 is
+        with pytest.raises(ValueError, match="same step"):
+            w.SolverConfig(reynolds=1.0, times=(0.1, 0.05, 0.1 + 1e-13),
+                           bc=bc, ic=ic, spec=spec)
 
     def test_unknown_boundary_kind_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -97,7 +106,7 @@ class TestAssembleLhs:
 
     def test_vanishing_dt_reduces_interior_rows_to_point_evaluation(
             self, operators):
-        config = _config(operators, dt=1e-12)
+        config = _config(operators, t_end=0.0, dt=1e-12)
         system = assemble_lhs(config)
         np.testing.assert_allclose(system.matrix[1:-1], system.values[1:-1],
                                    atol=1e-8)
@@ -111,7 +120,7 @@ class TestAssembleLhs:
     def test_singular_system_rejected(self, operators, monkeypatch):
         # THETA * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
         spec, _, _, _ = operators(2)
-        config = w.SolverConfig(reynolds=1.0, t_end=0.5, dt=0.5,
+        config = w.SolverConfig(reynolds=1.0, times=(0.5,), dt=0.5,
                                 bc=w.BoundarySpec(DIRICHLET),
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         monkeypatch.setattr(solver, "derivative_rows",
@@ -273,9 +282,8 @@ class TestSolve:
 
     def test_horizon_off_the_step_grid_is_rejected(self, operators):
         # 0.0105 is 10.5 steps of 1e-3: no step count reaches it
-        config = _config(operators, t_end=0.0105, dt=1e-3)
         with pytest.raises(ValueError, match="not a multiple"):
-            w.solve(config)
+            _config(operators, t_end=0.0105, dt=1e-3)
 
     def test_published_anchor_case1_re10(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=0.5)
@@ -290,11 +298,44 @@ class TestSolve:
 
     def test_builds_operators_when_not_supplied(self):
         spec = w.BasisSpec(max_level=3)
-        config = w.SolverConfig(reynolds=1.0, t_end=0.002,
+        config = w.SolverConfig(reynolds=1.0, times=(0.0, 0.001, 0.002),
                                 bc=w.BoundarySpec(DIRICHLET),
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         series = w.solve(config)
         assert series.coeffs.shape == (3, spec.n_functions)
+
+    def test_one_report_time_keeps_one_state_bitwise(self, operators):
+        config = _config(operators, level=5, t_end=0.05)
+        every = w.solve(config).coeffs
+        only = w.solve(dataclasses.replace(config, times=(0.05,))).coeffs
+        assert only.shape == (1, config.spec.n_functions)
+        assert np.array_equal(only[0], every[50])
+
+    @pytest.mark.parametrize("check_every", [None, 1, 7])
+    def test_states_come_in_the_order_of_the_report_times(
+            self, operators, monkeypatch, check_every):
+        if check_every is not None:
+            monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
+        config = _config(operators, level=5, t_end=0.1)
+        every = w.solve(config).coeffs
+        series = w.solve(dataclasses.replace(config, times=(0.1, 0.0, 0.05)))
+        assert np.array_equal(series.coeffs, every[[100, 0, 50]])
+        assert np.array_equal(series.coefficients_at(0.0), every[0])
+
+    def test_memory_does_not_grow_with_the_step_count(self, operators):
+        # 20 000 steps at 33 points: a stored history alone would be 5.3 MB
+        spec, _, _, _ = operators(5)
+        config = w.SolverConfig(reynolds=1.0, times=(2.0,), dt=1e-4,
+                                bc=w.BoundarySpec(DIRICHLET),
+                                ic=lambda x: np.sin(np.pi * x), spec=spec)
+        assert config.n_steps() == 20_000
+        tracemalloc.start()
+        try:
+            w.solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
     @pytest.mark.parametrize("bc, ic", [
         (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x)),
