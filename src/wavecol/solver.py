@@ -28,25 +28,34 @@ excites at the front.  The weak operator keeps case 3 bounded to t = 1.
 The paper does not say how u_xx is discretised under Neumann data, so the
 weak operator is a deviation from its method, not a reading of it.
 
-A step is one mat-vec, two in-place products and one LAPACK getrs solve.
-assemble_lhs stacks the explicit operator once, as the (3N x N) array
-[V; D1; V + (1 - THETA)(dt/Re) D2], so one gemv gives u, u_x and the
-old-level part u + (1 - THETA)(dt/Re) u_xx together; the lagged convection
-dt u u_x is then subtracted in place.  getrs is called directly on the
-factors assemble_lhs keeps, rather than through scipy.linalg.lu_solve,
-whose wrapper costs about nine times the solve at 33 points; the result is
-bitwise what lu_solve gives.  solve checks finiteness once per
-_CHECK_EVERY steps and at the last step, not per step: getrs cannot turn a
-non-finite right-hand side into a finite solution, so the first non-finite
-state of a block places the failure, and the step solve reports is the one
-a per-step check would have reported.  The np.errstate that lets a
-diverging run reach that check without overflow warnings is entered once
-around solve's loop, not per step.
+A step solves no linear system.  The left-hand matrix A is constant, so
+the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
+rather than the coefficients.  assemble_lhs precomposes the propagator
+P = F A^-1 once, where F = [dt V; D1; V + (1 - THETA)(dt/Re) D2] is the
+stacked explicit operator with dt folded into its first block; P comes from
+one transposed solve A^-T F^T on the kept LU factors, and A^-1 is never
+formed.  One gemv P r_n gives dt u, u_x and the old-level part
+u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
+dt u u_x is formed in place and subtracted straight into r_{n+1}, whose
+first and last entries are then set to the boundary data.  The
+coefficients are solved for, by one LAPACK getrs, only at the report
+times.  A form that carried the coefficients instead, c_{n+1} = A^-1 F c_n
+with A^-1 F precomposed, broke case 3's antisymmetry gate; carrying r
+keeps every gate (see the README's numerical notes).
+
+solve checks the stored right-hand sides for finiteness once per
+_CHECK_EVERY steps and at the last step, not per step.  r_j is built from
+state j - 1, so the first non-finite r_j fails step j - 1: either its
+right-hand side overflowed, or the state before it did and the product
+P r_{j-1} carried the overflow on.  A report state recovered non-finite
+fails its own step.  The np.errstate that lets a diverging run reach the
+check without overflow warnings is entered once around solve's loop, not
+per step.
 
 A run keeps only the states at its report times, SolverConfig.times, so
 its memory does not grow with the number of steps: the loop holds one
-block of _CHECK_EVERY + 1 states for the finiteness check, and copies the
-report-time states out of each block once it is checked.
+block of _CHECK_EVERY + 1 right-hand sides for the finiteness check, and
+solves for the report-time states from each block once it is checked.
 """
 
 from __future__ import annotations
@@ -160,16 +169,21 @@ class CollocationSystem:
     (3N x N) array, read-only, so that one mat-vec gives u, du/dx and the
     old-level part of the step (see build_rhs).  values and first_deriv
     are its first two row blocks, as views: row per grid point, the
-    coefficients-to-point-values maps for u and du/dx.  second_deriv is
-    the unscaled map for d2u/dx2, and flux the constant part of d2u/dx2
-    that comes from the boundary data (the weak operator's M^-1 b); flux
-    is None for Dirichlet data.
+    coefficients-to-point-values maps for u and du/dx.  propagator is
+    P = F A^-1, also (3N x N), C-contiguous and read-only, with A the
+    left-hand matrix and F the explicit operator whose first block is
+    scaled by dt: it maps a step's right-hand side to dt u, u_x and the
+    old-level part of the state that step solves for, which is all solve
+    steps with.  second_deriv is the unscaled map for d2u/dx2, and flux
+    the constant part of d2u/dx2 that comes from the boundary data (the
+    weak operator's M^-1 b); flux is None for Dirichlet data.
     """
 
     grid: np.ndarray
     matrix: np.ndarray
     lu: tuple
     explicit: np.ndarray
+    propagator: np.ndarray
     values: np.ndarray
     first_deriv: np.ndarray
     second_deriv: np.ndarray
@@ -211,8 +225,9 @@ def derivative_rows(values: np.ndarray, bc: BoundarySpec
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build and factor the (time-independent) left-hand matrix, and stack
-    the explicit operator the right-hand side is formed with."""
+    """Build and factor the (time-independent) left-hand matrix, stack the
+    explicit operator the right-hand side is formed with, and precompose
+    the propagator solve steps with."""
     grid = collocation_points(config.spec)
     values = basis_matrix(config.spec, grid)
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
@@ -224,16 +239,51 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     values, first_deriv = explicit[:n], explicit[n:2 * n]
     matrix = values - THETA * weight * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
+    lu = guarded_lu_factor(matrix, "collocation system")
+    folded = explicit.copy()
+    folded[:n] *= config.dt
+    # P^T = A^-T F^T: one transposed solve on the factors, no inverse
+    propagator = np.ascontiguousarray(lu_solve(lu, folded.T, trans=1).T)
+    propagator.flags.writeable = False
     return CollocationSystem(
         grid=grid,
         matrix=matrix,
-        lu=guarded_lu_factor(matrix, "collocation system"),
+        lu=lu,
         explicit=explicit,
+        propagator=propagator,
         values=values,
         first_deriv=first_deriv,
         second_deriv=second_deriv,
         flux=flux,
     )
+
+
+def _forcing(config: SolverConfig,
+             system: CollocationSystem) -> np.ndarray | None:
+    # the weak operator's boundary flux enters every step at full weight
+    if system.flux is None:
+        return None
+    return (config.dt / config.reynolds) * system.flux
+
+
+def _finish_rhs(blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
+                out: np.ndarray, bc: BoundarySpec,
+                forcing: np.ndarray | None) -> np.ndarray:
+    """Write the right-hand side formed from one stacked product into out.
+
+    blocks are the three row blocks dt u, u_x and u + (1 - THETA)(dt/Re)
+    u_xx of the product for one state.  The first is overwritten with the
+    convection product dt u u_x, which is subtracted from the third
+    straight into out; out may be the third block itself.
+    """
+    product, u_x, part = blocks
+    product *= u_x
+    np.subtract(part, product, out=out)
+    if forcing is not None:
+        out += forcing
+    out[0] = bc.left_value
+    out[-1] = bc.right_value
+    return out
 
 
 def build_rhs(coeffs: np.ndarray, config: SolverConfig,
@@ -245,21 +295,15 @@ def build_rhs(coeffs: np.ndarray, config: SolverConfig,
     data, the weak operator's boundary flux at full weight, since it is
     the same at both time levels; the first and last entries are the
     prescribed boundary values.  One mat-vec with system.explicit gives
-    u, u_x and u + (1 - THETA)(dt/Re) u_xx; the convection product is
-    formed in the u block and subtracted in place.  Overflow in a diverging
-    run is left to the caller's np.errstate, under which solve ignores it.
+    u, u_x and u + (1 - THETA)(dt/Re) u_xx; u is scaled by dt, and the
+    rest is the step algebra solve applies to system.propagator's product.
+    Overflow in a diverging run is left to the caller's np.errstate, under
+    which solve ignores it.
     """
-    n = coeffs.shape[0]
-    stacked = system.explicit @ coeffs
-    u, u_x, rhs = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
-    u *= config.dt
-    u *= u_x
-    rhs -= u
-    if system.flux is not None:
-        rhs += (config.dt / config.reynolds) * system.flux
-    rhs[0] = config.bc.left_value
-    rhs[-1] = config.bc.right_value
-    return rhs
+    product, u_x, part = (system.explicit @ coeffs).reshape(3, -1)
+    product *= config.dt
+    return _finish_rhs((product, u_x, part), part, config.bc,
+                       _forcing(config, system))
 
 
 def initial_coefficients(config: SolverConfig,
@@ -300,47 +344,62 @@ class SolutionSeries:
         return self.coeffs[self.config.times.index(t)]
 
 
+def _report_state(system: CollocationSystem, rhs: np.ndarray, step: int,
+                  dt: float) -> np.ndarray:
+    # the state step solves for, c = A^-1 r, from the kept factors
+    coeffs, info = _getrs(*system.lu, rhs)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of getrs")
+    if not np.isfinite(coeffs).all():
+        raise DivergenceError(step, step * dt)
+    return coeffs
+
+
 def solve(config: SolverConfig) -> SolutionSeries:
     """Step to the last report time and keep the state at each report time.
 
-    The states are checked finite once per _CHECK_EVERY steps and after the
-    last step, in a block whose row 0 holds the last checked state.  The
-    first non-finite state j raises DivergenceError: if the right-hand side
-    built from state j - 1 is non-finite, step j - 1 fails; otherwise that
-    solve overflowed and step j fails.  Nothing solve allocates grows with
-    the number of steps.
+    The loop carries right-hand sides, one propagator gemv per step, and
+    solves for the coefficients only at the report times.  The right-hand
+    sides are checked finite once per _CHECK_EVERY steps and after the
+    last step, in a block whose row 0 holds the last checked one.  The
+    first non-finite r_j raises DivergenceError for step j - 1, the step
+    whose state it was built from; a report state recovered non-finite
+    raises it for its own step.  Nothing solve allocates grows with the
+    number of steps.
     """
     system = assemble_lhs(config)
-    lu, piv = system.lu
+    propagator = system.propagator
     coeffs = initial_coefficients(config, system)
     report = np.array(config.report_steps())
     n_steps = int(report.max())
-    kept = np.empty((len(report), config.spec.n_functions))
+    n = config.spec.n_functions
+    kept = np.empty((len(report), n))
     kept[report == 0] = coeffs
-    # block[r] is the state at step base + r; block[0] is checked finite
-    block = np.empty((_CHECK_EVERY + 1, config.spec.n_functions))
-    block[0] = coeffs
+    forcing = _forcing(config, system)
+    stacked = np.empty(3 * n)
+    blocks = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
+    # block[r] is the right-hand side of step base + r; row 0 holds the
+    # last checked one
+    block = np.empty((_CHECK_EVERY + 1, n))
     base = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_steps + 1):
-            rhs = build_rhs(coeffs, config, system)
-            coeffs, info = _getrs(lu, piv, rhs, overwrite_b=True)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of getrs")
-            block[n - base] = coeffs
-            if n - base == _CHECK_EVERY or n == n_steps:
-                finite = np.isfinite(block[1:n - base + 1]).all(axis=1)
+        block[1] = build_rhs(coeffs, config, system)
+        for step in range(1, n_steps + 1):
+            row = step - base
+            if row == _CHECK_EVERY or step == n_steps:
+                finite = np.isfinite(block[1:row + 1]).all(axis=1)
                 if not finite.all():
-                    row = 1 + int(np.argmin(finite))
-                    first = base + row
-                    rhs = build_rhs(block[row - 1], config, system)
-                    if not np.isfinite(rhs).all():
-                        first -= 1
-                    raise DivergenceError(first, first * config.dt)
-                due = (report > base) & (report <= n)
-                kept[due] = block[report[due] - base]
-                block[0] = block[n - base]
-                base = n
+                    failed = base + int(np.argmin(finite))
+                    raise DivergenceError(failed, failed * config.dt)
+                for i in np.flatnonzero((report > base) & (report <= step)):
+                    kept[i] = _report_state(system, block[report[i] - base],
+                                            int(report[i]), config.dt)
+                if step == n_steps:
+                    break
+                block[0] = block[row]
+                base, row = step, 0
+            np.dot(propagator, block[row], out=stacked)
+            _finish_rhs(blocks, block[row + 1], config.bc, forcing)
     return SolutionSeries(coeffs=kept, config=config, system=system)
 
 

@@ -1,5 +1,8 @@
 """Benchmark cases, the error metric, and report emission."""
 
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -42,6 +45,16 @@ def _case3_reference(case, times, n_nodes=2 * PROFILE_POINTS - 1):
                     t_eval=times, rtol=1e-8, atol=1e-8, jac_sparsity=sparsity)
     assert sol.success
     return x[::2], sol.y[::2].T
+
+
+@pytest.fixture(scope="module")
+def case3_gates():
+    """The benchmark's case-3 gates, (CASE3_SYMMETRY_TOL, CASE3_SLOPE_TOL)."""
+    wavebench = Path(__file__).resolve().parents[1] / "wavebench"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(wavebench))
+        checks = importlib.import_module("checks")
+    return checks.CASE3_SYMMETRY_TOL, checks.CASE3_SLOPE_TOL
 
 
 class TestCaseDefinition:
@@ -235,6 +248,18 @@ class TestRunCase:
             left, right = report.neumann_residuals[t]
             assert left <= 1e-8 and right <= 1e-8
             assert report.front_oscillation[t] >= 0.0
+
+    @pytest.mark.parametrize("n_points", [17, 33, 65])
+    def test_case3_meets_the_benchmark_gates(self, case3_gates, n_points):
+        # the gates wavebench applies to its case-3 reports, on the same
+        # runs, so that a solver change that trips them fails here first
+        symmetry_tol, slope_tol = case3_gates
+        times = (0.05, 0.1, 0.15)
+        report = w.run_case(w.case_definition(3, times=times), n_points).report
+        for t in times:
+            assert report.antisymmetry[t] <= symmetry_tol, t
+            assert report.center_abs[t] <= symmetry_tol, t
+            assert max(report.neumann_residuals[t]) <= slope_tol, t
 
     def test_case3_refinement_shrinks_front_wiggles(self):
         # once the standing front has formed (t = 0.5) the coarse run
