@@ -17,10 +17,9 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lu_solve
 
 from .basis import BasisSpec, basis_matrix, basis_vector, collocation_points
-from .operators import guarded_lu_factor
+from .operators import guard_condition
 
 # Gauss order per grid cell for smooth integrands: high enough that
 # projection error is dominated by the basis, not by quadrature.
@@ -62,11 +61,12 @@ def project_l2(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec,
 def interpolate(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec) -> np.ndarray:
     """Expansion coefficients that reproduce f exactly at the collocation grid."""
     grid = collocation_points(spec)
-    lu = guarded_lu_factor(basis_matrix(spec, grid), "collocation matrix")
+    matrix = basis_matrix(spec, grid)
+    guard_condition(matrix, "collocation matrix")
     values = np.asarray(f(grid), float)
     if not np.all(np.isfinite(values)):
         raise ValueError("function returned non-finite values")
-    return lu_solve(lu, values)
+    return np.linalg.solve(matrix, values)
 
 
 def reconstruct(coeffs: np.ndarray, spec: BasisSpec, x: float) -> float:

@@ -4,13 +4,13 @@
 class ConditioningError(RuntimeError):
     """A dense linear system is too ill-conditioned to solve reliably.
 
-    Carries the condition estimate that tripped the guard: LAPACK gecon's
-    estimate of the 1-norm condition number from the LU factors, infinite
-    for an exactly singular or non-finite matrix.
+    Carries the condition number that tripped the guard: the exact 1-norm
+    condition ||A||_1 ||A^-1||_1, infinite for a matrix numpy cannot invert
+    or one whose condition is not finite.
     """
 
     def __init__(self, message: str, condition: float):
-        super().__init__(f"{message} (condition estimate {condition:.3e})")
+        super().__init__(f"{message} (condition number {condition:.3e})")
         self.condition = condition
 
 

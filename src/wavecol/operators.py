@@ -19,16 +19,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_solve
 
 from .basis import BasisSpec, basis_matrix, collocation_points
 from .errors import ConditioningError
 
-#: Condition-number guard for the dense factorizations.  Failures must be
+#: Condition-number guard for the dense solves.  Failures must be
 #: loud: a silently inaccurate dual basis corrupts every later expansion.
 CONDITION_LIMIT = 1e12
-
-_getrf, _gecon = get_lapack_funcs(("getrf", "gecon"), dtype=np.float64)
 
 
 def gram_matrix(spec: BasisSpec) -> np.ndarray:
@@ -42,31 +39,33 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def guarded_lu_factor(matrix: np.ndarray,
-                      what: str) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of matrix, as scipy.linalg.lu_factor returns them.
+def guard_condition(matrix: np.ndarray, what: str) -> float:
+    """Exact 1-norm condition number of matrix, ||A||_1 ||A^-1||_1.
 
-    The condition number is LAPACK gecon's estimate of the 1-norm condition
-    from these factors, so no second factorisation or SVD is needed.  An
-    exactly singular or non-finite matrix estimates as infinite.  Raises
-    ConditioningError when the estimate exceeds CONDITION_LIMIT.
+    The inverse is formed only to measure the condition; callers solve with
+    np.linalg.solve.  A matrix numpy refuses to invert (LinAlgError), or
+    whose condition is not finite, counts as infinitely ill-conditioned.
+    Raises ConditioningError when the condition exceeds CONDITION_LIMIT.
     """
-    lu, piv, _ = _getrf(matrix)
-    rcond, info = _gecon(lu, np.linalg.norm(matrix, 1))
-    cond = 1.0 / rcond if info == 0 and rcond > 0 else math.inf
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+    try:
+        cond = (float(np.linalg.norm(matrix, 1))
+                * float(np.linalg.norm(np.linalg.inv(matrix), 1)))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    if not math.isfinite(cond):
+        cond = math.inf
+    if cond > CONDITION_LIMIT:
         raise ConditioningError(f"{what} is numerically singular", cond)
-    return lu, piv
+    return cond
 
 
 def dual_transform(gram: np.ndarray) -> np.ndarray:
     """Inverse of the Gram matrix; maps raw moments to expansion coefficients.
 
-    Raises ConditioningError if the condition estimate exceeds
-    CONDITION_LIMIT.
+    Raises ConditioningError if the condition exceeds CONDITION_LIMIT.
     """
-    lu = guarded_lu_factor(gram, "Gram matrix")
-    return lu_solve(lu, np.eye(gram.shape[0]))
+    guard_condition(gram, "Gram matrix")
+    return np.linalg.solve(gram, np.eye(gram.shape[0]))
 
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Time integration of the viscous Burgers equation by wavelet collocation.
 
-Each step solves a linear system: diffusion is Crank-Nicolson, weighted
+The scheme is linearly implicit: diffusion is Crank-Nicolson, weighted
 THETA = 1/2 between the old and new time levels, while the convection
 product is evaluated fully at the old level.  The left-hand matrix is
-therefore constant in time and factored once.  Interior rows collocate
-the scheme at the uniform grid points; the first and last rows impose the
-boundary conditions on the new coefficients, as value rows for Dirichlet
-data or first-derivative rows for Neumann data.
+therefore constant in time.  Interior rows collocate the scheme at the
+uniform grid points; the first and last rows impose the boundary
+conditions on the new coefficients, as value rows for Dirichlet data or
+first-derivative rows for Neumann data.
 
 The rows come from the nodal P1 kernel alone.  The basis spans the hats
 of the collocation grid, so with V the basis values at the grid nodes the
@@ -33,15 +33,15 @@ the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
 rather than the coefficients.  assemble_lhs precomposes the propagator
 P = F A^-1 once, where F = [dt V; D1; V + (1 - THETA)(dt/Re) D2] is the
 stacked explicit operator with dt folded into its first block; P comes from
-one transposed solve A^-T F^T on the kept LU factors, and A^-1 is never
-formed.  One gemv P r_n gives dt u, u_x and the old-level part
-u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
-dt u u_x is formed in place and subtracted straight into r_{n+1}, whose
-first and last entries are then set to the boundary data.  The
-coefficients are solved for, by one LAPACK getrs, only at the report
-times.  A form that carried the coefficients instead, c_{n+1} = A^-1 F c_n
-with A^-1 F precomposed, broke case 3's antisymmetry gate; carrying r
-keeps every gate (see the README's numerical notes).
+one transposed solve, P^T = A^-T F^T, not as a product with A^-1.  One gemv
+P r_n gives dt u, u_x and the old-level part u + (1 - THETA)(dt/Re) u_xx
+of state n; the lagged convection product dt u u_x is formed in place and
+subtracted straight into r_{n+1}, whose first and last entries are then
+set to the boundary data.  The coefficients are solved for, by one
+np.linalg.solve with A, only at the report times.  A form that carried
+the coefficients instead, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
+broke case 3's antisymmetry gate; carrying r keeps every gate (see the
+README's numerical notes).
 
 solve checks the stored right-hand sides for finiteness once per
 _CHECK_EVERY steps and at the last step, not per step.  r_j is built from
@@ -65,11 +65,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .basis import BasisSpec, basis_matrix, collocation_points
 from .errors import DivergenceError
-from .operators import guarded_lu_factor, p1_kernel
+from .operators import guard_condition, p1_kernel
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -84,8 +83,6 @@ _STEP_TOLERANCE = 1e-9
 #: solve checks the stored states for non-finite values once per this many
 #: steps, and after the last step.
 _CHECK_EVERY = 64
-
-_getrs, = get_lapack_funcs(("getrs",), dtype=np.float64)
 
 
 def steps_to(t: float, dt: float) -> int:
@@ -162,17 +159,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class CollocationSystem:
-    """Factored left-hand side plus the cached evaluation rows it was built from.
+    """Left-hand side plus the cached evaluation rows it was built from.
 
-    grid holds the collocation points.  explicit is the stacked explicit
-    operator [V; D1; V + (1 - THETA)(dt/Re) D2], one C-contiguous
+    grid holds the collocation points and matrix the left-hand matrix A,
+    whose condition assemble_lhs has checked.  explicit is the stacked
+    explicit operator [V; D1; V + (1 - THETA)(dt/Re) D2], one C-contiguous
     (3N x N) array, read-only, so that one mat-vec gives u, du/dx and the
     old-level part of the step (see build_rhs).  values and first_deriv
     are its first two row blocks, as views: row per grid point, the
     coefficients-to-point-values maps for u and du/dx.  propagator is
-    P = F A^-1, also (3N x N), C-contiguous and read-only, with A the
-    left-hand matrix and F the explicit operator whose first block is
-    scaled by dt: it maps a step's right-hand side to dt u, u_x and the
+    P = F A^-1, also (3N x N), C-contiguous and read-only, with F the
+    explicit operator whose first block is scaled by dt: it maps a step's right-hand side to dt u, u_x and the
     old-level part of the state that step solves for, which is all solve
     steps with.  second_deriv is the unscaled map for d2u/dx2, and flux
     the constant part of d2u/dx2 that comes from the boundary data (the
@@ -181,7 +178,6 @@ class CollocationSystem:
 
     grid: np.ndarray
     matrix: np.ndarray
-    lu: tuple
     explicit: np.ndarray
     propagator: np.ndarray
     values: np.ndarray
@@ -208,26 +204,26 @@ def derivative_rows(values: np.ndarray, bc: BoundarySpec
     M^-1 b with b = (-g_L, 0, ..., 0, g_R), where g_L and g_R are the
     prescribed slopes (None for Dirichlet data).  The weak Laplacian plus
     the flux is exact for quadratics: for u = x**2 with g_L = 0 and g_R = 2
-    it is 2 at every node, endpoints included.  M is factored once and
-    every independent right-hand side goes through one solve.
+    it is 2 at every node, endpoints included.  Every independent
+    right-hand side goes through one solve with M.
     """
     mass, stiffness, hat_deriv = p1_kernel(values.shape[0])
-    lu = lu_factor(mass)
     if bc.kind == DIRICHLET:
-        first_deriv = lu_solve(lu, hat_deriv.T @ values)
-        return first_deriv, lu_solve(lu, hat_deriv.T @ first_deriv), None
+        first_deriv = np.linalg.solve(mass, hat_deriv.T @ values)
+        return (first_deriv, np.linalg.solve(mass, hat_deriv.T @ first_deriv),
+                None)
     n = values.shape[1]
     boundary = np.zeros((values.shape[0], 1))
     boundary[0], boundary[-1] = -bc.left_value, bc.right_value
-    rows = lu_solve(lu, np.hstack(
+    rows = np.linalg.solve(mass, np.hstack(
         [hat_deriv.T @ values, -(stiffness @ values), boundary]))
     return rows[:, :n], rows[:, n:2 * n], rows[:, -1]
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build and factor the (time-independent) left-hand matrix, stack the
-    explicit operator the right-hand side is formed with, and precompose
-    the propagator solve steps with."""
+    """Build the (time-independent) left-hand matrix and check its
+    condition, stack the explicit operator the right-hand side is formed
+    with, and precompose the propagator solve steps with."""
     grid = collocation_points(config.spec)
     values = basis_matrix(config.spec, grid)
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
@@ -239,16 +235,15 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     values, first_deriv = explicit[:n], explicit[n:2 * n]
     matrix = values - THETA * weight * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
-    lu = guarded_lu_factor(matrix, "collocation system")
+    guard_condition(matrix, "collocation system")
     folded = explicit.copy()
     folded[:n] *= config.dt
-    # P^T = A^-T F^T: one transposed solve on the factors, no inverse
-    propagator = np.ascontiguousarray(lu_solve(lu, folded.T, trans=1).T)
+    # P^T = A^-T F^T: one transposed solve, not a product with A^-1
+    propagator = np.ascontiguousarray(np.linalg.solve(matrix.T, folded.T).T)
     propagator.flags.writeable = False
     return CollocationSystem(
         grid=grid,
         matrix=matrix,
-        lu=lu,
         explicit=explicit,
         propagator=propagator,
         values=values,
@@ -322,7 +317,8 @@ def initial_coefficients(config: SolverConfig,
                                            system.first_deriv)
     rhs[0] = config.bc.left_value
     rhs[-1] = config.bc.right_value
-    return lu_solve(guarded_lu_factor(matrix, "initial interpolation"), rhs)
+    guard_condition(matrix, "initial interpolation")
+    return np.linalg.solve(matrix, rhs)
 
 
 @dataclass(frozen=True)
@@ -346,10 +342,8 @@ class SolutionSeries:
 
 def _report_state(system: CollocationSystem, rhs: np.ndarray, step: int,
                   dt: float) -> np.ndarray:
-    # the state step solves for, c = A^-1 r, from the kept factors
-    coeffs, info = _getrs(*system.lu, rhs)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of getrs")
+    # the state step solves for, c = A^-1 r
+    coeffs = np.linalg.solve(system.matrix, rhs)
     if not np.isfinite(coeffs).all():
         raise DivergenceError(step, step * dt)
     return coeffs

@@ -1,7 +1,13 @@
 """Command-line driver: flags, outputs, and exit-code mapping."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import wavecol
 from wavecol import cli
 from wavecol.errors import ConditioningError, QuadratureError
 
@@ -171,3 +177,23 @@ def test_quadrature_failure_maps_to_exit_5(tmp_path, monkeypatch):
     code = cli.main(["--case", "1", "--np", "5", "--times", "0.01",
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_ORACLE
+
+
+def test_a_run_imports_no_scipy(tmp_path):
+    # in a fresh interpreter, since the test suite itself imports scipy
+    script = (
+        "import sys\n"
+        "import wavecol, wavecol.cli\n"
+        "code = wavecol.cli.main(['--case', '3', '--np', '17', '--times',"
+        " '0.05', '--out', sys.argv[1]])\n"
+        "loaded = [m for m in sys.modules"
+        " if m == 'scipy' or m.startswith('scipy.')]\n"
+        "print(code, loaded)\n"
+    )
+    src = str(Path(wavecol.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "report_case3_re10_np17.csv").exists()

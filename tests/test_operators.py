@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import get_lapack_funcs
 
 import wavecol as w
 from wavecol import basis, cli
-from wavecol.basis import SCALING, WAVELET
+from wavecol.basis import SCALING, WAVELET, collocation_points
 from wavecol.errors import ConditioningError
-from wavecol.operators import p1_kernel
+from wavecol.operators import guard_condition, p1_kernel
 from wavecol.solver import DIRICHLET, derivative_rows
 
 from exact_reference import constant_one, integrate_product
@@ -212,6 +213,66 @@ class TestDualTransform:
         nearly_singular = np.diag([1.0, 1e-15])
         with pytest.raises(ConditioningError, match="condition"):
             w.dual_transform(nearly_singular)
+
+
+def _gecon_condition(matrix):
+    # the LAPACK estimate the guard used before it went numpy-only
+    getrf, gecon = get_lapack_funcs(("getrf", "gecon"), dtype=np.float64)
+    lu, _, _ = getrf(matrix)
+    rcond, _ = gecon(lu, np.linalg.norm(matrix, 1))
+    return 1.0 / rcond
+
+
+def _collocation_matrix(case_id, n_points, dt):
+    case = w.case_definition(case_id)
+    config = w.SolverConfig(reynolds=case.reynolds, times=(dt,), bc=case.bc,
+                            ic=case.ic, spec=w.spec_for_points(n_points),
+                            dt=dt)
+    return w.assemble_lhs(config).matrix
+
+
+class TestConditionGuard:
+    """The exact 1-norm condition gives the verdicts gecon's estimate gave."""
+
+    @pytest.mark.parametrize("n_points", [17, 33, 65])
+    @pytest.mark.parametrize("case_id", [1, 3])
+    @pytest.mark.parametrize("dt", [1e-3, 0.05])
+    def test_collocation_matrix_far_below_the_limit(self, case_id, n_points,
+                                                    dt):
+        matrix = _collocation_matrix(case_id, n_points, dt)
+        cond = guard_condition(matrix, "collocation system")
+        # gecon's estimate is a lower bound, up to roundoff in both
+        assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
+        assert cond <= 1e3  # 7.5e2 at most, 1e-9 of CONDITION_LIMIT
+
+    @pytest.mark.parametrize("n_points", [17, 33, 65])
+    def test_gram_and_basis_matrices_far_below_the_limit(self, n_points):
+        spec = w.spec_for_points(n_points)
+        nodal = w.basis_matrix(spec, collocation_points(spec))
+        for matrix, bound in ((w.gram_matrix(spec), 55.0), (nodal, 45.0)):
+            cond = guard_condition(matrix, "matrix")
+            assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
+            assert cond <= bound
+
+    def test_singular_collocation_matrix_maps_linalg_error_to_inf(self):
+        spec = w.spec_for_points(17)
+        singular = w.basis_matrix(spec, collocation_points(spec)).copy()
+        singular[:, -1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(singular)
+        with pytest.raises(ConditioningError,
+                           match="collocation matrix") as info:
+            guard_condition(singular, "collocation matrix")
+        assert info.value.condition == np.inf
+
+    @pytest.mark.parametrize("diagonal", [(1.0, np.nan), (1.0, np.inf),
+                                          (np.inf, np.inf)],
+                             ids=["nan", "inf", "inf-times-zero"])
+    def test_non_finite_matrix_has_infinite_condition(self, diagonal):
+        # diag(inf, inf) inverts to zeros, so its condition is inf * 0
+        with pytest.raises(ConditioningError) as info:
+            guard_condition(np.diag(diagonal), "matrix")
+        assert info.value.condition == np.inf
 
 
 class TestDerivativeOperator:

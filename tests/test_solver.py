@@ -69,6 +69,36 @@ def _reference_history(config):
     return np.array(history)
 
 
+class _ReportSolves:
+    """Stands in for system.matrix, which solve reads only to solve for its
+    report states, np.linalg.solve(system.matrix, r).
+
+    Counts those solves and hands each real solution to outcome, whose
+    return value is the state solve sees.
+    """
+
+    def __init__(self, outcome):
+        self.outcome, self.real, self.solves = outcome, None, 0
+
+    def __array_function__(self, func, types, args, kwargs):
+        assert func is np.linalg.solve
+        self.solves += 1
+        return self.outcome(func(self.real, *args[1:], **kwargs))
+
+
+def _wrap_report_solves(monkeypatch, outcome):
+    report_solves = _ReportSolves(outcome)
+    real_assemble = solver.assemble_lhs
+
+    def assemble(config):
+        system = real_assemble(config)
+        report_solves.real = system.matrix
+        return dataclasses.replace(system, matrix=report_solves)
+
+    monkeypatch.setattr(solver, "assemble_lhs", assemble)
+    return report_solves
+
+
 class TestConfigValidation:
     def test_bad_parameters_rejected(self, operators):
         spec, _, _, _ = operators(3)
@@ -324,7 +354,7 @@ class TestSolve:
         series = w.solve(config)
         assert w.sample(series, 0.05, [0.3])[0] == pytest.approx(0.49093, abs=1e-3)
 
-    def test_builds_operators_when_not_supplied(self):
+    def test_runs_from_the_config_alone(self):
         spec = w.BasisSpec(max_level=3)
         config = w.SolverConfig(reynolds=1.0, times=(0.0, 0.001, 0.002),
                                 bc=w.BoundarySpec(DIRICHLET),
@@ -515,26 +545,19 @@ class TestSolve:
                                                      monkeypatch):
         # 100 steps, three report times: the state is solved for at t = 0.05
         # and 0.1 only, never per step
-        real_getrs = solver._getrs
-        calls = []
-
-        def counting_getrs(*args, **kwargs):
-            calls.append(len(calls))
-            return real_getrs(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_getrs", counting_getrs)
+        report_solves = _wrap_report_solves(monkeypatch, lambda solved: solved)
         config = dataclasses.replace(_config(operators, level=5, t_end=0.1),
                                      times=(0.1, 0.0, 0.05))
         assert config.n_steps() == 100
         w.solve(config)
-        assert len(calls) == 2
+        assert report_solves.solves == 2
 
     def test_non_finite_report_state_fails_its_step(self, operators,
                                                     monkeypatch):
         # a finite right-hand side whose solution is not finite: the state
         # solved for at t = 0.05 fails step 50
-        monkeypatch.setattr(solver, "_getrs",
-                            lambda lu, piv, b: (np.full_like(b, np.inf), 0))
+        _wrap_report_solves(monkeypatch, lambda solved: np.full_like(solved,
+                                                                     np.inf))
         config = dataclasses.replace(_config(operators, level=4, t_end=0.05),
                                      times=(0.0, 0.05))
         with pytest.raises(DivergenceError) as info:
