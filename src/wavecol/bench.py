@@ -216,15 +216,23 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     include ``second_deriv``, the weak Laplacian's node rows that the
     solver used (see ``wavecol.solver``); the Dirichlet second derivative
     is D*D of the dumped ``deriv_op``.  Bad run parameters (dt, a report
-    time that is not a multiple of dt, two report times on the same step,
-    truncate_level) raise ValueError before any operator is built or step
-    taken.
+    time that is not a multiple of dt, two report times on the same step
+    or printed with the same label, truncate_level) raise ValueError
+    before any operator is built or step taken.
     """
     spec = spec_for_points(n_points)
     config = SolverConfig(
         reynolds=case.reynolds, times=case.report_times,
         bc=case.bc, ic=case.ic, spec=spec, dt=dt,
     )
+    # reports and profile file names label a time by f"{t:g}"
+    labels: dict[str, float] = {}
+    for t in case.report_times:
+        label = f"{t:g}"
+        if label in labels:
+            raise ValueError(f"report times t = {labels[label]!r} and "
+                             f"t = {t!r} share the label {label}")
+        labels[label] = t
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     series = solve(config)

@@ -142,6 +142,8 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
     if t <= 0.0:
         raise ValueError("exact solution requires t > 0")
     if t < MIN_TIME:

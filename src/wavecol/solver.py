@@ -30,32 +30,37 @@ weak operator is a deviation from its method, not a reading of it.
 
 A step solves no linear system.  The left-hand matrix A is constant, so
 the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
-rather than the coefficients.  assemble_lhs precomposes the propagator
+rather than the coefficients.  It starts from r_0 = A c_0, the right-hand
+side whose solve is the initial state, so every step, the first one
+included, is the same update.  assemble_lhs precomposes the propagator
 P = F A^-1 once, where F = [dt V; D1; V + (1 - THETA)(dt/Re) D2] is the
-stacked explicit operator with dt folded into its first block; P comes from
-one transposed solve, P^T = A^-T F^T, not as a product with A^-1.  One gemv
-P r_n gives dt u, u_x and the old-level part u + (1 - THETA)(dt/Re) u_xx
-of state n; the lagged convection product dt u u_x is formed in place and
-subtracted straight into r_{n+1}, whose first and last entries are then
-set to the boundary data.  The coefficients are solved for, by one
+stacked explicit operator with dt folded into its first block; F is a
+temporary of the build, and P comes from one transposed solve,
+P^T = A^-T F^T, not as a product with A^-1.  One gemv P r_n gives dt u,
+u_x and the old-level part u + (1 - THETA)(dt/Re) u_xx of state n; the
+lagged convection product dt u u_x is formed in place and subtracted
+straight into r_{n+1}, the weak operator's boundary flux (dt/Re) M^-1 b
+is added at full weight for Neumann data, and the first and last entries
+are set to the boundary data.  The coefficients are solved for, by one
 np.linalg.solve with A, only at the report times.  A form that carried
 the coefficients instead, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
-broke case 3's antisymmetry gate; carrying r keeps every gate (see the
-README's numerical notes).
+broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
+with P from the transposed solve keeps every gate (see the README's
+numerical notes).
 
-solve checks the stored right-hand sides for finiteness once per
-_CHECK_EVERY steps and at the last step, not per step.  r_j is built from
-state j - 1, so the first non-finite r_j fails step j - 1: either its
-right-hand side overflowed, or the state before it did and the product
-P r_{j-1} carried the overflow on.  A report state recovered non-finite
-fails its own step.  The np.errstate that lets a diverging run reach the
-check without overflow warnings is entered once around solve's loop, not
-per step.
+solve runs the steps in blocks of _CHECK_EVERY, the last block shorter.
+A block steps from its first right-hand side, then checks the ones it
+built for finiteness, then solves for the report states that fall in it.
+r_j is built from state j - 1, so the first non-finite r_j fails step
+j - 1: either its right-hand side overflowed, or the state before it did
+and the product P r_{j-1} carried the overflow on.  A report state
+recovered non-finite fails its own step.  The np.errstate that lets a
+diverging run reach the check without overflow warnings is entered once
+around solve's loop, not per step.
 
 A run keeps only the states at its report times, SolverConfig.times, so
 its memory does not grow with the number of steps: the loop holds one
-block of _CHECK_EVERY + 1 right-hand sides for the finiteness check, and
-solves for the report-time states from each block once it is checked.
+block of _CHECK_EVERY + 1 right-hand sides.
 """
 
 from __future__ import annotations
@@ -80,8 +85,8 @@ THETA = 0.5
 #: the division) and still count as that step.
 _STEP_TOLERANCE = 1e-9
 
-#: solve checks the stored states for non-finite values once per this many
-#: steps, and after the last step.
+#: solve steps in blocks of this many steps and checks each block's
+#: right-hand sides for non-finite values once, after its last step.
 _CHECK_EVERY = 64
 
 
@@ -162,23 +167,20 @@ class CollocationSystem:
     """Left-hand side plus the cached evaluation rows it was built from.
 
     grid holds the collocation points and matrix the left-hand matrix A,
-    whose condition assemble_lhs has checked.  explicit is the stacked
-    explicit operator [V; D1; V + (1 - THETA)(dt/Re) D2], one C-contiguous
-    (3N x N) array, read-only, so that one mat-vec gives u, du/dx and the
-    old-level part of the step (see build_rhs).  values and first_deriv
-    are its first two row blocks, as views: row per grid point, the
-    coefficients-to-point-values maps for u and du/dx.  propagator is
-    P = F A^-1, also (3N x N), C-contiguous and read-only, with F the
-    explicit operator whose first block is scaled by dt: it maps a step's right-hand side to dt u, u_x and the
-    old-level part of the state that step solves for, which is all solve
-    steps with.  second_deriv is the unscaled map for d2u/dx2, and flux
-    the constant part of d2u/dx2 that comes from the boundary data (the
-    weak operator's M^-1 b); flux is None for Dirichlet data.
+    whose condition assemble_lhs has checked.  propagator is P = F A^-1,
+    C-contiguous and read-only, with F the (3N x N) stacked explicit
+    operator [dt V; D1; V + (1 - THETA)(dt/Re) D2]: it maps a step's
+    right-hand side to dt u, u_x and the old-level part of the state that
+    step solves for, which, with A for the report states, is all solve
+    steps with.  F itself is not kept.  values and first_deriv are the
+    coefficients-to-point-values maps for u and du/dx, one row per grid
+    point; second_deriv is the map for d2u/dx2, and flux the constant
+    part of d2u/dx2 that comes from the boundary data (the weak
+    operator's M^-1 b); flux is None for Dirichlet data.
     """
 
     grid: np.ndarray
     matrix: np.ndarray
-    explicit: np.ndarray
     propagator: np.ndarray
     values: np.ndarray
     first_deriv: np.ndarray
@@ -221,30 +223,24 @@ def derivative_rows(values: np.ndarray, bc: BoundarySpec
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build the (time-independent) left-hand matrix and check its
-    condition, stack the explicit operator the right-hand side is formed
-    with, and precompose the propagator solve steps with."""
+    """Build the (time-independent) left-hand matrix A, check its
+    condition, and precompose the propagator P = F A^-1 solve steps with;
+    the stacked explicit operator F is formed only to build P."""
     grid = collocation_points(config.spec)
     values = basis_matrix(config.spec, grid)
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
     weight = config.dt / config.reynolds
-    n = len(grid)
-    explicit = np.vstack(
-        [values, first_deriv, values + (1.0 - THETA) * weight * second_deriv])
-    explicit.flags.writeable = False
-    values, first_deriv = explicit[:n], explicit[n:2 * n]
     matrix = values - THETA * weight * second_deriv
     matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
     guard_condition(matrix, "collocation system")
-    folded = explicit.copy()
-    folded[:n] *= config.dt
+    explicit = np.vstack([config.dt * values, first_deriv,
+                          values + (1.0 - THETA) * weight * second_deriv])
     # P^T = A^-T F^T: one transposed solve, not a product with A^-1
-    propagator = np.ascontiguousarray(np.linalg.solve(matrix.T, folded.T).T)
+    propagator = np.ascontiguousarray(np.linalg.solve(matrix.T, explicit.T).T)
     propagator.flags.writeable = False
     return CollocationSystem(
         grid=grid,
         matrix=matrix,
-        explicit=explicit,
         propagator=propagator,
         values=values,
         first_deriv=first_deriv,
@@ -253,23 +249,18 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     )
 
 
-def _forcing(config: SolverConfig,
-             system: CollocationSystem) -> np.ndarray | None:
-    # the weak operator's boundary flux enters every step at full weight
-    if system.flux is None:
-        return None
-    return (config.dt / config.reynolds) * system.flux
-
-
 def _finish_rhs(blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
                 out: np.ndarray, bc: BoundarySpec,
                 forcing: np.ndarray | None) -> np.ndarray:
-    """Write the right-hand side formed from one stacked product into out.
+    """Write the next right-hand side, formed from one propagator product,
+    into out.
 
     blocks are the three row blocks dt u, u_x and u + (1 - THETA)(dt/Re)
     u_xx of the product for one state.  The first is overwritten with the
     convection product dt u u_x, which is subtracted from the third
-    straight into out; out may be the third block itself.
+    straight into out.  forcing, the weak operator's boundary flux times
+    dt/Re, is added at full weight, since it is the same at both time
+    levels; the first and last entries are the prescribed boundary values.
     """
     product, u_x, part = blocks
     product *= u_x
@@ -279,26 +270,6 @@ def _finish_rhs(blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
     out[0] = bc.left_value
     out[-1] = bc.right_value
     return out
-
-
-def build_rhs(coeffs: np.ndarray, config: SolverConfig,
-              system: CollocationSystem) -> np.ndarray:
-    """Right-hand side for one step from the current coefficients.
-
-    Interior entries carry the explicit part of the scheme (old-level
-    diffusion share plus the lagged convection product) and, for Neumann
-    data, the weak operator's boundary flux at full weight, since it is
-    the same at both time levels; the first and last entries are the
-    prescribed boundary values.  One mat-vec with system.explicit gives
-    u, u_x and u + (1 - THETA)(dt/Re) u_xx; u is scaled by dt, and the
-    rest is the step algebra solve applies to system.propagator's product.
-    Overflow in a diverging run is left to the caller's np.errstate, under
-    which solve ignores it.
-    """
-    product, u_x, part = (system.explicit @ coeffs).reshape(3, -1)
-    product *= config.dt
-    return _finish_rhs((product, u_x, part), part, config.bc,
-                       _forcing(config, system))
 
 
 def initial_coefficients(config: SolverConfig,
@@ -352,14 +323,14 @@ def _report_state(system: CollocationSystem, rhs: np.ndarray, step: int,
 def solve(config: SolverConfig) -> SolutionSeries:
     """Step to the last report time and keep the state at each report time.
 
-    The loop carries right-hand sides, one propagator gemv per step, and
-    solves for the coefficients only at the report times.  The right-hand
-    sides are checked finite once per _CHECK_EVERY steps and after the
-    last step, in a block whose row 0 holds the last checked one.  The
-    first non-finite r_j raises DivergenceError for step j - 1, the step
-    whose state it was built from; a report state recovered non-finite
-    raises it for its own step.  Nothing solve allocates grows with the
-    number of steps.
+    The loop carries right-hand sides from r_0 = A c_0, one propagator
+    gemv per step, and solves for the coefficients only at the report
+    times; the state at a report time of 0 is c_0 itself.  It runs in
+    blocks of _CHECK_EVERY steps, each checked finite once after its last
+    step and then searched for report states.  The first non-finite r_j
+    raises DivergenceError for step j - 1, the step whose state it was
+    built from; a report state recovered non-finite raises it for its own
+    step.  Nothing solve allocates grows with the number of steps.
     """
     system = assemble_lhs(config)
     propagator = system.propagator
@@ -369,31 +340,27 @@ def solve(config: SolverConfig) -> SolutionSeries:
     n = config.spec.n_functions
     kept = np.empty((len(report), n))
     kept[report == 0] = coeffs
-    forcing = _forcing(config, system)
+    forcing = (None if system.flux is None
+               else (config.dt / config.reynolds) * system.flux)
     stacked = np.empty(3 * n)
     blocks = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
-    # block[r] is the right-hand side of step base + r; row 0 holds the
-    # last checked one
+    # block[r] is the right-hand side of step base + r
     block = np.empty((_CHECK_EVERY + 1, n))
-    base = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        block[1] = build_rhs(coeffs, config, system)
-        for step in range(1, n_steps + 1):
-            row = step - base
-            if row == _CHECK_EVERY or step == n_steps:
-                finite = np.isfinite(block[1:row + 1]).all(axis=1)
-                if not finite.all():
-                    failed = base + int(np.argmin(finite))
-                    raise DivergenceError(failed, failed * config.dt)
-                for i in np.flatnonzero((report > base) & (report <= step)):
-                    kept[i] = _report_state(system, block[report[i] - base],
-                                            int(report[i]), config.dt)
-                if step == n_steps:
-                    break
-                block[0] = block[row]
-                base, row = step, 0
-            np.dot(propagator, block[row], out=stacked)
-            _finish_rhs(blocks, block[row + 1], config.bc, forcing)
+        block[0] = np.dot(system.matrix, coeffs)
+        for base in range(0, n_steps, _CHECK_EVERY):
+            size = min(_CHECK_EVERY, n_steps - base)
+            for row in range(size):
+                np.dot(propagator, block[row], out=stacked)
+                _finish_rhs(blocks, block[row + 1], config.bc, forcing)
+            finite = np.isfinite(block[1:size + 1]).all(axis=1)
+            if not finite.all():
+                failed = base + int(np.argmin(finite))
+                raise DivergenceError(failed, failed * config.dt)
+            for i in np.flatnonzero((report > base) & (report <= base + size)):
+                kept[i] = _report_state(system, block[report[i] - base],
+                                        int(report[i]), config.dt)
+            block[0] = block[size]
     return SolutionSeries(coeffs=kept, config=config, system=system)
 
 

@@ -196,6 +196,18 @@ class TestRunCase:
         with pytest.raises(ValueError, match="keep_level 9 not in 2..4"):
             w.run_case(case, 17, truncate_level=9)
 
+    def test_report_times_with_one_label_rejected_before_solving(
+            self, monkeypatch):
+        # 0.05 and 0.05000001 are distinct steps of 1e-8 but both print as
+        # 0.05, so one profile file and report row would hide the other
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_case integrated before checking labels")
+
+        monkeypatch.setattr("wavecol.bench.solve", no_solve)
+        case = w.case_definition(3, times=(0.05, 0.05000001))
+        with pytest.raises(ValueError, match="share the label 0.05"):
+            w.run_case(case, 5, dt=1e-8)
+
     def test_case3_builds_the_solver_rows_once(self, monkeypatch):
         calls = []
 

@@ -154,6 +154,16 @@ def test_report_time_off_the_step_grid_is_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_report_times_with_one_label_are_a_usage_error(tmp_path, capsys):
+    # both times would be written to profile_case3_re10_np5_t0.05.csv
+    code = cli.main(["--case", "3", "--np", "5", "--dt", "1e-8",
+                     "--times", "0.05,0.05000001", "--profiles",
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert "share the label 0.05" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [
     ["--re", "1000"],
     ["--re", "1e308", "--times", "0.1"],

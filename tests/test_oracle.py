@@ -1,6 +1,7 @@
 """Series-solution oracle: coefficients, published-value reproduction, shape."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ class TestExactSolution:
             w.exact_u(SIN_RE1, 0.5, -0.3)
         with pytest.raises(ValueError, match="truncation"):
             w.exact_u(SIN_RE1, 0.5, MIN_TIME / 2.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_time_rejected_before_summing(self, t, monkeypatch):
+        def no_moment(*args):
+            raise AssertionError("exact_u summed the series")
+
+        monkeypatch.setattr(oracle, "_coefficient", no_moment)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                w.exact_u(SIN_RE1, 0.5, t)
 
     def test_position_domain_guard(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):

@@ -16,7 +16,6 @@ from wavecol.solver import (
     DIRICHLET,
     NEUMANN,
     assemble_lhs,
-    build_rhs,
     derivative_rows,
     initial_coefficients,
 )
@@ -69,18 +68,50 @@ def _reference_history(config):
     return np.array(history)
 
 
-class _ReportSolves:
-    """Stands in for system.matrix, which solve reads only to solve for its
-    report states, np.linalg.solve(system.matrix, r).
+def _explicit_rows(config):
+    """Node rows V, D1 and D2 and the flux, built apart from assemble_lhs."""
+    values = w.basis_matrix(config.spec, collocation_points(config.spec))
+    return (values,) + derivative_rows(values, config.bc)
 
-    Counts those solves and hands each real solution to outcome, whose
-    return value is the state solve sees.
+
+def _step_algebra(config, coeffs):
+    """The right-hand side the scheme builds from the state coeffs:
+    u + (1 - THETA)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux), with the
+    boundary data at the ends, spelled out from _explicit_rows."""
+    values, first, second, flux = _explicit_rows(config)
+    weight = config.dt / config.reynolds
+    u, u_x, u_xx = values @ coeffs, first @ coeffs, second @ coeffs
+    rhs = u + (1.0 - solver.THETA) * weight * u_xx - config.dt * u * u_x
+    if flux is not None:
+        rhs += weight * flux
+    rhs[0], rhs[-1] = config.bc.left_value, config.bc.right_value
+    return rhs
+
+
+def _first_step(config):
+    """The initial state c_0 and A c_1, the right-hand side of the first
+    step that solve took, recovered from its state c_1."""
+    series = w.solve(dataclasses.replace(config, times=(0.0, config.dt)))
+    initial, first = series.coeffs
+    return initial, series.system.matrix @ first
+
+
+class _ReportSolves:
+    """Stands in for system.matrix, which solve reads only to seed the loop,
+    np.dot(system.matrix, c_0), and to solve for its report states,
+    np.linalg.solve(system.matrix, r).
+
+    Passes the seed product through uncounted, counts the solves and hands
+    each real solution to outcome, whose return value is the state solve
+    sees.
     """
 
     def __init__(self, outcome):
         self.outcome, self.real, self.solves = outcome, None, 0
 
     def __array_function__(self, func, types, args, kwargs):
+        if func is np.dot:
+            return func(self.real, *args[1:], **kwargs)
         assert func is np.linalg.solve
         self.solves += 1
         return self.outcome(func(self.real, *args[1:], **kwargs))
@@ -189,8 +220,10 @@ class TestAssembleLhs:
         assert propagator.shape == (3 * n, n)
         assert propagator.flags.c_contiguous
         assert not propagator.flags.writeable
-        folded = system.explicit.copy()
-        folded[:n] *= config.dt
+        values, first, second, _ = _explicit_rows(config)
+        weight = config.dt / config.reynolds
+        folded = np.vstack([config.dt * values, first,
+                            values + (1.0 - solver.THETA) * weight * second])
         assert (np.max(np.abs(propagator @ system.matrix - folded))
                 <= 1e-12 * np.max(np.abs(folded)))
 
@@ -215,13 +248,19 @@ class TestWeakSecondDerivative:
         np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
 
     def test_flux_enters_rhs_interior_at_full_weight(self, operators):
-        config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
-        system = assemble_lhs(config)
-        rhs = build_rhs(np.zeros(config.spec.n_functions), config, system)
+        # what the first step solved, less the scheme without the flux,
+        # is the flux times dt/Re inside and the slope data at the ends
+        config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
+                         ic=np.zeros_like)
+        values, first, second, flux = _explicit_rows(config)
+        initial, rhs = _first_step(config)
+        u, u_x = values @ initial, first @ initial
+        without_flux = (u + 0.5 * (config.dt / config.reynolds)
+                        * (second @ initial) - config.dt * u * u_x)
         np.testing.assert_allclose(
-            rhs[1:-1], (config.dt / config.reynolds) * system.flux[1:-1],
-            rtol=0, atol=1e-15)
-        assert rhs[0] == 0.5 and rhs[-1] == -1.0
+            rhs[1:-1] - without_flux[1:-1],
+            (config.dt / config.reynolds) * flux[1:-1], rtol=0, atol=1e-15)
+        assert abs(rhs[0] - 0.5) <= 1e-14 and abs(rhs[-1] + 1.0) <= 1e-14
 
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
         # the rows are formed from the nodal kernel, not from the
@@ -245,19 +284,25 @@ class TestInitialCoefficients:
 
 
 class TestBuildRhs:
+    """The right-hand side the first step builds from r_0 = A c_0, read
+    back as A c_1 from the state that step solved for."""
+
     def test_zero_state_leaves_only_boundary_values(self, operators):
-        config = _config(operators,
-                                   bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2))
-        system = assemble_lhs(config)
-        rhs = build_rhs(np.zeros(config.spec.n_functions), config, system)
-        assert rhs[0] == 0.3 and rhs[-1] == -0.2
-        assert np.max(np.abs(rhs[1:-1])) == 0.0
+        # homogeneous data keep the zero state exactly; other boundary
+        # data are what the end rows are set to
+        config = _config(operators, ic=np.zeros_like)
+        initial, rhs = _first_step(config)
+        assert np.max(np.abs(initial)) == 0.0
+        assert np.max(np.abs(rhs)) == 0.0
+        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2),
+                         ic=np.zeros_like)
+        _, rhs = _first_step(config)
+        assert abs(rhs[0] - 0.3) <= 1e-14 and abs(rhs[-1] + 0.2) <= 1e-14
 
     def test_constant_state_is_nearly_stationary_inside(self, operators):
-        config = _config(operators)
-        system = assemble_lhs(config)
-        coeffs = w.interpolate(lambda x: np.full_like(x, 0.7), config.spec)
-        rhs = build_rhs(coeffs, config, system)
+        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.7, 0.7),
+                         ic=lambda x: np.full_like(x, 0.7))
+        _, rhs = _first_step(config)
         np.testing.assert_allclose(rhs[1:-1], 0.7, atol=1e-10)
 
     @pytest.mark.parametrize("level", [4, 5])
@@ -266,13 +311,10 @@ class TestBuildRhs:
         # at the center the convection term vanishes and the diffusion share
         # gives 1 - dt pi^2 / 2; discrete curvature error is O(2**-level)
         config = _config(operators, level=level)
-        system = assemble_lhs(config)
-        coeffs = w.interpolate(lambda x: np.sin(np.pi * x), config.spec)
-        rhs = build_rhs(coeffs, config, system)
+        _, rhs = _first_step(config)
         center = config.spec.n_functions // 2
         target = 1.0 - config.dt * np.pi**2 / 2.0
         assert abs(rhs[center] - target) <= 1e-3 * 2.0**-level
-
 
     @pytest.mark.parametrize("bc, ic, reynolds", [
         (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x), 1.0),
@@ -280,26 +322,15 @@ class TestBuildRhs:
     ], ids=["dirichlet", "neumann"])
     def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
                                               reynolds):
-        # the scheme spelled out from rows built apart from assemble_lhs:
-        # u + (1 - THETA)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux)
+        # the propagator product P A c_0 and the step algebra after it
+        # against the scheme spelled out from rows built apart from
+        # assemble_lhs
         config = _config(operators, level=5, reynolds=reynolds, dt=0.01,
                          bc=bc, ic=ic)
-        system = assemble_lhs(config)
-        n = config.spec.n_functions
-        assert system.explicit.shape == (3 * n, n)
-        values = w.basis_matrix(config.spec, collocation_points(config.spec))
-        first, second, flux = derivative_rows(values, bc)
-        for coeffs in w.solve(config).coeffs[:3]:
-            u, u_x, u_xx = values @ coeffs, first @ coeffs, second @ coeffs
-            expected = (u
-                        + (1.0 - solver.THETA) * (config.dt / reynolds) * u_xx
-                        - config.dt * u * u_x)
-            if flux is not None:
-                expected += (config.dt / reynolds) * flux
-            expected[0], expected[-1] = bc.left_value, bc.right_value
-            rhs = build_rhs(coeffs, config, system)
-            assert (np.max(np.abs(rhs - expected))
-                    <= 1e-14 * np.max(np.abs(expected)))
+        initial, rhs = _first_step(config)
+        expected = _step_algebra(config, initial)
+        assert (np.max(np.abs(rhs - expected))
+                <= 1e-14 * np.max(np.abs(expected)))
 
 
 class TestStep:
@@ -312,7 +343,7 @@ class TestStep:
         series = w.solve(config)
         system = series.system
         for old, new in zip(series.coeffs, series.coeffs[1:]):
-            rhs = build_rhs(old, config, system)
+            rhs = _step_algebra(config, old)
             residual = np.max(np.abs(system.matrix @ new - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
@@ -474,6 +505,27 @@ class TestSolve:
             drift = np.max(np.abs((series.coeffs - reference) @ values.T))
             assert drift <= gate, (level, drift)
 
+    @pytest.mark.parametrize("n_steps", [64, 128])
+    @pytest.mark.parametrize("bc, ic, reynolds", [
+        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
+        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
+    ], ids=["dirichlet", "neumann"])
+    def test_run_ending_on_a_block_edge_matches_the_reference_algebra(
+            self, operators, bc, ic, reynolds, n_steps):
+        # the last step closes a block of _CHECK_EVERY = 64 steps, so the
+        # only report state is solved from that block's last row
+        gate = 1e-12 if bc.kind == DIRICHLET else 1e-10
+        assert solver._CHECK_EVERY == 64
+        config = _config(operators, level=5, reynolds=reynolds,
+                         t_end=n_steps * 1e-3, bc=bc, ic=ic)
+        reference = _reference_history(config)
+        assert reference.shape == (n_steps + 1, config.spec.n_functions)
+        series = w.solve(dataclasses.replace(config,
+                                             times=(config.times[-1],)))
+        values = series.system.values
+        drift = np.max(np.abs((series.coeffs[0] - reference[-1]) @ values.T))
+        assert drift <= gate, drift
+
     def test_divergence_step_matches_the_reference_algebra(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
                                    dt=0.05, bc=w.BoundarySpec(NEUMANN),
@@ -510,7 +562,7 @@ class TestSolve:
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     def test_overflowing_solve_fails_the_next_step(self, operators,
                                                    monkeypatch, check_every):
-        # the 6th propagation product maps the right-hand side of step 6 to
+        # the 7th propagation product maps the right-hand side of step 6 to
         # the next one through state 6; an overflow there stands for a
         # state 6 that is not finite, so step 6 fails, though the first bad
         # right-hand side is step 7's
@@ -526,7 +578,7 @@ class TestSolve:
                 assert func is np.dot
                 self.calls += 1
                 out = func(self.real, *args[1:], **kwargs)
-                if self.calls == 6:
+                if self.calls == 7:
                     out[:] = np.inf
                 return out
 
