@@ -248,10 +248,18 @@ class TestWeakSecondDerivative:
         np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
 
     def test_flux_enters_rhs_interior_at_full_weight(self, operators):
-        # what the first step solved, less the scheme without the flux,
-        # is the flux times dt/Re inside and the slope data at the ends
         config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
                          ic=np.zeros_like)
+        system = assemble_lhs(config)
+        forcing = (config.dt / config.reynolds) * system.flux
+        n = config.spec.n_functions
+        blocks = tuple(np.zeros(n) for _ in range(3))
+        rhs = solver._finish_rhs(blocks, np.empty(n), config.bc, forcing)
+        np.testing.assert_array_equal(rhs[1:-1], forcing[1:-1])
+        assert rhs[0] == 0.5 and rhs[-1] == -1.0
+        # through solve: what the first step solved, less the scheme
+        # without the flux, is the flux times dt/Re inside and the slope
+        # data at the ends
         values, first, second, flux = _explicit_rows(config)
         initial, rhs = _first_step(config)
         u, u_x = values @ initial, first @ initial
@@ -260,7 +268,7 @@ class TestWeakSecondDerivative:
         np.testing.assert_allclose(
             rhs[1:-1] - without_flux[1:-1],
             (config.dt / config.reynolds) * flux[1:-1], rtol=0, atol=1e-15)
-        assert abs(rhs[0] - 0.5) <= 1e-14 and abs(rhs[-1] + 1.0) <= 1e-14
+        assert abs(rhs[0] - 0.5) <= 1e-15 and abs(rhs[-1] + 1.0) <= 1e-15
 
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
         # the rows are formed from the nodal kernel, not from the
@@ -284,20 +292,26 @@ class TestInitialCoefficients:
 
 
 class TestBuildRhs:
-    """The right-hand side the first step builds from r_0 = A c_0, read
-    back as A c_1 from the state that step solved for."""
+    """The right-hand side a step builds: from _finish_rhs itself, and
+    through solve, read back as A c_{k+1} from the state that step solved
+    for, the first step from the seed r_0 = A c_0."""
 
     def test_zero_state_leaves_only_boundary_values(self, operators):
-        # homogeneous data keep the zero state exactly; other boundary
-        # data are what the end rows are set to
+        bc = w.BoundarySpec(DIRICHLET, 0.3, -0.2)
+        n = _config(operators).spec.n_functions
+        blocks = tuple(np.zeros(n) for _ in range(3))
+        rhs = solver._finish_rhs(blocks, np.empty(n), bc, None)
+        assert rhs[0] == 0.3 and rhs[-1] == -0.2
+        assert np.max(np.abs(rhs[1:-1])) == 0.0
+        # through solve: homogeneous data keep the zero state exactly;
+        # other boundary data are what the end rows are set to
         config = _config(operators, ic=np.zeros_like)
         initial, rhs = _first_step(config)
         assert np.max(np.abs(initial)) == 0.0
         assert np.max(np.abs(rhs)) == 0.0
-        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2),
-                         ic=np.zeros_like)
+        config = _config(operators, bc=bc, ic=np.zeros_like)
         _, rhs = _first_step(config)
-        assert abs(rhs[0] - 0.3) <= 1e-14 and abs(rhs[-1] + 0.2) <= 1e-14
+        assert rhs[0] == 0.3 and rhs[-1] == -0.2
 
     def test_constant_state_is_nearly_stationary_inside(self, operators):
         config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.7, 0.7),
@@ -322,15 +336,18 @@ class TestBuildRhs:
     ], ids=["dirichlet", "neumann"])
     def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
                                               reynolds):
-        # the propagator product P A c_0 and the step algebra after it
-        # against the scheme spelled out from rows built apart from
-        # assemble_lhs
+        # each step's right-hand side, read back as A c_{k+1}, against the
+        # scheme applied to c_k, spelled out from rows built apart from
+        # assemble_lhs: the seeded first step and two carried ones
         config = _config(operators, level=5, reynolds=reynolds, dt=0.01,
                          bc=bc, ic=ic)
-        initial, rhs = _first_step(config)
-        expected = _step_algebra(config, initial)
-        assert (np.max(np.abs(rhs - expected))
-                <= 1e-14 * np.max(np.abs(expected)))
+        series = w.solve(dataclasses.replace(
+            config, times=tuple(k * config.dt for k in range(4))))
+        for old, new in zip(series.coeffs, series.coeffs[1:]):
+            rhs = series.system.matrix @ new
+            expected = _step_algebra(config, old)
+            assert (np.max(np.abs(rhs - expected))
+                    <= 1e-14 * np.max(np.abs(expected)))
 
 
 class TestStep:
