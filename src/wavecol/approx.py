@@ -84,13 +84,20 @@ def _level_slices(spec: BasisSpec) -> dict[int, slice]:
     return slices
 
 
-def split_levels(coeffs: np.ndarray, spec: BasisSpec) -> LevelSplit:
-    """Separate coefficients into the coarse block and per-level detail blocks."""
+def _coefficient_vector(coeffs: np.ndarray, spec: BasisSpec) -> np.ndarray:
+    """coeffs as a float array, or ValueError unless it has one entry per
+    basis function of spec."""
     coeffs = np.asarray(coeffs, float)
     if coeffs.shape != (spec.n_functions,):
         raise ValueError(
             f"expected {spec.n_functions} coefficients, got shape {coeffs.shape}"
         )
+    return coeffs
+
+
+def split_levels(coeffs: np.ndarray, spec: BasisSpec) -> LevelSplit:
+    """Separate coefficients into the coarse block and per-level detail blocks."""
+    coeffs = _coefficient_vector(coeffs, spec)
     details = {lev: coeffs[sl].copy() for lev, sl in _level_slices(spec).items()}
     return LevelSplit(coarse=coeffs[:5].copy(), details=details)
 
@@ -111,9 +118,13 @@ def check_keep_level(keep_level: int, spec: BasisSpec) -> None:
 
 
 def truncate(coeffs: np.ndarray, spec: BasisSpec, keep_level: int) -> np.ndarray:
-    """Zero every detail block finer than keep_level (coarse view of the data)."""
+    """Zero every detail block finer than keep_level (coarse view of the data).
+
+    Raises ValueError for a keep_level outside 2..spec.max_level and for
+    coefficients that are not one per basis function of spec.
+    """
     check_keep_level(keep_level, spec)
-    out = np.asarray(coeffs, float).copy()
+    out = _coefficient_vector(coeffs, spec).copy()
     for level, sl in _level_slices(spec).items():
         if level > keep_level:
             out[sl] = 0.0

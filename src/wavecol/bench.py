@@ -295,7 +295,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
 
 
 # ---------------------------------------------------------------------------
-# report emission
+# report emission: every writer renders its text, and _write writes them all
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
@@ -310,45 +310,61 @@ def _stem(result: RunResult) -> str:
             f"_re{result.case.reynolds:g}_np{result.n_points}")
 
 
+def _lines(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _csv(header: str, rows) -> str:
+    """The header line, then each row of cell strings joined by commas."""
+    return _lines([header, *map(",".join, rows)])
+
+
+def _matrix_csv(values: np.ndarray) -> str:
+    """A 2-D array as CSV, one line per row, every value at 17 digits."""
+    rows, cols = np.shape(values)
+    line = ",".join(["%.17g"] * cols) + "\n"
+    return (line * rows) % tuple(np.ravel(values).tolist())
+
+
 def _comparison_csv(report: ErrorReport) -> str:
-    lines = ["time,x,numeric,exact,abs_err,rel_err,ifdm,bem"]
+    rows = []
     for i, t in enumerate(report.times):
         ifdm = report.comparator_rows.get("ifdm", {}).get(t)
         bem = report.comparator_rows.get("bem", {}).get(t)
         for j, x in enumerate(report.xs):
-            lines.append(",".join([
+            rows.append([
                 f"{t:g}", f"{x:g}",
                 _fmt(report.numeric[i, j]), _fmt(report.exact[i, j]),
                 _fmt(report.abs_err[i, j]), _fmt(report.rel_err[i, j]),
                 _fmt_pub(ifdm[j]) if ifdm else "",
                 _fmt_pub(bem[j]) if bem else "",
-            ]))
-    return "\n".join(lines) + "\n"
+            ])
+    return _csv("time,x,numeric,exact,abs_err,rel_err,ifdm,bem", rows)
 
 
 def _summary_csv(report: ErrorReport) -> str:
-    lines = ["time,avg_rel_err,avg_rel_err_ifdm,avg_rel_err_bem"]
+    rows = []
     for t in report.times:
         ifdm = report.comparator_avg.get("ifdm", {}).get(t)
         bem = report.comparator_avg.get("bem", {}).get(t)
-        lines.append(",".join([
+        rows.append([
             f"{t:g}", _fmt(report.avg_rel_err[t]),
             _fmt(ifdm) if ifdm is not None else "",
             _fmt(bem) if bem is not None else "",
-        ]))
-    return "\n".join(lines) + "\n"
+        ])
+    return _csv("time,avg_rel_err,avg_rel_err_ifdm,avg_rel_err_bem", rows)
 
 
 def _case3_csv(report: Case3Report) -> str:
-    lines = ["time,antisymmetry,center_abs,neumann_left,neumann_right,"
-             "front_oscillation"]
+    rows = []
     for t in report.times:
         left, right = report.neumann_residuals[t]
-        lines.append(",".join([
+        rows.append([
             f"{t:g}", _fmt(report.antisymmetry[t]), _fmt(report.center_abs[t]),
             _fmt(left), _fmt(right), _fmt(report.front_oscillation[t]),
-        ]))
-    return "\n".join(lines) + "\n"
+        ])
+    return _csv("time,antisymmetry,center_abs,neumann_left,neumann_right,"
+                "front_oscillation", rows)
 
 
 _METHOD_LABELS = {
@@ -359,114 +375,92 @@ _METHOD_LABELS = {
 }
 
 
+def _md_table(header: list[str], rows) -> list[str]:
+    """Lines of a markdown table: header, rule, then one line per row."""
+    lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
+    lines.insert(1, "|---" * len(header) + "|")
+    return lines
+
+
 def _comparison_markdown(report: ErrorReport) -> str:
-    head = (f"# Case {report.case_id}, Re = {report.reynolds:g}, "
-            f"N_p = {report.n_points}\n")
-    parts = [head]
-    header = "| method | " + " | ".join(f"x={x:g}" for x in report.xs) + " |"
-    rule = "|---" * (len(report.xs) + 1) + "|"
+    parts = [f"# Case {report.case_id}, Re = {report.reynolds:g}, "
+             f"N_p = {report.n_points}\n"]
+    header = ["method", *(f"x={x:g}" for x in report.xs)]
     for i, t in enumerate(report.times):
-        parts.append(f"\n## t = {t:g}\n")
-        parts.append(header)
-        parts.append(rule)
-        for method, label in _METHOD_LABELS.items():
-            row = report.comparator_rows.get(method, {}).get(t)
-            if row is None:
-                continue
-            parts.append(f"| {label} | "
-                         + " | ".join(_fmt_pub(v) for v in row) + " |")
-        parts.append("| exact | "
-                     + " | ".join(_fmt_pub(v) for v in report.exact[i]) + " |")
-        parts.append(f"| this run (N_p={report.n_points}) | "
-                     + " | ".join(_fmt_pub(v) for v in report.numeric[i]) + " |")
-    parts.append("\n## Average relative error\n")
-    parts.append("| method | " + " | ".join(f"t={t:g}" for t in report.times) + " |")
-    parts.append("|---" * (len(report.times) + 1) + "|")
-    parts.append("| this run | "
-                 + " | ".join(f"{report.avg_rel_err[t]:.2e}" for t in report.times)
-                 + " |")
+        rows = [[label, *map(_fmt_pub, row)]
+                for method, label in _METHOD_LABELS.items()
+                if (row := report.comparator_rows.get(method, {}).get(t))
+                is not None]
+        rows.append(["exact", *map(_fmt_pub, report.exact[i])])
+        rows.append([f"this run (N_p={report.n_points})",
+                     *map(_fmt_pub, report.numeric[i])])
+        parts += [f"\n## t = {t:g}\n", *_md_table(header, rows)]
+    rows = [["this run", *(f"{report.avg_rel_err[t]:.2e}" for t in report.times)]]
     for method in ("ifdm", "bem"):
         avgs = report.comparator_avg.get(method)
-        if not avgs:
-            continue
-        cells = []
-        for t in report.times:
-            value = avgs.get(t)
-            cells.append(f"{value:.2e}" if value is not None else "")
-        parts.append(f"| {_METHOD_LABELS[method]} | " + " | ".join(cells) + " |")
-    return "\n".join(parts) + "\n"
+        if avgs:
+            rows.append([_METHOD_LABELS[method],
+                         *(f"{avgs[t]:.2e}" if t in avgs else ""
+                           for t in report.times)])
+    parts += ["\n## Average relative error\n",
+              *_md_table(["method", *(f"t={t:g}" for t in report.times)], rows)]
+    return _lines(parts)
 
 
 def _case3_markdown(report: Case3Report) -> str:
-    parts = [f"# Case 3 (Neumann), Re = {report.reynolds:g}, "
-             f"N_p = {report.n_points}\n",
-             "| t | antisymmetry | center value | boundary slope (left, right) "
-             "| front oscillation |",
-             "|---|---|---|---|---|"]
+    rows = []
     for t in report.times:
         left, right = report.neumann_residuals[t]
-        parts.append(
-            f"| {t:g} | {report.antisymmetry[t]:.3e} "
-            f"| {report.center_abs[t]:.3e} | {left:.3e}, {right:.3e} "
-            f"| {report.front_oscillation[t]:.5f} |")
-    return "\n".join(parts) + "\n"
+        rows.append([f"{t:g}", f"{report.antisymmetry[t]:.3e}",
+                     f"{report.center_abs[t]:.3e}", f"{left:.3e}, {right:.3e}",
+                     f"{report.front_oscillation[t]:.5f}"])
+    header = ["t", "antisymmetry", "center value",
+              "boundary slope (left, right)", "front oscillation"]
+    return _lines([f"# Case 3 (Neumann), Re = {report.reynolds:g}, "
+                   f"N_p = {report.n_points}\n", *_md_table(header, rows)])
+
+
+#: (report type, format) -> {file name prefix: text writer}
+_REPORT_WRITERS = {
+    (ErrorReport, "csv"): {"report": _comparison_csv, "summary": _summary_csv},
+    (ErrorReport, "md"): {"report": _comparison_markdown},
+    (Case3Report, "csv"): {"report": _case3_csv},
+    (Case3Report, "md"): {"report": _case3_markdown},
+}
+
+
+def _write(out_dir: Path, texts: dict[str, str]) -> list[Path]:
+    """Write each text to out_dir / name, creating out_dir; returns the
+    paths in the order of texts."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    paths = [out_dir / name for name in texts]
+    for path, text in zip(paths, texts.values()):
+        path.write_text(text)
+    return paths
 
 
 def emit_reports(result: RunResult, fmt: str, out_dir: Path) -> list[Path]:
     """Write the report files for one run; returns the created paths."""
     if fmt not in ("csv", "md"):
         raise ValueError(f"unknown format {fmt!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(result)
-    written: list[Path] = []
-    if isinstance(result.report, ErrorReport):
-        if fmt == "csv":
-            written.append(_write(out_dir / f"report_{stem}.csv",
-                                  _comparison_csv(result.report)))
-            written.append(_write(out_dir / f"summary_{stem}.csv",
-                                  _summary_csv(result.report)))
-        else:
-            written.append(_write(out_dir / f"report_{stem}.md",
-                                  _comparison_markdown(result.report)))
-    else:
-        if fmt == "csv":
-            written.append(_write(out_dir / f"report_{stem}.csv",
-                                  _case3_csv(result.report)))
-        else:
-            written.append(_write(out_dir / f"report_{stem}.md",
-                                  _case3_markdown(result.report)))
-    return written
+    writers = _REPORT_WRITERS[type(result.report), fmt]
+    return _write(out_dir, {f"{prefix}_{stem}.{fmt}": writer(result.report)
+                            for prefix, writer in writers.items()})
 
 
 def emit_profiles(result: RunResult, out_dir: Path) -> list[Path]:
     """Write one x,u profile CSV per report time (plot-ready)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = _stem(result)
-    written = []
-    for t in result.case.report_times:
-        lines = ["x,u"]
-        for x, u in zip(result.profile_xs, result.profiles[t]):
-            lines.append(f"{_fmt(x)},{_fmt(u)}")
-        written.append(_write(out_dir / f"profile_{stem}_t{t:g}.csv",
-                              "\n".join(lines) + "\n"))
-    return written
+    return _write(out_dir, {
+        f"profile_{stem}_t{t:g}.csv": "x,u\n" + _matrix_csv(
+            np.column_stack([result.profile_xs, result.profiles[t]]))
+        for t in result.case.report_times})
 
 
 def emit_operator_dump(result: RunResult, out_dir: Path) -> list[Path]:
     """Write the dense operator matrices as row-major CSV (debug aid)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, matrix in result.operators.items():
-        lines = [",".join(_fmt(v) for v in row) for row in matrix]
-        written.append(_write(
-            out_dir / f"operators_np{result.n_points}_{name}.csv",
-            "\n".join(lines) + "\n"))
-    return written
-
-
-def _write(path: Path, content: str) -> Path:
-    path.write_text(content)
-    return path
+    return _write(out_dir, {
+        f"operators_np{result.n_points}_{name}.csv": _matrix_csv(matrix)
+        for name, matrix in result.operators.items()})

@@ -39,33 +39,43 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def guard_condition(matrix: np.ndarray, what: str) -> float:
-    """Exact 1-norm condition number of matrix, ||A||_1 ||A^-1||_1.
+def _guarded_inverse(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """matrix^-1 and the exact 1-norm condition ||A||_1 ||A^-1||_1.
 
-    The inverse is formed only to measure the condition; callers solve with
-    np.linalg.solve.  A matrix numpy refuses to invert (LinAlgError), or
-    whose condition is not finite, counts as infinitely ill-conditioned.
-    Raises ConditioningError when the condition exceeds CONDITION_LIMIT.
+    A matrix numpy refuses to invert (LinAlgError), or whose condition is
+    not finite, counts as infinitely ill-conditioned.  Raises
+    ConditioningError when the condition exceeds CONDITION_LIMIT.
     """
     try:
+        inverse = np.linalg.inv(matrix)
         cond = (float(np.linalg.norm(matrix, 1))
-                * float(np.linalg.norm(np.linalg.inv(matrix), 1)))
+                * float(np.linalg.norm(inverse, 1)))
     except np.linalg.LinAlgError:
         cond = math.inf
     if not math.isfinite(cond):
         cond = math.inf
     if cond > CONDITION_LIMIT:
         raise ConditioningError(f"{what} is numerically singular", cond)
-    return cond
+    return inverse, cond
+
+
+def guard_condition(matrix: np.ndarray, what: str) -> float:
+    """Exact 1-norm condition number of matrix, ||A||_1 ||A^-1||_1.
+
+    The inverse is formed only to measure the condition; callers solve with
+    np.linalg.solve.  Raises ConditioningError as _guarded_inverse does.
+    """
+    return _guarded_inverse(matrix, what)[1]
 
 
 def dual_transform(gram: np.ndarray) -> np.ndarray:
     """Inverse of the Gram matrix; maps raw moments to expansion coefficients.
 
-    Raises ConditioningError if the condition exceeds CONDITION_LIMIT.
+    The guard's inverse is the result: np.linalg.inv solves G X = I as
+    np.linalg.solve(gram, I) does, bitwise.  Raises ConditioningError if the
+    condition exceeds CONDITION_LIMIT.
     """
-    guard_condition(gram, "Gram matrix")
-    return np.linalg.solve(gram, np.eye(gram.shape[0]))
+    return _guarded_inverse(gram, "Gram matrix")[0]
 
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:

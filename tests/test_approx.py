@@ -154,6 +154,14 @@ class TestTruncate:
         with pytest.raises(ValueError, match="keep_level"):
             w.truncate(coeffs, spec, 5)
 
+    @pytest.mark.parametrize("shape", [(5,), (40,), (16,), (18,), (17, 1)])
+    def test_wrong_length_rejected(self, operators, shape):
+        # a level-4 spec has 17 functions; a 5-vector used to come back
+        # unchanged and a 40-vector with only some slices zeroed
+        spec, _, _, _ = operators(4)
+        with pytest.raises(ValueError, match="expected 17 coefficients"):
+            w.truncate(np.ones(shape), spec, 2)
+
     def test_reconstruction_error_improves_with_kept_levels(self, operators):
         spec, _, dual, _ = operators(5)
         f = lambda x: np.sin(np.pi * x)

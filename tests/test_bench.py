@@ -9,9 +9,11 @@ import scipy.sparse
 from scipy.integrate import solve_ivp
 
 import wavecol as w
+from wavecol import cli
 from wavecol.bench import (
     PROFILE_POINTS,
     _comparison_csv,
+    _matrix_csv,
     _summary_csv,
     emit_operator_dump,
     emit_profiles,
@@ -313,7 +315,90 @@ class TestRunCase:
         assert report2.numeric[1, 3] == pytest.approx(0.31656, abs=1e-3)
 
 
+def _per_value_texts(result):
+    """The CSV files of one run, by name in the order the CLI writes them,
+    each value formatted on its own."""
+    full = lambda v: f"{v:.17g}"
+    pub = lambda v: f"{v:.5f}"
+    report = result.report
+    stem = (f"case{result.case.case_id}_re{result.case.reynolds:g}"
+            f"_np{result.n_points}")
+    files = {}
+    if isinstance(report, w.ErrorReport):
+        lines = ["time,x,numeric,exact,abs_err,rel_err,ifdm,bem"]
+        for i, t in enumerate(report.times):
+            ifdm = report.comparator_rows.get("ifdm", {}).get(t)
+            bem = report.comparator_rows.get("bem", {}).get(t)
+            for j, x in enumerate(report.xs):
+                lines.append(",".join(
+                    [f"{t:g}", f"{x:g}"]
+                    + [full(grid[i, j]) for grid in (
+                        report.numeric, report.exact, report.abs_err,
+                        report.rel_err)]
+                    + [pub(ifdm[j]) if ifdm else "",
+                       pub(bem[j]) if bem else ""]))
+        files[f"report_{stem}.csv"] = lines
+        lines = ["time,avg_rel_err,avg_rel_err_ifdm,avg_rel_err_bem"]
+        for t in report.times:
+            avgs = [report.comparator_avg.get(m, {}).get(t)
+                    for m in ("ifdm", "bem")]
+            lines.append(",".join(
+                [f"{t:g}", full(report.avg_rel_err[t])]
+                + ["" if v is None else full(v) for v in avgs]))
+        files[f"summary_{stem}.csv"] = lines
+    else:
+        lines = ["time,antisymmetry,center_abs,neumann_left,neumann_right,"
+                 "front_oscillation"]
+        for t in report.times:
+            values = (report.antisymmetry[t], report.center_abs[t],
+                      *report.neumann_residuals[t],
+                      report.front_oscillation[t])
+            lines.append(",".join([f"{t:g}", *map(full, values)]))
+        files[f"report_{stem}.csv"] = lines
+    for t in result.case.report_times:
+        files[f"profile_{stem}_t{t:g}.csv"] = ["x,u"] + [
+            f"{full(x)},{full(u)}"
+            for x, u in zip(result.profile_xs, result.profiles[t])]
+    for name, matrix in result.operators.items():
+        files[f"operators_np{result.n_points}_{name}.csv"] = [
+            ",".join(map(full, row)) for row in matrix]
+    return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
+
+
 class TestEmission:
+    @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 8)])
+    def test_matrix_csv_is_per_value_formatting(self, shape):
+        specials = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1.0 / 3.0,
+                    0.1]
+        values = np.reshape(specials, shape)
+        expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                           for row in values)
+        assert _matrix_csv(values) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["--case", "1", "--np", "9", "--times", "0.05,0.1"],
+        ["--case", "3", "--np", "9", "--times", "0.05"],
+    ], ids=["case1", "case3"])
+    def test_cli_files_equal_a_per_value_rendering(self, argv, tmp_path,
+                                                   monkeypatch, capsys):
+        results = []
+
+        def run_case(*args, **kwargs):
+            results.append(w.run_case(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "run_case", run_case)
+        code = cli.main([*argv, "--profiles", "--dump-operators",
+                         "--out", str(tmp_path)])
+        assert code == cli.EXIT_OK
+        expected = _per_value_texts(results[0])
+        assert capsys.readouterr().out.splitlines() == [
+            str(tmp_path / name) for name in expected]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            assert (tmp_path / name).read_bytes() == text.encode()
+
+
     def test_csv_layout_and_digits(self, benchmark_run, tmp_path):
         result = benchmark_run(1, 1.0, 33)
         paths = emit_reports(result, "csv", tmp_path)

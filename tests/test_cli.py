@@ -164,6 +164,21 @@ def test_report_times_with_one_label_are_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("times", ["1e12", "1e308"])
+def test_report_time_past_the_step_ceiling_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, times):
+    # at the default dt 1e12 is 10**15 steps, and 1e308 overflows t / dt
+    def never(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(wavecol.bench, "solve", never)
+    code = cli.main(["--case", "1", "--np", "5", "--times", times,
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert "MAX_STEPS" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags", [
     ["--re", "1000"],
     ["--re", "1e308", "--times", "0.1"],

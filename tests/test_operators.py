@@ -171,6 +171,29 @@ class TestDualTransform:
             residual = np.max(np.abs(gram @ dual - np.eye(spec.n_functions)))
             assert residual <= 1e-10
 
+    @pytest.mark.parametrize("n_points", [5, 9, 17, 33, 65])
+    def test_is_the_guard_inverse_and_bitwise_the_solve(self, n_points,
+                                                        monkeypatch):
+        # the guard's inverse is returned: the Gram matrix is factored once
+        gram = w.gram_matrix(w.spec_for_points(n_points))
+        reference = np.linalg.solve(gram, np.eye(n_points))
+        inverses = []
+        real_inv = np.linalg.inv
+
+        def counted_inv(matrix):
+            inverses.append(matrix)
+            return real_inv(matrix)
+
+        def no_solve(*args):
+            raise AssertionError("dual_transform solved again")
+
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        dual = w.dual_transform(gram)
+        monkeypatch.undo()
+        assert len(inverses) == 1
+        np.testing.assert_array_equal(dual, reference)
+
     def test_dual_pairing_is_kronecker(self, operators):
         # quadrature route: the dual of one hat integrated against the basis
         spec, gram, dual, _ = operators(2)

@@ -148,6 +148,17 @@ class TestConfigValidation:
             w.SolverConfig(reynolds=1.0, times=(0.1, 0.05, 0.1 + 1e-13),
                            bc=bc, ic=ic, spec=spec)
 
+    def test_report_time_past_the_step_ceiling_rejected(self, operators):
+        spec, _, _, _ = operators(3)
+        config = dict(reynolds=1.0, dt=1e-3, bc=w.BoundarySpec(DIRICHLET),
+                      ic=lambda x: np.zeros_like(x), spec=spec)
+        at_ceiling = w.SolverConfig(times=(solver.MAX_STEPS * 1e-3,), **config)
+        assert at_ceiling.n_steps() == solver.MAX_STEPS
+        # 1e12 is 10**15 steps; 1e308 / 1e-3 overflows to inf
+        for t in ((solver.MAX_STEPS + 1) * 1e-3, 1e12, 1e308, -1e308):
+            with pytest.raises(ValueError, match="MAX_STEPS"):
+                w.SolverConfig(times=(t,), **config)
+
     def test_unknown_boundary_kind_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             w.BoundarySpec("periodic")
