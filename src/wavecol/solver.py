@@ -39,14 +39,19 @@ temporary of the build, and P comes from one transposed solve,
 P^T = A^-T F^T, not as a product with A^-1.  One gemv P r_n gives dt u,
 u_x and the old-level part u + (1 - THETA)(dt/Re) u_xx of state n; the
 lagged convection product dt u u_x is formed in place and subtracted
-straight into r_{n+1}, the weak operator's boundary flux (dt/Re) M^-1 b
-is added at full weight for Neumann data, and the first and last entries
-are set to the boundary data.  The coefficients are solved for, by one
-np.linalg.solve with A, only at the report times.  A form that carried
-the coefficients instead, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
-broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
-with P from the transposed solve keeps every gate (see the README's
-numerical notes).
+straight into r_{n+1}, and the weak operator's boundary flux (dt/Re)
+M^-1 b is added at full weight for Neumann data with nonzero slopes.  The
+first and last entries of every r_n after the seed are the boundary data;
+they are written once, when the buffers are built, and a step writes only
+the interior entries.  So a step is three numpy calls on prebuilt views, the
+gemv, a multiply and a subtract, plus an add for nonzero slopes.  The gemv
+stays the full 3N x N product: one over the interior rows alone changed
+the results in their last bits, since BLAS rounds each row according to
+the layout.  The coefficients are solved for, by one np.linalg.solve with
+A, only at the report times.  A form that carried the coefficients
+instead, c_{n+1} = A^-1 F c_n with A^-1 F precomposed, broke case 3's
+antisymmetry gate, and so did P = F inv(A); carrying r with P from the
+transposed solve keeps every gate (see the README's numerical notes).
 
 solve runs the steps in blocks of _CHECK_EVERY, the last block shorter.
 A block steps from its first right-hand side, then checks the ones it
@@ -87,7 +92,8 @@ _STEP_TOLERANCE = 1e-9
 
 #: Most steps a run may take.  A report time further than this from 0 is a
 #: usage error, raised before anything is built.  At 33 points a step took
-#: 3.2 us on one core of a 2-vCPU Xeon VM, so 10**8 steps take 5 minutes.
+#: 2.8 us on one core of a 2-vCPU Xeon VM (10**6 steps of case 1 at dt
+#: 1e-6), so 10**8 steps take about 5 minutes.
 MAX_STEPS = 10**8
 
 #: solve steps in blocks of this many steps and checks each block's
@@ -257,27 +263,47 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     )
 
 
-def _finish_rhs(blocks: tuple[np.ndarray, np.ndarray, np.ndarray],
-                out: np.ndarray, bc: BoundarySpec,
-                forcing: np.ndarray | None) -> np.ndarray:
-    """Write the next right-hand side, formed from one propagator product,
-    into out.
+def _rhs_buffers(n: int, bc: BoundarySpec):
+    """The buffers solve steps in, and the interior views a step writes.
 
-    blocks are the three row blocks dt u, u_x and u + (1 - THETA)(dt/Re)
-    u_xx of the product for one state.  The first is overwritten with the
-    convection product dt u u_x, which is subtracted from the third
-    straight into out.  forcing, the weak operator's boundary flux times
-    dt/Re, is added at full weight, since it is the same at both time
-    levels; the first and last entries are the prescribed boundary values.
+    Returns the 3N propagator product, the interior views of its three row
+    blocks (dt u, u_x and u + (1 - THETA)(dt/Re) u_xx), the block of
+    _CHECK_EVERY + 1 carried right-hand sides, its rows, and the interior
+    view of each row.  Every row's first and last entries are set to the
+    boundary data here, once: a step writes only the interior, so they
+    stay, and block[0] = block[size] carries them into the next block.
     """
-    product, u_x, part = blocks
-    product *= u_x
-    np.subtract(part, product, out=out)
-    if forcing is not None:
-        out += forcing
-    out[0] = bc.left_value
-    out[-1] = bc.right_value
-    return out
+    stacked = np.empty(3 * n)
+    products = (stacked[1:n - 1], stacked[n + 1:2 * n - 1],
+                stacked[2 * n + 1:3 * n - 1])
+    block = np.empty((_CHECK_EVERY + 1, n))
+    block[:, 0] = bc.left_value
+    block[:, -1] = bc.right_value
+    return stacked, products, block, list(block), [row[1:-1] for row in block]
+
+
+def _advance(propagator: np.ndarray, stacked: np.ndarray,
+             products: tuple[np.ndarray, np.ndarray, np.ndarray],
+             rows: list[np.ndarray], interiors: list[np.ndarray],
+             forcing: np.ndarray | None) -> None:
+    """Step each right-hand side in rows into the matching interior view.
+
+    One gemv writes the propagator product of a right-hand side into
+    stacked, whose interior views are products; the first is overwritten
+    with the convection product dt u u_x, which is subtracted from the
+    third straight into the interior of the next right-hand side.
+    forcing, the interior of the weak operator's boundary flux times dt/Re,
+    is added at full weight, since it is the same at both time levels; it
+    is None when it is zero.  The ends are not written (see _rhs_buffers).
+    """
+    dot, multiply, subtract, add = np.dot, np.multiply, np.subtract, np.add
+    product, u_x, part = products
+    for rhs, out in zip(rows, interiors):
+        dot(propagator, rhs, stacked)
+        multiply(product, u_x, product)
+        subtract(part, product, out)
+        if forcing is not None:
+            add(out, forcing, out)
 
 
 def initial_coefficients(config: SolverConfig,
@@ -349,18 +375,17 @@ def solve(config: SolverConfig) -> SolutionSeries:
     kept = np.empty((len(report), n))
     kept[report == 0] = coeffs
     forcing = (None if system.flux is None
-               else (config.dt / config.reynolds) * system.flux)
-    stacked = np.empty(3 * n)
-    blocks = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
-    # block[r] is the right-hand side of step base + r
-    block = np.empty((_CHECK_EVERY + 1, n))
+               else (config.dt / config.reynolds) * system.flux[1:-1])
+    if forcing is not None and not forcing.any():
+        forcing = None
+    stacked, products, block, rows, interiors = _rhs_buffers(n, config.bc)
     with np.errstate(over="ignore", invalid="ignore"):
+        # block[r] is the right-hand side of step base + r
         block[0] = np.dot(system.matrix, coeffs)
         for base in range(0, n_steps, _CHECK_EVERY):
             size = min(_CHECK_EVERY, n_steps - base)
-            for row in range(size):
-                np.dot(propagator, block[row], out=stacked)
-                _finish_rhs(blocks, block[row + 1], config.bc, forcing)
+            _advance(propagator, stacked, products, rows[:size],
+                     interiors[1:size + 1], forcing)
             finite = np.isfinite(block[1:size + 1]).all(axis=1)
             if not finite.all():
                 failed = base + int(np.argmin(finite))

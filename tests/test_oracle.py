@@ -72,6 +72,31 @@ class TestFourierCoefficients:
         assert w.fourier_coefficient(POLY_RE10, 3) == pytest.approx(reference,
                                                                     abs=1e-10)
 
+    @pytest.mark.parametrize("family", [SIN_PI, POLY_4X_1MX])
+    @pytest.mark.parametrize("reynolds", [1.0, 10.0, 80.0])
+    def test_quadrature_is_bitwise_the_per_node_loop(self, family, reynolds):
+        # the ten Gauss nodes of every cell in one integrand call, summed
+        # node row by node row, must give the very float that one call and
+        # one sum per node give, added in node order
+        spec = w.ExactSolutionSpec(reynolds=reynolds, ic_family=family)
+        for n in (0, 1, 7, 40):
+            calls = []
+
+            def integrand(x):
+                calls.append(x.shape)
+                return oracle._transformed_ic(spec, x) * np.cos(n * math.pi * x)
+
+            for cells in (8, 64, 1024):
+                edges = np.linspace(0.0, 1.0, cells + 1)
+                mid = (edges[:-1] + edges[1:]) / 2.0
+                half = np.diff(edges) / 2.0
+                expected = 0.0
+                for g, wt in zip(oracle._GAUSS10_X, oracle._GAUSS10_W):
+                    expected += np.sum(wt * half * integrand(mid + half * g))
+                calls.clear()
+                assert oracle._composite_gauss(integrand, cells) == expected
+                assert calls == [(10, cells)]
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             w.fourier_coefficient(SIN_RE1, -1)

@@ -96,6 +96,50 @@ def _first_step(config):
     return initial, series.system.matrix @ first
 
 
+def _one_step(rhs, bc, forcing, propagator=None):
+    """The next right-hand side, from solve's own buffers and step: the
+    ends _rhs_buffers sets and the interior _advance writes from rhs.
+    propagator defaults to zero, so the product blocks are all zero."""
+    n = rhs.shape[0]
+    if propagator is None:
+        propagator = np.zeros((3 * n, n))
+    stacked, products, block, rows, interiors = solver._rhs_buffers(n, bc)
+    block[0] = rhs
+    solver._advance(propagator, stacked, products, rows[:1], interiors[1:2],
+                    forcing)
+    return block[1]
+
+
+def _full_vector_history(config):
+    """The states at the report times from the full-vector step: np.dot(P,
+    r) into one 3N buffer, dt u u_x formed over the whole first block and
+    subtracted from the whole third one into a fresh vector, the flux added
+    whenever there is one, and both ends set to the boundary data every
+    step; one np.linalg.solve with A per nonzero report time."""
+    system = assemble_lhs(config)
+    coeffs = initial_coefficients(config, system)
+    n = config.spec.n_functions
+    forcing = (None if system.flux is None
+               else (config.dt / config.reynolds) * system.flux)
+    stacked = np.empty(3 * n)
+    product, u_x, part = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
+    report = config.report_steps()
+    states = {0: coeffs}
+    rhs = np.dot(system.matrix, coeffs)
+    for step in range(1, max(report) + 1):
+        np.dot(system.propagator, rhs, out=stacked)
+        product *= u_x
+        rhs = np.empty(n)
+        np.subtract(part, product, out=rhs)
+        if forcing is not None:
+            rhs += forcing
+        rhs[0] = config.bc.left_value
+        rhs[-1] = config.bc.right_value
+        if step in report:
+            states[step] = np.linalg.solve(system.matrix, rhs)
+    return np.array([states[k] for k in report])
+
+
 class _ReportSolves:
     """Stands in for system.matrix, which solve reads only to seed the loop,
     np.dot(system.matrix, c_0), and to solve for its report states,
@@ -264,8 +308,7 @@ class TestWeakSecondDerivative:
         system = assemble_lhs(config)
         forcing = (config.dt / config.reynolds) * system.flux
         n = config.spec.n_functions
-        blocks = tuple(np.zeros(n) for _ in range(3))
-        rhs = solver._finish_rhs(blocks, np.empty(n), config.bc, forcing)
+        rhs = _one_step(np.zeros(n), config.bc, forcing[1:-1])
         np.testing.assert_array_equal(rhs[1:-1], forcing[1:-1])
         assert rhs[0] == 0.5 and rhs[-1] == -1.0
         # through solve: what the first step solved, less the scheme
@@ -303,15 +346,14 @@ class TestInitialCoefficients:
 
 
 class TestBuildRhs:
-    """The right-hand side a step builds: from _finish_rhs itself, and
-    through solve, read back as A c_{k+1} from the state that step solved
+    """The right-hand side a step builds: from _rhs_buffers and _advance
+    themselves, and through solve, read back as A c_{k+1} from the state that step solved
     for, the first step from the seed r_0 = A c_0."""
 
     def test_zero_state_leaves_only_boundary_values(self, operators):
         bc = w.BoundarySpec(DIRICHLET, 0.3, -0.2)
         n = _config(operators).spec.n_functions
-        blocks = tuple(np.zeros(n) for _ in range(3))
-        rhs = solver._finish_rhs(blocks, np.empty(n), bc, None)
+        rhs = _one_step(np.zeros(n), bc, None)
         assert rhs[0] == 0.3 and rhs[-1] == -0.2
         assert np.max(np.abs(rhs[1:-1])) == 0.0
         # through solve: homogeneous data keep the zero state exactly;
@@ -532,6 +574,31 @@ class TestSolve:
             values = series.system.values
             drift = np.max(np.abs((series.coeffs - reference) @ values.T))
             assert drift <= gate, (level, drift)
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    @pytest.mark.parametrize("bc, ic, reynolds", [
+        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
+        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x),
+         1.0),
+        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
+        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC, 10.0),
+    ], ids=["dirichlet", "dirichlet-data", "neumann", "neumann-slopes"])
+    def test_states_are_bitwise_the_full_vector_step(
+            self, operators, bc, ic, reynolds, level):
+        # solve writes each row's ends once and steps only the interior;
+        # its states must equal, bit for bit, those of a step that works on
+        # whole vectors and sets the ends every step.  The report times
+        # fall at 0, inside the first block, on the block edges 64 and
+        # 128, and at step 160, inside the third block
+        assert solver._CHECK_EVERY == 64
+        config = _config(operators, level=level, reynolds=reynolds,
+                         t_end=0.16, bc=bc, ic=ic)
+        config = dataclasses.replace(
+            config, times=(0.0, 0.03, 0.064, 0.128, 0.16))
+        assert config.report_steps() == (0, 30, 64, 128, 160)
+        coeffs = w.solve(config).coeffs
+        assert np.isfinite(coeffs).all()
+        np.testing.assert_array_equal(coeffs, _full_vector_history(config))
 
     @pytest.mark.parametrize("n_steps", [64, 128])
     @pytest.mark.parametrize("bc, ic, reynolds", [
