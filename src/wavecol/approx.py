@@ -74,16 +74,6 @@ def reconstruct(coeffs: np.ndarray, spec: BasisSpec, x: float) -> float:
     return float(np.dot(coeffs, basis_vector(spec, x)))
 
 
-def _level_slices(spec: BasisSpec) -> dict[int, slice]:
-    slices: dict[int, slice] = {}
-    start = 5
-    for level in spec.wavelet_levels():
-        width = 2**level
-        slices[level] = slice(start, start + width)
-        start += width
-    return slices
-
-
 def _coefficient_vector(coeffs: np.ndarray, spec: BasisSpec) -> np.ndarray:
     """coeffs as a float array, or ValueError unless it has one entry per
     basis function of spec."""
@@ -98,14 +88,25 @@ def _coefficient_vector(coeffs: np.ndarray, spec: BasisSpec) -> np.ndarray:
 def split_levels(coeffs: np.ndarray, spec: BasisSpec) -> LevelSplit:
     """Separate coefficients into the coarse block and per-level detail blocks."""
     coeffs = _coefficient_vector(coeffs, spec)
-    details = {lev: coeffs[sl].copy() for lev, sl in _level_slices(spec).items()}
-    return LevelSplit(coarse=coeffs[:5].copy(), details=details)
+    coarse, details = spec.block_slices()
+    return LevelSplit(coarse=coeffs[coarse].copy(),
+                      details={lev: coeffs[sl].copy() for lev, sl in details.items()})
 
 
 def combine_levels(parts: LevelSplit, spec: BasisSpec) -> np.ndarray:
-    """Inverse of split_levels: concatenate blocks back in layout order."""
-    blocks = [parts.coarse]
-    blocks.extend(parts.details[lev] for lev in spec.wavelet_levels())
+    """Inverse of split_levels: concatenate blocks back in layout order.
+
+    Raises ValueError unless parts holds the detail levels of spec and every
+    block has its width in spec's layout.
+    """
+    coarse, details = spec.block_slices()
+    levels = sorted(parts.details)
+    blocks = [parts.coarse] + [parts.details[lev] for lev in levels]
+    shapes = [np.shape(block) for block in blocks]
+    layout = [(sl.stop - sl.start,) for sl in (coarse, *details.values())]
+    if levels != list(details) or shapes != layout:
+        raise ValueError(f"blocks of shapes {shapes} at detail levels {levels} "
+                         f"do not fit the layout {layout} of levels {list(details)}")
     return np.concatenate(blocks)
 
 
@@ -125,7 +126,7 @@ def truncate(coeffs: np.ndarray, spec: BasisSpec, keep_level: int) -> np.ndarray
     """
     check_keep_level(keep_level, spec)
     out = _coefficient_vector(coeffs, spec).copy()
-    for level, sl in _level_slices(spec).items():
+    for level, sl in spec.block_slices()[1].items():
         if level > keep_level:
             out[sl] = 0.0
     return out

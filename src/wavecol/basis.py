@@ -8,15 +8,15 @@ block holding an inner wavelet family plus a left and a right
 boundary-adapted wavelet.  All wavelets carry a global 1/6 normalization;
 expansion coefficients absorb any rescaling through the dual basis.
 
-Each function is defined by one branch table in the dilated coordinate
-x_dil = 2**level * x.  Every breakpoint is a node of the collocation grid,
-so a function is fixed by its values at the grid nodes, and its value
-anywhere is the hat interpolation of those node values.  basis_matrix
-builds the node values of the whole basis once per resolution and
-interpolates them; at x = 1 the right boundary hat attains 1, so the
-partition of unity holds on the closed interval.  basis_piecewise reads
-the same table into exact segment representations, kept as the reference
-that tests integrate against (tests/exact_reference.py).
+Each function is defined by its two-scale node stencil: its values at
+knots of the local coordinate t = 2**level * x - shift.  Every knot is a
+node of the collocation grid, so a function is fixed by its values at the
+grid nodes, and its value anywhere is the hat interpolation of those node
+values.  basis_matrix builds the node values of the whole basis once per
+resolution and interpolates them; at x = 1 the right boundary hat attains
+1, so the partition of unity holds on the closed interval.  basis_piecewise
+reads the same stencils into exact segment representations, kept as the
+reference that tests integrate against (tests/exact_reference.py).
 """
 
 from __future__ import annotations
@@ -57,12 +57,13 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.max_level < 2:
             raise ValueError("max_level must be at least 2")
-        layout = [BasisIndex(SCALING, 2, k) for k in range(-1, 4)]
-        for level in range(2, self.max_level):
-            layout.extend(
-                BasisIndex(WAVELET, level, k) for k in range(-1, 2**level - 1)
-            )
+        layout = [BasisIndex(kind, level, k) for kind, level in self._blocks()
+                  for k in _shifts(kind, level)]
         object.__setattr__(self, "index_map", tuple(layout))
+
+    def _blocks(self) -> list[tuple[str, int]]:
+        """(kind, level) of each block of index_map, in order."""
+        return [(SCALING, 2)] + [(WAVELET, lev) for lev in self.wavelet_levels()]
 
     @property
     def n_functions(self) -> int:
@@ -71,60 +72,53 @@ class BasisSpec:
     def wavelet_levels(self) -> range:
         return range(2, self.max_level)
 
+    def block_slices(self) -> tuple[slice, dict[int, slice]]:
+        """Where index_map holds the coarse hats, and each detail level."""
+        slices = []
+        start = 0
+        for kind, level in self._blocks():
+            slices.append(slice(start, start + len(_shifts(kind, level))))
+            start = slices[-1].stop
+        return slices[0], dict(zip(self.wavelet_levels(), slices[1:]))
 
-# Branch coefficient tables in the local coordinate t = 2**level * x - shift:
-# entries ((t_lo, t_hi), (a, b)) meaning value = (a + b * t) / denom on the
-# t-interval; the function is continuous, so neighbouring branches agree at
-# their shared end.  Boundary variants are the restrictions/mirrors of the
-# full stencils.
-_SCALING_BRANCHES = {
-    "inner": (((0.0, 1.0), (0, 1)),
-              ((1.0, 2.0), (2, -1))),
-    "left": (((1.0, 2.0), (2, -1)),),
-    "right": (((0.0, 1.0), (0, 1)),),
-}
-_WAVELET_BRANCHES = {
-    "inner": (((0.0, 0.5), (0, 1)),
-              ((0.5, 1.0), (4, -7)),
-              ((1.0, 1.5), (-19, 16)),
-              ((1.5, 2.0), (29, -16)),
-              ((2.0, 2.5), (-17, 7)),
-              ((2.5, 3.0), (3, -1))),
-    "left": (((1.0, 1.5), (-29, 23)),
-             ((1.5, 2.0), (31, -17)),
-             ((2.0, 2.5), (-17, 7)),
-             ((2.5, 3.0), (3, -1))),
-    "right": (((0.0, 0.5), (0, 1)),
-              ((0.5, 1.0), (4, -7)),
-              ((1.0, 1.5), (-20, 17)),
-              ((1.5, 2.0), (40, -23))),
+
+# Two-scale node stencils: the knots of each function in the local
+# coordinate t = 2**level * x - shift, and its values there times 12.  A
+# function is the linear interpolant of its knot values and zero outside
+# them.  The boundary hats are halves of the inner hat, and the two
+# boundary wavelets mirror each other.
+_STENCILS = {
+    (SCALING, "left"): ((1, 2), (12, 0)),
+    (SCALING, "inner"): ((0, 1, 2), (0, 12, 0)),
+    (SCALING, "right"): ((0, 1), (0, 12)),
+    (WAVELET, "left"): ((1, 1.5, 2, 2.5, 3), (-12, 11, -6, 1, 0)),
+    (WAVELET, "inner"): ((0, 0.5, 1, 1.5, 2, 2.5, 3), (0, 1, -6, 10, -6, 1, 0)),
+    (WAVELET, "right"): ((0, 0.5, 1, 1.5, 2), (0, 1, -6, 11, -12)),
 }
 
 
-def _branches(idx: BasisIndex) -> tuple[tuple, int]:
-    """Branch table rows and denominator of one basis function."""
-    if idx.kind == SCALING:
-        table, denom, last = _SCALING_BRANCHES, 1, 2**idx.level - 1
-    else:
-        table, denom, last = _WAVELET_BRANCHES, 6, 2**idx.level - 2
-    if idx.shift == -1:
-        return table["left"], denom
-    return table["right" if idx.shift == last else "inner"], denom
+def _shifts(kind: str, level: int) -> range:
+    """Shifts of the functions of one kind at one level, left boundary first."""
+    return range(-1, 2**level - (1 if kind == WAVELET else 0))
+
+
+def _stencil(idx: BasisIndex) -> tuple[tuple, tuple]:
+    """Knots and twelfths of one basis function."""
+    shifts = _shifts(idx.kind, idx.level)
+    side = ("left" if idx.shift == shifts[0]
+            else "right" if idx.shift == shifts[-1] else "inner")
+    return _STENCILS[idx.kind, side]
 
 
 def _node_values(idx: BasisIndex, max_level: int) -> np.ndarray:
     """Values of one basis function at the 2**max_level + 1 nodes.
 
-    The local coordinate of every node is a dyadic rational, so each value
-    is the correctly rounded (a + b * t) / denom.
+    The local coordinate of every node is a dyadic rational, so the
+    interpolated twelfths are exact and the one division rounds correctly.
     """
     t = np.arange(2**max_level + 1) * 2.0**(idx.level - max_level) - idx.shift
-    values = np.zeros(t.shape)
-    branches, denom = _branches(idx)
-    for (t_lo, t_hi), (a, b) in branches:
-        on = (t >= t_lo) & (t <= t_hi)
-        values[on] = (a + b * t[on]) / denom
-    return values
+    knots, twelfths = _stencil(idx)
+    return np.interp(t, knots, twelfths, left=0.0, right=0.0) / 12
 
 
 @functools.lru_cache(maxsize=8)
@@ -139,6 +133,8 @@ def _nodal_matrix(max_level: int) -> np.ndarray:
 
 def _check_points(xs) -> np.ndarray:
     xs = np.asarray(xs, float)
+    if xs.ndim != 1:
+        raise ValueError(f"points must be a 1-D sequence, got shape {xs.shape}")
     outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
     if outside.size:
         raise ValueError(f"x = {outside[0]} outside [0, 1]")
@@ -181,12 +177,13 @@ def _evaluate(idx: BasisIndex, spec: BasisSpec, x: float) -> float:
 def eval_scaling(spec: BasisSpec, level: int, shift: int, x: float) -> float:
     """Value of the hat function at the given level and shift.
 
-    Shifts -1 and 2**level - 1 select the boundary half-hats; the shifts in
-    between are full hats peaking at (shift + 1) / 2**level.
+    A level has 2**level + 1 hats: shift -1 and the last shift select the
+    boundary half-hats, the shifts in between full hats peaking at
+    (shift + 1) / 2**level.
     """
     if not 2 <= level <= spec.max_level:
         raise ValueError(f"scaling level {level} not in 2..{spec.max_level}")
-    if not -1 <= shift <= 2**level - 1:
+    if shift not in _shifts(SCALING, level):
         raise ValueError(f"scaling shift {shift} invalid for level {level}")
     return _evaluate(BasisIndex(SCALING, level, shift), spec, x)
 
@@ -198,7 +195,7 @@ def eval_wavelet(spec: BasisSpec, level: int, shift: int, x: float) -> float:
             f"wavelet level {level} not in 2..{spec.max_level - 1} "
             f"(spec with max_level {spec.max_level})"
         )
-    if not -1 <= shift <= 2**level - 2:
+    if shift not in _shifts(WAVELET, level):
         raise ValueError(f"wavelet shift {shift} invalid for level {level}")
     return _evaluate(BasisIndex(WAVELET, level, shift), spec, x)
 
@@ -247,22 +244,20 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.breakpoints, zeros, self.slopes)
 
 
-def _piecewise_from_branches(idx: BasisIndex) -> PiecewiseLinear:
-    branches, denom = _branches(idx)
+def _piecewise(idx: BasisIndex) -> PiecewiseLinear:
+    knots, twelfths = _stencil(idx)
     scale = 2**idx.level
-    breakpoints = []
     slopes = []
     intercepts = []
-    for (t_lo, t_hi), (a, b) in branches:
-        if not breakpoints:
-            breakpoints.append((idx.shift + Fraction(t_lo)) / scale)
-        breakpoints.append((idx.shift + Fraction(t_hi)) / scale)
-        # value = (a + b * (scale * x - shift)) / denom
-        slopes.append(b * scale / denom)
-        intercepts.append((a - b * idx.shift) / denom)
-    return PiecewiseLinear(tuple(breakpoints), tuple(slopes), tuple(intercepts))
+    for t_lo, t_hi, v_lo, v_hi in zip(knots, knots[1:], twelfths, twelfths[1:]):
+        # 12 * value = v_lo + b * (t - t_lo), with t = scale * x - shift
+        b = (v_hi - v_lo) / (t_hi - t_lo)
+        slopes.append(b * scale / 12)
+        intercepts.append((v_lo - b * (t_lo + idx.shift)) / 12)
+    breakpoints = tuple((idx.shift + Fraction(t)) / scale for t in knots)
+    return PiecewiseLinear(breakpoints, tuple(slopes), tuple(intercepts))
 
 
 def basis_piecewise(spec: BasisSpec) -> list[PiecewiseLinear]:
     """Exact segment representations of all basis functions, in order."""
-    return [_piecewise_from_branches(idx) for idx in spec.index_map]
+    return [_piecewise(idx) for idx in spec.index_map]

@@ -132,6 +132,25 @@ class TestLevelSplit:
         with pytest.raises(ValueError, match="coefficients"):
             w.split_levels(np.zeros(7), spec)
 
+    @pytest.mark.parametrize("split_level, combine_level", [(4, 3), (3, 4)])
+    def test_split_of_another_resolution_rejected(self, split_level,
+                                                  combine_level):
+        split_spec = w.BasisSpec(max_level=split_level)
+        parts = w.split_levels(np.ones(split_spec.n_functions), split_spec)
+        with pytest.raises(ValueError, match="detail levels"):
+            w.combine_levels(parts, w.BasisSpec(max_level=combine_level))
+
+    @pytest.mark.parametrize("block", ["coarse", 2, 3])
+    def test_block_of_the_wrong_width_rejected(self, block):
+        spec = w.BasisSpec(max_level=4)
+        parts = w.split_levels(np.ones(spec.n_functions), spec)
+        if block == "coarse":
+            parts = w.LevelSplit(parts.coarse[:-1], parts.details)
+        else:
+            parts.details[block] = np.ones(parts.details[block].size + 1)
+        with pytest.raises(ValueError, match="do not fit the layout"):
+            w.combine_levels(parts, spec)
+
 
 class TestTruncate:
     def test_keeping_everything_is_a_no_op(self, operators):

@@ -6,12 +6,63 @@ import numpy as np
 import pytest
 
 import wavecol as w
-from wavecol.basis import SCALING, WAVELET
+from wavecol import basis
+from wavecol.basis import SCALING, WAVELET, BasisIndex
 
 from exact_reference import constant_one, integrate_product
 
 SPEC3 = w.BasisSpec(max_level=3)
 SPEC4 = w.BasisSpec(max_level=4)
+
+# The basis as slope/intercept branches, independent of the stencil table:
+# on each t-interval of t = 2**level * x - shift a function is
+# (a + b * t) / denom, and zero outside the intervals.
+_BRANCHES = {
+    (SCALING, "left"): (((1, 2), (2, -1)),),
+    (SCALING, "inner"): (((0, 1), (0, 1)), ((1, 2), (2, -1))),
+    (SCALING, "right"): (((0, 1), (0, 1)),),
+    (WAVELET, "left"): (((1, 1.5), (-29, 23)), ((1.5, 2), (31, -17)),
+                        ((2, 2.5), (-17, 7)), ((2.5, 3), (3, -1))),
+    (WAVELET, "inner"): (((0, 0.5), (0, 1)), ((0.5, 1), (4, -7)),
+                         ((1, 1.5), (-19, 16)), ((1.5, 2), (29, -16)),
+                         ((2, 2.5), (-17, 7)), ((2.5, 3), (3, -1))),
+    (WAVELET, "right"): (((0, 0.5), (0, 1)), ((0.5, 1), (4, -7)),
+                         ((1, 1.5), (-20, 17)), ((1.5, 2), (40, -23))),
+}
+_DENOM = {SCALING: 1, WAVELET: 6}
+_LAST_SHIFT = {SCALING: lambda level: 2**level - 1,
+               WAVELET: lambda level: 2**level - 2}
+
+
+def _branches(idx):
+    side = ("left" if idx.shift == -1
+            else "right" if idx.shift == _LAST_SHIFT[idx.kind](idx.level)
+            else "inner")
+    return _BRANCHES[idx.kind, side]
+
+
+def _branch_node_values(idx, max_level):
+    t = np.arange(2**max_level + 1) * 2.0**(idx.level - max_level) - idx.shift
+    values = np.zeros(t.shape)
+    for (t_lo, t_hi), (a, b) in _branches(idx):
+        on = (t >= t_lo) & (t <= t_hi)
+        values[on] = (a + b * t[on]) / _DENOM[idx.kind]
+    return values
+
+
+def _branch_piece(idx):
+    scale = 2**idx.level
+    denom = _DENOM[idx.kind]
+    rows = _branches(idx)
+    breakpoints = [(idx.shift + Fraction(rows[0][0][0])) / scale]
+    breakpoints += [(idx.shift + Fraction(t_hi)) / scale for (_, t_hi), _ in rows]
+    slopes = [b * scale / denom for _, (_, b) in rows]
+    intercepts = [(a - b * idx.shift) / denom for _, (a, b) in rows]
+    return tuple(breakpoints), slopes, intercepts
+
+
+def _bits(values):
+    return np.asarray(values, float).tobytes()
 
 
 class TestLayout:
@@ -44,6 +95,50 @@ class TestLayout:
     def test_max_level_below_two_rejected(self):
         with pytest.raises(ValueError, match="max_level"):
             w.BasisSpec(max_level=1)
+
+
+class TestStencilTable:
+    """The stencil table gives bitwise the values of the branch formula."""
+
+    @pytest.mark.parametrize("max_level", range(2, 13))
+    def test_nodal_matrix_is_bitwise_the_branch_formula(self, max_level):
+        spec = w.BasisSpec(max_level=max_level)
+        # uncached, so that the 134 MB matrix at level 12 is not kept
+        nodal = basis._nodal_matrix.__wrapped__(max_level)
+        assert nodal.shape == (spec.n_functions,) * 2
+        for column, idx in zip(nodal.T, spec.index_map):
+            assert _bits(column) == _bits(_branch_node_values(idx, max_level))
+
+    @pytest.mark.parametrize("max_level", range(2, 13))
+    def test_every_accepted_scaling_function_is_bitwise_the_branch_formula(
+            self, max_level):
+        spec = w.BasisSpec(max_level=max_level)
+        for level in range(2, max_level + 1):
+            for shift in (-2, 2**level):
+                with pytest.raises(ValueError, match="shift"):
+                    w.eval_scaling(spec, level, shift, 0.5)
+            for shift in range(-1, 2**level):
+                idx = BasisIndex(SCALING, level, shift)
+                assert (_bits(basis._node_values(idx, max_level))
+                        == _bits(_branch_node_values(idx, max_level)))
+
+    def test_wavelet_shift_range(self):
+        spec = w.BasisSpec(max_level=8)
+        for level in spec.wavelet_levels():
+            for shift in (-2, 2**level - 1):
+                with pytest.raises(ValueError, match="shift"):
+                    w.eval_wavelet(spec, level, shift, 0.5)
+            w.eval_wavelet(spec, level, -1, 0.5)
+            w.eval_wavelet(spec, level, 2**level - 2, 0.5)
+
+    @pytest.mark.parametrize("max_level", range(2, 9))
+    def test_pieces_are_bitwise_the_branch_formula(self, max_level):
+        spec = w.BasisSpec(max_level=max_level)
+        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+            breakpoints, slopes, intercepts = _branch_piece(idx)
+            assert piece.breakpoints == breakpoints
+            assert _bits(piece.slopes) == _bits(slopes)
+            assert _bits(piece.intercepts) == _bits(intercepts)
 
 
 class TestScalingValues:
@@ -128,6 +223,13 @@ class TestBasisVector:
                     assert vec[i] == w.eval_scaling(SPEC4, idx.level, idx.shift, x)
                 else:
                     assert vec[i] == w.eval_wavelet(SPEC4, idx.level, idx.shift, x)
+
+
+class TestBasisMatrix:
+    @pytest.mark.parametrize("xs", [0.3, [[0.1, 0.2]], np.zeros((3, 1))])
+    def test_points_that_are_not_1d_rejected(self, xs):
+        with pytest.raises(ValueError, match=r"1-D.*shape \("):
+            w.basis_matrix(SPEC3, xs)
 
 
 class TestPartitionOfUnity:
