@@ -16,14 +16,18 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .basis import BasisSpec, basis_matrix, basis_vector, collocation_points
 from .operators import guard_condition
 
 # Gauss order per grid cell for smooth integrands: high enough that
-# projection error is dominated by the basis, not by quadrature.
-_GAUSS5_X, _GAUSS5_W = leggauss(5)
+# projection error is dominated by the basis, not by quadrature.  The nodes
+# and weights on [-1, 1] are numpy.polynomial.legendre.leggauss(5)'s.
+_GAUSS5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GAUSS5_W = np.array([0.23692688505618928, 0.4786286704993663,
+                      0.5688888888888887, 0.4786286704993663,
+                      0.23692688505618928])
 
 
 @dataclass(frozen=True)

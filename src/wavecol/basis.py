@@ -24,9 +24,12 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCALING = "scaling"
 WAVELET = "wavelet"
@@ -245,6 +248,9 @@ class PiecewiseLinear:
 
 
 def _piecewise(idx: BasisIndex) -> PiecewiseLinear:
+    # imported here: a run never needs the exact reference, nor the import
+    from fractions import Fraction
+
     knots, twelfths = _stencil(idx)
     scale = 2**idx.level
     slopes = []

@@ -10,6 +10,7 @@ and are written as CSV or markdown shaped like the published tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,7 +190,10 @@ class Case3Report:
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
-    The run configuration (dt, report times) is series.config.
+    The run configuration (dt, report times) is series.config.  profile_xs
+    is shared by every run in the process, and the gram, deriv_inner and
+    deriv_op arrays of operators by every run at the same resolution; all
+    are read-only.  The operators dict itself is the run's own.
     """
 
     case: CaseDefinition
@@ -208,6 +212,37 @@ def spec_for_points(n_points: int) -> BasisSpec:
     return BasisSpec(max_level=int(math.log2(n_points - 1)))
 
 
+@functools.cache
+def _profile_grid() -> np.ndarray:
+    """The profile grid every run shares, read-only."""
+    xs = np.linspace(0.0, 1.0, PROFILE_POINTS)
+    xs.flags.writeable = False
+    return xs
+
+
+@functools.lru_cache(maxsize=8)
+def _resolution_tables(max_level: int):
+    """The run-independent tables of one resolution, built once, read-only.
+
+    Returns the profile grid, the basis rows at it and at the published
+    report locations, and the (name, matrix) pairs of the wavelet-space
+    operators: gram, deriv_inner and deriv_op.  Their builds (gram, dual
+    and deriv_inner inside derivative_matrix, and deriv_inner again) are
+    the four that wavebench/selfcheck.py pins for a run at a new resolution.
+    """
+    spec = BasisSpec(max_level=max_level)
+    profile_xs = _profile_grid()
+    gram = gram_matrix(spec)
+    operators = (("gram", gram),
+                 ("deriv_inner", derivative_inner_products(spec)),
+                 ("deriv_op", derivative_matrix(spec, gram)))
+    rows = (basis_matrix(spec, profile_xs),
+            basis_matrix(spec, published.COMPARISON_X))
+    for array in (*rows, *(matrix for _, matrix in operators)):
+        array.flags.writeable = False
+    return profile_xs, *rows, operators
+
+
 def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
              truncate_level: int | None = None) -> RunResult:
     """Solve one case at one resolution and measure everything the reports need.
@@ -215,7 +250,10 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     The run ends at the last report time.  For Neumann cases the operators
     include ``second_deriv``, the weak Laplacian's node rows that the
     solver used (see ``wavecol.solver``); the Dirichlet second derivative
-    is D*D of the dumped ``deriv_op``.  Bad run parameters (dt, a report
+    is D*D of the dumped ``deriv_op``.  The first run at a resolution
+    builds its profile grid, basis rows and wavelet-space operators (four
+    operator builds); later runs at that resolution share them (see
+    _resolution_tables and RunResult).  Bad run parameters (dt, a report
     time that is not a multiple of dt, two report times on the same step
     or printed with the same label, truncate_level) raise ValueError
     before any operator is built or step taken.
@@ -236,10 +274,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     series = solve(config)
-
-    dense_xs = np.linspace(0.0, 1.0, PROFILE_POINTS)
-    dense_rows = basis_matrix(spec, dense_xs)
-    report_rows = basis_matrix(spec, published.COMPARISON_X)
+    dense_xs, dense_rows, report_rows, operators = _resolution_tables(
+        spec.max_level)
 
     # the reported state at each report time, truncated once
     states = {t: series.coefficients_at(t) for t in case.report_times}
@@ -276,15 +312,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             neumann_residuals=residuals, front_oscillation=oscillation,
         )
 
-    # The solver needs none of these; they are the run's only operator
-    # builds (gram, dual and deriv_inner inside derivative_matrix, and
-    # deriv_inner again), a count wavebench/selfcheck.py pins.
-    gram = gram_matrix(spec)
-    operators = {
-        "gram": gram,
-        "deriv_inner": derivative_inner_products(spec),
-        "deriv_op": derivative_matrix(spec, gram),
-    }
+    # the arrays are shared; the dict is the run's own, since a Neumann run
+    # adds the solver's second derivative to it
+    operators = dict(operators)
     if case.bc.kind == NEUMANN:
         operators["second_deriv"] = series.system.second_deriv
     return RunResult(
@@ -450,12 +480,32 @@ def emit_reports(result: RunResult, fmt: str, out_dir: Path) -> list[Path]:
                             for prefix, writer in writers.items()})
 
 
+def _profile_template(xs: np.ndarray) -> str:
+    """The header and x column of a profile file, with a slot for each u."""
+    values = tuple(np.asarray(xs, float).tolist())
+    return "x,u\n" + ("%.17g,%%.17g\n" * len(values)) % values
+
+
+@functools.cache
+def _grid_template() -> str:
+    """The shared profile grid's template, rendered by the first emission."""
+    return _profile_template(_profile_grid())
+
+
 def emit_profiles(result: RunResult, out_dir: Path) -> list[Path]:
-    """Write one x,u profile CSV per report time (plot-ready)."""
+    """Write one x,u profile CSV per report time (plot-ready).
+
+    Each profile fills a template holding the rendered x column with its u
+    values; the text is _matrix_csv's, with the header line.  The shared
+    grid's template is rendered once per process, any other grid's once
+    per call.
+    """
     stem = _stem(result)
+    template = (_grid_template() if result.profile_xs is _profile_grid()
+                else _profile_template(result.profile_xs))
     return _write(out_dir, {
-        f"profile_{stem}_t{t:g}.csv": "x,u\n" + _matrix_csv(
-            np.column_stack([result.profile_xs, result.profiles[t]]))
+        f"profile_{stem}_t{t:g}.csv":
+            template % tuple(np.asarray(result.profiles[t], float).tolist())
         for t in result.case.report_times})
 
 

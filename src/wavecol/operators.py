@@ -7,7 +7,10 @@ of coordinates of the closed-form tridiagonal hat matrices of p1_kernel:
 the Gram matrix is T^T M T and the derivative inner products are T^T K T,
 with M the P1 mass matrix and K[a, b] = integral of h_a' h_b.  The solver
 reads the kernel directly; the wavelet-space matrices serve approximation
-studies and the operator dumps.
+studies and the operator dumps.  p1_kernel is built once per grid size and
+returned read-only; the wavelet-space builders are not cached and return
+fresh, writable arrays on every call (wavecol.bench keeps one read-only
+set per resolution for its runs).
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
@@ -16,6 +19,7 @@ matrix, so it is asserted in tests rather than used.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -96,6 +100,7 @@ def derivative_matrix(spec: BasisSpec, gram: np.ndarray) -> np.ndarray:
     return derivative_inner_products(spec) @ dual_transform(gram)
 
 
+@functools.lru_cache(maxsize=8)
 def p1_kernel(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mass M, stiffness S and derivative products K of the nodal hats on [0, 1].
 
@@ -105,6 +110,7 @@ def p1_kernel(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     h_a' h_b': tridiagonal -1/h, 2/h, -1/h with corner entries 1/h.
     K[a, b] = integral of h_a' h_b: -1/2 above the diagonal and +1/2
     below it; the diagonal vanishes except for the corners, -1/2 and +1/2.
+    The three are built once per n_points and returned read-only.
     """
     if n_points < 2:
         raise ValueError("need at least two nodes")
@@ -119,4 +125,6 @@ def p1_kernel(n_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     half = np.full(n_points - 1, 0.5)
     hat_deriv = np.diag(half, -1) - np.diag(half, 1)
     hat_deriv[0, 0], hat_deriv[-1, -1] = -0.5, 0.5
+    for matrix in (mass, stiffness, hat_deriv):
+        matrix.flags.writeable = False
     return mass, stiffness, hat_deriv

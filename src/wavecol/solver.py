@@ -290,18 +290,21 @@ def _advance(propagator: np.ndarray, stacked: np.ndarray,
              forcing: np.ndarray | None) -> None:
     """Step each right-hand side in rows into the matching interior view.
 
-    One gemv writes the propagator product of a right-hand side into
-    stacked, whose interior views are products; the first is overwritten
-    with the convection product dt u u_x, which is subtracted from the
-    third straight into the interior of the next right-hand side.
+    One gemv, the propagator's bound dot (np.dot without its
+    __array_function__ dispatch, bitwise the same), writes the propagator
+    product of a right-hand side into stacked, whose interior views are
+    products; the first is overwritten with the convection product
+    dt u u_x, which is subtracted from the third straight into the
+    interior of the next right-hand side.
     forcing, the interior of the weak operator's boundary flux times dt/Re,
     is added at full weight, since it is the same at both time levels; it
     is None when it is zero.  The ends are not written (see _rhs_buffers).
     """
-    dot, multiply, subtract, add = np.dot, np.multiply, np.subtract, np.add
+    dot, multiply, subtract, add = (propagator.dot, np.multiply, np.subtract,
+                                    np.add)
     product, u_x, part = products
     for rhs, out in zip(rows, interiors):
-        dot(propagator, rhs, stacked)
+        dot(rhs, stacked)
         multiply(product, u_x, product)
         subtract(part, product, out)
         if forcing is not None:

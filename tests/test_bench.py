@@ -1,6 +1,10 @@
 """Benchmark cases, the error metric, and report emission."""
 
+import dataclasses
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +13,7 @@ import scipy.sparse
 from scipy.integrate import solve_ivp
 
 import wavecol as w
-from wavecol import cli
+from wavecol import bench, cli, operators
 from wavecol.bench import (
     PROFILE_POINTS,
     _comparison_csv,
@@ -315,6 +319,124 @@ class TestRunCase:
         assert report2.numeric[1, 3] == pytest.approx(0.31656, abs=1e-3)
 
 
+# CLI runs at every resolution the warm-cache test covers; the Neumann run
+# at 65 points comes before the Dirichlet one, whose dump must not pick up
+# the Neumann second_deriv
+_CACHE_RUNS = (
+    ["--case", "1", "--np", "17", "--times", "0.05", "--profiles",
+     "--dump-operators"],
+    ["--case", "2", "--re", "10", "--np", "33", "--times", "0.5",
+     "--profiles"],
+    ["--case", "3", "--np", "65", "--times", "0.05", "--profiles",
+     "--dump-operators"],
+    ["--case", "1", "--np", "65", "--times", "0.05", "--dump-operators"],
+    ["--case", "3", "--np", "17", "--times", "0.05,0.1", "--format", "md",
+     "--truncate-level", "3"],
+    ["--case", "2", "--np", "33", "--times", "0.05", "--profiles"],
+)
+
+
+def _files(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+class TestResolutionTables:
+    """A resolution's profile grid, basis rows and wavelet-space operators
+    are built by the first run at it and shared, read-only, by later ones."""
+
+    def test_warm_runs_write_the_files_of_cold_runs(self, tmp_path):
+        src = str(Path(w.__file__).resolve().parents[1])
+        for i, argv in enumerate(_CACHE_RUNS):
+            # cold: one fresh interpreter per run
+            done = subprocess.run(
+                [sys.executable, "-m", "wavecol.cli", *argv,
+                 "--out", str(tmp_path / f"cold{i}")],
+                capture_output=True, text=True, timeout=120,
+                env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 0, done.stderr
+        for sweep in ("first", "warm"):
+            # the first sweep fills the caches; the warm one reads them
+            for i, argv in enumerate(_CACHE_RUNS):
+                out = tmp_path / f"{sweep}{i}"
+                assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+        for i in range(len(_CACHE_RUNS)):
+            cold = _files(tmp_path / f"cold{i}")
+            assert _files(tmp_path / f"warm{i}") == cold
+            assert _files(tmp_path / f"first{i}") == cold
+
+    def test_cached_arrays_refuse_writes(self):
+        result = w.run_case(w.case_definition(1, times=(0.05,)), 17)
+        shared = [result.profile_xs, *result.operators.values(),
+                  *bench._resolution_tables(4)[:3],
+                  *operators.p1_kernel(17)]
+        for array in shared:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # the public builders stay uncached: fresh, writable arrays
+        spec = w.spec_for_points(17)
+        for build in (w.gram_matrix, w.derivative_inner_products):
+            first, second = build(spec), build(spec)
+            assert first is not second
+            assert first.flags.writeable
+        np.testing.assert_array_equal(w.gram_matrix(spec),
+                                      result.operators["gram"])
+
+    def test_each_run_has_its_own_operators_dict(self):
+        neumann = w.run_case(w.case_definition(3, times=(0.05,)), 17)
+        dirichlet = w.run_case(w.case_definition(1, times=(0.05,)), 17)
+        again = w.run_case(w.case_definition(3, times=(0.05,)), 17)
+        assert neumann.operators is not again.operators
+        assert list(dirichlet.operators) == ["gram", "deriv_inner", "deriv_op"]
+        assert list(neumann.operators) == list(again.operators) == [
+            "gram", "deriv_inner", "deriv_op", "second_deriv"]
+        assert again.operators["gram"] is dirichlet.operators["gram"]
+        assert again.profile_xs is dirichlet.profile_xs
+
+    def test_each_resolution_has_its_own_tables(self):
+        case = w.case_definition(1, times=(0.05,))
+        w.run_case(case, 33)
+        result = w.run_case(case, 17)
+        for matrix in result.operators.values():
+            assert matrix.shape == (17, 17)
+        np.testing.assert_array_equal(result.operators["gram"],
+                                      w.gram_matrix(w.spec_for_points(17)))
+        dense_rows, report_rows = bench._resolution_tables(4)[1:3]
+        assert dense_rows.shape == (PROFILE_POINTS, 17)
+        assert report_rows.shape == (5, 17)
+
+    def test_only_the_first_run_at_a_resolution_builds(self, monkeypatch):
+        # the builds wavebench counts: gram, dual and deriv_inner (twice)
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        for module, name in ((bench, "gram_matrix"),
+                             (bench, "derivative_inner_products"),
+                             (bench, "basis_matrix"),
+                             (operators, "derivative_inner_products"),
+                             (operators, "dual_transform")):
+            counted(module, name)
+        bench._resolution_tables.cache_clear()
+        case = w.case_definition(1, times=(0.05,))
+        w.run_case(case, 17)
+        assert sorted(calls) == ["basis_matrix", "basis_matrix",
+                                 "derivative_inner_products",
+                                 "derivative_inner_products", "dual_transform",
+                                 "gram_matrix"]
+        calls.clear()
+        w.run_case(case, 17)
+        w.run_case(w.case_definition(3, times=(0.05,)), 17)
+        assert calls == []
+
+
 def _per_value_texts(result):
     """The CSV files of one run, by name in the order the CLI writes them,
     each value formatted on its own."""
@@ -374,6 +496,24 @@ class TestEmission:
         expected = "".join(",".join(f"{v:.17g}" for v in row) + "\n"
                            for row in values)
         assert _matrix_csv(values) == expected
+
+    def test_profile_is_the_matrix_csv_of_its_columns(self, tmp_path):
+        specials = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                             -1.0 / 3.0, 0.1])
+        real = w.run_case(w.case_definition(1, times=(0.05, 0.1)), 9)
+        for xs, profiles in (
+                (real.profile_xs, real.profiles),
+                (specials, {0.05: specials[::-1], 0.1: np.zeros(8)})):
+            result = dataclasses.replace(real, profile_xs=xs,
+                                         profiles=profiles)
+            paths = emit_profiles(result, tmp_path)
+            assert [p.name for p in paths] == [
+                "profile_case1_re1_np9_t0.05.csv",
+                "profile_case1_re1_np9_t0.1.csv"]
+            for path, t in zip(paths, (0.05, 0.1)):
+                expected = "x,u\n" + _matrix_csv(
+                    np.column_stack([xs, profiles[t]]))
+                assert path.read_text() == expected
 
     @pytest.mark.parametrize("argv", [
         ["--case", "1", "--np", "9", "--times", "0.05,0.1"],

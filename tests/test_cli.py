@@ -222,3 +222,28 @@ def test_a_run_imports_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
     assert (tmp_path / "report_case3_re10_np17.csv").exists()
+
+
+def test_a_run_imports_no_exact_arithmetic_or_polynomials(tmp_path):
+    # fractions (with decimal) serves only the exact reference, and the
+    # Gauss rules are written out: a run loads neither, nor numpy.polynomial,
+    # beyond what importing numpy itself loads
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import wavecol, wavecol.cli\n"
+        "code = wavecol.cli.main(['--case', '1', '--np', '17', '--times',"
+        " '0.05', '--profiles', '--dump-operators', '--out', sys.argv[1]])\n"
+        "watched = ('fractions', 'decimal', 'numpy.polynomial')\n"
+        "loaded = sorted(m for m in set(sys.modules) - before"
+        " if any(m == w or m.startswith(w + '.') for w in watched))\n"
+        "print(code, loaded)\n"
+    )
+    src = str(Path(wavecol.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+    assert (tmp_path / "report_case1_re1_np17.csv").exists()

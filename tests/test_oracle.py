@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import wavecol as w
-from wavecol import oracle
+from wavecol import approx, oracle
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import trapezoid
 from scipy.special import ive
 
@@ -114,6 +115,25 @@ class TestFourierCoefficients:
                 w.fourier_coefficient(steep, 2)
         finally:
             oracle._coefficient.cache_clear()
+
+
+@pytest.mark.parametrize("nodes, weights, order", [
+    (oracle._GAUSS10_X, oracle._GAUSS10_W, 10),
+    (approx._GAUSS5_X, approx._GAUSS5_W, 5),
+], ids=["oracle-gauss10", "approx-gauss5"])
+def test_gauss_rule_literals_are_leggauss(nodes, weights, order):
+    # written out so that importing wavecol does not load numpy.polynomial
+    expected_nodes, expected_weights = leggauss(order)
+    np.testing.assert_allclose(nodes, expected_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-15)
+    # exact for every monomial up to degree 2n - 1 on [-1, 1], not beyond
+    for degree in range(2 * order + 1):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        error = abs(float(np.sum(weights * nodes**degree)) - exact)
+        if degree < 2 * order:
+            assert error <= 1e-15
+        else:
+            assert error > 1e-7
 
 
 class TestExactSolution:
