@@ -4,8 +4,6 @@ from .approx import (
     LevelSplit,
     combine_levels,
     interpolate,
-    project_l2,
-    reconstruct,
     split_levels,
     truncate,
 )
@@ -15,9 +13,6 @@ from .basis import (
     PiecewiseLinear,
     basis_matrix,
     basis_piecewise,
-    basis_vector,
-    eval_scaling,
-    eval_wavelet,
 )
 from .bench import (
     CaseDefinition,
@@ -42,14 +37,13 @@ from .operators import (
     dual_transform,
     gram_matrix,
 )
-from .oracle import ExactSolutionSpec, exact_u, fourier_coefficient, table_values
+from .oracle import ExactSolutionSpec, exact_u, table_values
 from .solver import (
     BoundarySpec,
     SolutionSeries,
     SolverConfig,
     assemble_lhs,
     initial_coefficients,
-    sample,
     solve,
 )
 
@@ -73,25 +67,18 @@ __all__ = [
     "assemble_lhs",
     "basis_matrix",
     "basis_piecewise",
-    "basis_vector",
     "case_definition",
     "combine_levels",
     "derivative_inner_products",
     "derivative_matrix",
     "dual_transform",
     "error_metrics",
-    "eval_scaling",
-    "eval_wavelet",
     "exact_u",
-    "fourier_coefficient",
     "gram_matrix",
     "initial_coefficients",
     "interpolate",
     "oscillation_excess",
-    "project_l2",
-    "reconstruct",
     "run_case",
-    "sample",
     "solve",
     "spec_for_points",
     "split_levels",

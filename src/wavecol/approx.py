@@ -1,13 +1,11 @@
-"""Function expansion in the wavelet basis and multiresolution views.
+"""Grid interpolation in the wavelet basis and multiresolution views.
 
-Two expansion routes are provided: L2 projection through the dual basis,
-and interpolation at the uniform collocation grid.  The time stepper uses
-interpolation for its initial data (zero residual at the points the scheme
-controls); projection is the natural choice for approximation studies.
-Projection takes its moments from the nodal hats: the moment of basis
-function i is sum_a T[a, i] times the moment of hat a, with T the basis
-values at the grid nodes.  The level split and truncation are the
-multiresolution view of the coefficients.
+interpolate gives the expansion coefficients that reproduce a function at
+the uniform collocation grid, by one solve with T, the basis values at the
+grid nodes.  grid_values samples a function at the grid and refuses what
+is not one finite value per point, for interpolate and for the solver's
+initial data.  The level split and truncation are the multiresolution
+view of the coefficients.
 """
 
 from __future__ import annotations
@@ -17,17 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, basis_vector, collocation_points
+from .basis import BasisSpec, _nodal_matrix, collocation_points
 from .operators import guard_condition
-
-# Gauss order per grid cell for smooth integrands: high enough that
-# projection error is dominated by the basis, not by quadrature.  The nodes
-# and weights on [-1, 1] are numpy.polynomial.legendre.leggauss(5)'s.
-_GAUSS5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                      0.5384693101056831, 0.906179845938664])
-_GAUSS5_W = np.array([0.23692688505618928, 0.4786286704993663,
-                      0.5688888888888887, 0.4786286704993663,
-                      0.23692688505618928])
 
 
 @dataclass(frozen=True)
@@ -38,44 +27,28 @@ class LevelSplit:
     details: dict[int, np.ndarray]
 
 
-def project_l2(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec,
-               dual: np.ndarray) -> np.ndarray:
-    """Expansion coefficients from L2 projection: dual times raw moments.
+def grid_values(f: Callable[[np.ndarray], np.ndarray], grid: np.ndarray,
+                what: str) -> np.ndarray:
+    """f at the grid points as a new float array.
 
-    The moments of the nodal hats are integrated with Gauss-5 on every grid
-    cell (step 2**-max_level), where each basis function is linear, so
-    members of the basis span are integrated exactly and the projection
-    round-trips them.
+    Raises ValueError, naming what was evaluated, unless f returns one
+    finite value per point.
     """
-    cells = 2**spec.max_level
-    half = 0.5 / cells
-    mids = (np.arange(cells) + 0.5) / cells
-    xs = mids[:, None] + half * _GAUSS5_X
-    fx = np.broadcast_to(np.asarray(f(xs.ravel()), float), xs.size)
-    if not np.all(np.isfinite(fx)):
-        raise ValueError("function returned non-finite values")
-    weighted = half * _GAUSS5_W * fx.reshape(xs.shape)
-    rising = (1.0 + _GAUSS5_X) / 2.0  # right node's hat across the cell
-    hat_moments = np.zeros(cells + 1)
-    hat_moments[:-1] += weighted @ (1.0 - rising)
-    hat_moments[1:] += weighted @ rising
-    return dual @ (basis_matrix(spec, collocation_points(spec)).T @ hat_moments)
+    values = np.array(f(grid), float)
+    if values.shape != grid.shape:
+        raise ValueError(f"{what} returned shape {values.shape}, "
+                         f"expected {grid.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} returned non-finite values")
+    return values
 
 
 def interpolate(f: Callable[[np.ndarray], np.ndarray], spec: BasisSpec) -> np.ndarray:
     """Expansion coefficients that reproduce f exactly at the collocation grid."""
-    grid = collocation_points(spec)
-    matrix = basis_matrix(spec, grid)
+    matrix = _nodal_matrix(spec.max_level)
     guard_condition(matrix, "collocation matrix")
-    values = np.asarray(f(grid), float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("function returned non-finite values")
+    values = grid_values(f, collocation_points(spec), "function")
     return np.linalg.solve(matrix, values)
-
-
-def reconstruct(coeffs: np.ndarray, spec: BasisSpec, x: float) -> float:
-    """Value of the expansion at x."""
-    return float(np.dot(coeffs, basis_vector(spec, x)))
 
 
 def _coefficient_vector(coeffs: np.ndarray, spec: BasisSpec) -> np.ndarray:

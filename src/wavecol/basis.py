@@ -12,9 +12,12 @@ Each function is defined by its two-scale node stencil: its values at
 knots of the local coordinate t = 2**level * x - shift.  Every knot is a
 node of the collocation grid, so a function is fixed by its values at the
 grid nodes, and its value anywhere is the hat interpolation of those node
-values.  basis_matrix builds the node values of the whole basis once per
-resolution and interpolates them; at x = 1 the right boundary hat attains
-1, so the partition of unity holds on the closed interval.  basis_piecewise
+values.  _nodal_matrix builds those node values, the matrix T with one row
+per node and one column per function, once per resolution and read-only;
+the operators, the solver and grid interpolation read T itself.
+basis_matrix is the one way to evaluate the basis anywhere else: it
+interpolates the rows of T, and at x = 1 the right boundary hat attains 1,
+so the partition of unity holds on the closed interval.  basis_piecewise
 reads the same stencils into exact segment representations, kept as the
 reference that tests integrate against (tests/exact_reference.py).
 """
@@ -134,25 +137,6 @@ def _nodal_matrix(max_level: int) -> np.ndarray:
     return nodal
 
 
-def _check_points(xs) -> np.ndarray:
-    xs = np.asarray(xs, float)
-    if xs.ndim != 1:
-        raise ValueError(f"points must be a 1-D sequence, got shape {xs.shape}")
-    outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
-    if outside.size:
-        raise ValueError(f"x = {outside[0]} outside [0, 1]")
-    return xs
-
-
-def _hat_interpolate(nodal: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Rows of the piecewise-linear interpolant of the node rows at xs."""
-    n_cells = nodal.shape[0] - 1
-    pos = xs * n_cells
-    cell = np.minimum(pos.astype(int), n_cells - 1)
-    frac = (pos - cell)[:, None]
-    return (1.0 - frac) * nodal[cell] + frac * nodal[cell + 1]
-
-
 def collocation_points(spec: BasisSpec) -> np.ndarray:
     """Uniform grid of n_functions points on [0, 1] (spacing 2**-max_level)."""
     return np.linspace(0.0, 1.0, spec.n_functions)
@@ -162,45 +146,21 @@ def basis_matrix(spec: BasisSpec, xs) -> np.ndarray:
     """Evaluation matrix with one row of basis values per x, in index_map order.
 
     At the collocation points this is the nodal matrix T itself; elsewhere
-    each row interpolates the two neighbouring node rows.
+    each row interpolates the two neighbouring node rows.  Raises ValueError
+    unless xs is a 1-D sequence of points in [0, 1].
     """
-    return _hat_interpolate(_nodal_matrix(spec.max_level), _check_points(xs))
-
-
-def basis_vector(spec: BasisSpec, x: float) -> np.ndarray:
-    """All basis functions evaluated at x, in index_map order."""
-    return basis_matrix(spec, [x])[0]
-
-
-def _evaluate(idx: BasisIndex, spec: BasisSpec, x: float) -> float:
-    nodal = _node_values(idx, spec.max_level)[:, None]
-    return float(_hat_interpolate(nodal, _check_points([x]))[0, 0])
-
-
-def eval_scaling(spec: BasisSpec, level: int, shift: int, x: float) -> float:
-    """Value of the hat function at the given level and shift.
-
-    A level has 2**level + 1 hats: shift -1 and the last shift select the
-    boundary half-hats, the shifts in between full hats peaking at
-    (shift + 1) / 2**level.
-    """
-    if not 2 <= level <= spec.max_level:
-        raise ValueError(f"scaling level {level} not in 2..{spec.max_level}")
-    if shift not in _shifts(SCALING, level):
-        raise ValueError(f"scaling shift {shift} invalid for level {level}")
-    return _evaluate(BasisIndex(SCALING, level, shift), spec, x)
-
-
-def eval_wavelet(spec: BasisSpec, level: int, shift: int, x: float) -> float:
-    """Value of the (boundary-adapted) wavelet at the given level and shift."""
-    if level not in spec.wavelet_levels():
-        raise ValueError(
-            f"wavelet level {level} not in 2..{spec.max_level - 1} "
-            f"(spec with max_level {spec.max_level})"
-        )
-    if shift not in _shifts(WAVELET, level):
-        raise ValueError(f"wavelet shift {shift} invalid for level {level}")
-    return _evaluate(BasisIndex(WAVELET, level, shift), spec, x)
+    xs = np.asarray(xs, float)
+    if xs.ndim != 1:
+        raise ValueError(f"points must be a 1-D sequence, got shape {xs.shape}")
+    outside = xs[~((xs >= 0.0) & (xs <= 1.0))]
+    if outside.size:
+        raise ValueError(f"x = {outside[0]} outside [0, 1]")
+    nodal = _nodal_matrix(spec.max_level)
+    n_cells = nodal.shape[0] - 1
+    pos = xs * n_cells
+    cell = np.minimum(pos.astype(int), n_cells - 1)
+    frac = (pos - cell)[:, None]
+    return (1.0 - frac) * nodal[cell] + frac * nodal[cell + 1]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
 """The nodal P1 kernel and the wavelet-space operators built from it.
 
 The basis spans the continuous piecewise-linear functions on the
-collocation grid, as the nodal hats h_a do.  With T = basis_matrix(spec,
-grid), basis function i is sum_a T[a, i] h_a, so every operator is a change
-of coordinates of the closed-form tridiagonal hat matrices of p1_kernel:
-the Gram matrix is T^T M T and the derivative inner products are T^T K T,
-with M the P1 mass matrix and K[a, b] = integral of h_a' h_b.  The solver
-reads the kernel directly; the wavelet-space matrices serve approximation
-studies and the operator dumps.  p1_kernel is built once per grid size and
-returned read-only; the wavelet-space builders are not cached and return
-fresh, writable arrays on every call (wavecol.bench keeps one read-only
-set per resolution for its runs).
+collocation grid, as the nodal hats h_a do.  With T the basis values at
+the grid nodes (basis._nodal_matrix), basis function i is
+sum_a T[a, i] h_a, so every operator is a change of coordinates of the
+closed-form tridiagonal hat matrices of p1_kernel: the Gram matrix is
+T^T M T and the derivative inner products are T^T K T, with M the P1
+mass matrix and K[a, b] = integral of h_a' h_b.  The solver reads the
+kernel directly; the wavelet-space matrices serve the operator dumps.
+p1_kernel is built once per grid size and returned read-only; the
+wavelet-space builders are not cached and return fresh, writable arrays
+on every call (wavecol.bench keeps one read-only set per resolution for
+its runs).
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
@@ -24,7 +25,7 @@ import math
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, collocation_points
+from .basis import BasisSpec, _nodal_matrix
 from .errors import ConditioningError
 
 #: Condition-number guard for the dense solves.  Failures must be
@@ -37,7 +38,7 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
 
     The upper triangle is mirrored so that the matrix is exactly symmetric.
     """
-    nodal = basis_matrix(spec, collocation_points(spec))
+    nodal = _nodal_matrix(spec.max_level)
     mass, _, _ = p1_kernel(spec.n_functions)
     upper = np.triu(nodal.T @ mass @ nodal)
     return upper + np.triu(upper, 1).T
@@ -84,7 +85,7 @@ def dual_transform(gram: np.ndarray) -> np.ndarray:
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:
     """Matrix of integrals (basis function i)' times (basis function j), T^T K T."""
-    nodal = basis_matrix(spec, collocation_points(spec))
+    nodal = _nodal_matrix(spec.max_level)
     _, _, hat_deriv = p1_kernel(spec.n_functions)
     return nodal.T @ hat_deriv @ nodal
 

@@ -133,13 +133,6 @@ def _coefficient(spec: ExactSolutionSpec, n: int) -> tuple[float, float]:
     )
 
 
-def fourier_coefficient(spec: ExactSolutionSpec, n: int) -> float:
-    """Cosine moment of the transformed initial condition (factor 2 for n >= 1)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _coefficient(spec, n)[0]
-
-
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """Series solution u(x, t) for t > 0.
 

@@ -76,7 +76,8 @@ from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, basis_matrix, collocation_points
+from .approx import grid_values
+from .basis import BasisSpec, _nodal_matrix, collocation_points
 from .errors import DivergenceError
 from .operators import guard_condition, p1_kernel
 
@@ -123,7 +124,7 @@ def steps_to(t: float, dt: float) -> int:
 
 @dataclass(frozen=True)
 class BoundarySpec:
-    """Endpoint data: values of u (Dirichlet) or of du/dx (Neumann)."""
+    """Endpoint data: finite values of u (Dirichlet) or of du/dx (Neumann)."""
 
     kind: str
     left_value: float = 0.0
@@ -132,6 +133,10 @@ class BoundarySpec:
     def __post_init__(self) -> None:
         if self.kind not in (DIRICHLET, NEUMANN):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        for name in ("left_value", "right_value"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} = {value} is not finite")
 
 
 @dataclass(frozen=True)
@@ -190,9 +195,11 @@ class CollocationSystem:
     step solves for, which, with A for the report states, is all solve
     steps with.  F itself is not kept.  values and first_deriv are the
     coefficients-to-point-values maps for u and du/dx, one row per grid
-    point; second_deriv is the map for d2u/dx2, and flux the constant
-    part of d2u/dx2 that comes from the boundary data (the weak
-    operator's M^-1 b); flux is None for Dirichlet data.
+    point; values is T, the basis values at the grid nodes, shared by
+    every run at the resolution and read-only.  second_deriv is the map
+    for d2u/dx2, and flux the constant part of d2u/dx2 that comes from the
+    boundary data (the weak operator's M^-1 b); flux is None for Dirichlet
+    data.
     """
 
     grid: np.ndarray
@@ -243,7 +250,7 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     condition, and precompose the propagator P = F A^-1 solve steps with;
     the stacked explicit operator F is formed only to build P."""
     grid = collocation_points(config.spec)
-    values = basis_matrix(config.spec, grid)
+    values = _nodal_matrix(config.spec.max_level)
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
     weight = config.dt / config.reynolds
     matrix = values - THETA * weight * second_deriv
@@ -320,9 +327,7 @@ def initial_coefficients(config: SolverConfig,
     values come from the constrained interpolant rather than the raw data.
     """
     matrix = system.values.copy()
-    rhs = np.asarray(config.ic(system.grid), float)
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("initial condition returned non-finite values")
+    rhs = grid_values(config.ic, system.grid, "initial condition")
     matrix[0], matrix[-1] = _boundary_rows(config, system.values,
                                            system.first_deriv)
     rhs[0] = config.bc.left_value
@@ -400,10 +405,3 @@ def solve(config: SolverConfig) -> SolutionSeries:
                                         int(report[i]), config.dt)
             block[0] = block[size]
     return SolutionSeries(coeffs=kept, config=config, system=system)
-
-
-def sample(series: SolutionSeries, t: float, xs) -> list[float]:
-    """Solution values at report time t, one per location."""
-    coeffs = series.coefficients_at(t)
-    rows = basis_matrix(series.config.spec, xs)
-    return [float(v) for v in rows @ coeffs]

@@ -65,6 +65,12 @@ def _bits(values):
     return np.asarray(values, float).tobytes()
 
 
+def _values(spec, kind, level, shift, xs):
+    """One basis function at the points xs: its column of basis_matrix."""
+    column = spec.index_map.index(BasisIndex(kind, level, shift))
+    return w.basis_matrix(spec, xs)[:, column]
+
+
 class TestLayout:
     def test_function_count_matches_level(self):
         for m in (2, 3, 4, 5, 6):
@@ -112,24 +118,13 @@ class TestStencilTable:
     @pytest.mark.parametrize("max_level", range(2, 13))
     def test_every_accepted_scaling_function_is_bitwise_the_branch_formula(
             self, max_level):
-        spec = w.BasisSpec(max_level=max_level)
+        # the hats of every level up to max_level and every shift, also
+        # those of the levels above 2, which index_map does not hold
         for level in range(2, max_level + 1):
-            for shift in (-2, 2**level):
-                with pytest.raises(ValueError, match="shift"):
-                    w.eval_scaling(spec, level, shift, 0.5)
             for shift in range(-1, 2**level):
                 idx = BasisIndex(SCALING, level, shift)
                 assert (_bits(basis._node_values(idx, max_level))
                         == _bits(_branch_node_values(idx, max_level)))
-
-    def test_wavelet_shift_range(self):
-        spec = w.BasisSpec(max_level=8)
-        for level in spec.wavelet_levels():
-            for shift in (-2, 2**level - 1):
-                with pytest.raises(ValueError, match="shift"):
-                    w.eval_wavelet(spec, level, shift, 0.5)
-            w.eval_wavelet(spec, level, -1, 0.5)
-            w.eval_wavelet(spec, level, 2**level - 2, 0.5)
 
     @pytest.mark.parametrize("max_level", range(2, 9))
     def test_pieces_are_bitwise_the_branch_formula(self, max_level):
@@ -143,86 +138,70 @@ class TestStencilTable:
 
 class TestScalingValues:
     def test_left_boundary_hat_is_one_at_origin(self):
-        assert w.eval_scaling(SPEC3, 2, -1, 0.0) == 1.0
+        assert _values(SPEC3, SCALING, 2, -1, [0.0])[0] == 1.0
 
     def test_inner_hat_peaks_at_its_node(self):
-        assert w.eval_scaling(SPEC3, 2, 0, 0.25) == 1.0
+        assert _values(SPEC3, SCALING, 2, 0, [0.25])[0] == 1.0
 
     def test_zero_outside_support(self):
-        assert w.eval_scaling(SPEC3, 2, 0, 0.9) == 0.0
+        assert _values(SPEC3, SCALING, 2, 0, [0.9])[0] == 0.0
 
     def test_right_boundary_hat_attains_one_at_right_end(self):
-        # half-open branches, so the value at x = 1 is the left limit
-        assert w.eval_scaling(SPEC3, 2, 3, 1.0) == 1.0
-
-    def test_invalid_shift_rejected(self):
-        with pytest.raises(ValueError, match="shift"):
-            w.eval_scaling(SPEC3, 2, 4, 0.5)
-
-    def test_invalid_level_rejected(self):
-        with pytest.raises(ValueError, match="level"):
-            w.eval_scaling(SPEC3, 7, 0, 0.5)
+        # the value at x = 1 is the left limit
+        assert _values(SPEC3, SCALING, 2, 3, [1.0])[0] == 1.0
 
     def test_x_outside_domain_rejected(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            w.eval_scaling(SPEC3, 2, 0, 1.5)
+            w.basis_matrix(SPEC3, [1.5])
 
 
 class TestWaveletValues:
     def test_left_boundary_wavelet_at_origin(self):
-        assert w.eval_wavelet(SPEC3, 2, -1, 0.0) == -1.0
+        assert _values(SPEC3, WAVELET, 2, -1, [0.0])[0] == -1.0
 
     def test_inner_wavelet_zero_at_support_left_end(self):
-        assert w.eval_wavelet(SPEC3, 2, 0, 0.0) == 0.0
+        assert _values(SPEC3, WAVELET, 2, 0, [0.0])[0] == 0.0
 
     def test_inner_wavelet_first_branch_peak(self):
         # half a cell into the support: value (1/2) / 6 at level 3, shift 1
-        assert w.eval_wavelet(SPEC4, 3, 1, 3.0 / 16.0) == pytest.approx(1.0 / 12.0,
-                                                                        abs=1e-15)
+        assert _values(SPEC4, WAVELET, 3, 1, [3.0 / 16.0])[0] == pytest.approx(
+            1.0 / 12.0, abs=1e-15)
 
     def test_right_boundary_wavelet_mirrors_left(self):
-        spec = SPEC4
         xs = np.linspace(0.0, 1.0, 641)
-        left = np.array([w.eval_wavelet(spec, 3, -1, x) for x in xs])
-        right = np.array([w.eval_wavelet(spec, 3, 2**3 - 2, x) for x in xs[::-1]])
+        left = _values(SPEC4, WAVELET, 3, -1, xs)
+        right = _values(SPEC4, WAVELET, 3, 2**3 - 2, xs[::-1])
         np.testing.assert_allclose(left, right, atol=1e-14)
-
-    def test_level_outside_spec_rejected(self):
-        with pytest.raises(ValueError, match="level"):
-            w.eval_wavelet(SPEC3, 3, 0, 0.5)  # detail levels of SPEC3 are {2}
-
-    def test_invalid_shift_rejected(self):
-        with pytest.raises(ValueError, match="shift"):
-            w.eval_wavelet(SPEC3, 2, 3, 0.5)
 
 
 class TestBasisVector:
     def test_values_at_origin(self):
-        vec = w.basis_vector(SPEC3, 0.0)
+        vec = w.basis_matrix(SPEC3, [0.0])[0]
         expected = np.zeros(9)
         expected[0] = 1.0   # left boundary hat
         expected[5] = -1.0  # left boundary wavelet
         np.testing.assert_allclose(vec, expected, atol=0.0)
 
     def test_values_at_right_end_use_left_limit(self):
-        vec = w.basis_vector(SPEC3, 1.0)
+        vec = w.basis_matrix(SPEC3, [1.0])[0]
         assert vec[4] == 1.0    # right boundary hat
         assert vec[8] == -1.0   # right boundary wavelet
         assert np.count_nonzero(vec) == 2
 
     def test_scaling_entries_sum_to_one(self):
-        vec = w.basis_vector(SPEC4, 0.37)
+        vec = w.basis_matrix(SPEC4, [0.37])[0]
         assert sum(vec[:5]) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_individual_evaluations(self):
+        # each column is its function's node values, hat-interpolated
         rng = np.random.default_rng(7)
-        for x in rng.uniform(0.0, 1.0, 20):
-            vec = w.basis_vector(SPEC4, x)
-            for i, idx in enumerate(SPEC4.index_map):
-                if idx.kind == SCALING:
-                    assert vec[i] == w.eval_scaling(SPEC4, idx.level, idx.shift, x)
-                else:
-                    assert vec[i] == w.eval_wavelet(SPEC4, idx.level, idx.shift, x)
+        xs = np.append(rng.uniform(0.0, 1.0, 20), [0.0, 1.0])
+        grid = basis.collocation_points(SPEC4)
+        rows = w.basis_matrix(SPEC4, xs)
+        for column, idx in zip(rows.T, SPEC4.index_map):
+            nodes = basis._node_values(idx, SPEC4.max_level)
+            np.testing.assert_allclose(column, np.interp(xs, grid, nodes),
+                                       rtol=0, atol=1e-15)
 
 
 class TestBasisMatrix:
@@ -237,9 +216,9 @@ class TestPartitionOfUnity:
         rng = np.random.default_rng(42)
         xs = np.concatenate([rng.uniform(0.0, 1.0, 10_000),
                              np.linspace(0.0, 1.0, 129)])
-        for x in xs:
-            total = sum(w.eval_scaling(SPEC3, 2, k, float(x)) for k in range(-1, 4))
-            assert abs(total - 1.0) <= 1e-12
+        hats = w.basis_matrix(SPEC3, xs)[:, :5]
+        assert [idx.kind for idx in SPEC3.index_map[:5]] == [SCALING] * 5
+        assert np.max(np.abs(hats.sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestPiecewiseRepresentation:
@@ -248,12 +227,10 @@ class TestPiecewiseRepresentation:
         pieces = w.basis_piecewise(spec)
         rng = np.random.default_rng(3)
         xs = np.append(rng.uniform(0.0, 1.0, 1000), [0.0, 1.0])
-        for i, idx in enumerate(spec.index_map):
-            evaluate = (w.eval_scaling if idx.kind == SCALING else w.eval_wavelet)
-            for x in xs:
-                x = float(x)
-                closed = evaluate(spec, idx.level, idx.shift, x)
-                assert abs(closed - pieces[i](x)) <= 1e-13
+        rows = w.basis_matrix(spec, xs)
+        for column, piece in zip(rows.T, pieces):
+            exact = np.array([piece(float(x)) for x in xs])
+            assert np.max(np.abs(column - exact)) <= 1e-13
 
     def test_inner_hat_segments(self):
         piece = w.basis_piecewise(w.BasisSpec(max_level=2))[1]  # first full hat

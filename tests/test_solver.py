@@ -9,7 +9,7 @@ import pytest
 from scipy.linalg import lu_factor, lu_solve
 
 import wavecol as w
-from wavecol import solver
+from wavecol import basis, solver
 from wavecol.approx import collocation_points
 from wavecol.errors import ConditioningError, DivergenceError
 from wavecol.solver import (
@@ -66,6 +66,11 @@ def _reference_history(config):
                 return DivergenceError(n + 1, (n + 1) * config.dt)
             history.append(coeffs)
     return np.array(history)
+
+
+def _values_at(series, t, xs):
+    """The solution at report time t at the points xs."""
+    return w.basis_matrix(series.config.spec, xs) @ series.coefficients_at(t)
 
 
 def _explicit_rows(config):
@@ -207,6 +212,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="boundary"):
             w.BoundarySpec("periodic")
 
+    @pytest.mark.parametrize("kind, left, right", [
+        (DIRICHLET, np.nan, 0.0), (DIRICHLET, 0.0, np.inf),
+        (DIRICHLET, -np.inf, 1.0), (NEUMANN, np.nan, 0.0),
+        (NEUMANN, 0.0, -np.inf)])
+    def test_non_finite_boundary_data_rejected(self, kind, left, right):
+        # unchecked, a nan gives a nan state at t = 0 and a divergence at
+        # step 0 for any later report time
+        with pytest.raises(ValueError, match="value = .* is not finite"):
+            w.BoundarySpec(kind, left, right)
+
     def test_step_count_is_robust_to_roundoff(self, operators):
         config = _config(operators, t_end=0.1, dt=1e-3)
         assert config.n_steps() == 100
@@ -224,6 +239,15 @@ class TestCollocationGrid:
 
 
 class TestAssembleLhs:
+    def test_value_rows_are_the_shared_nodal_matrix(self, operators):
+        config = _config(operators, level=4)
+        system = assemble_lhs(config)
+        assert system.values is basis._nodal_matrix(4)
+        assert not system.values.flags.writeable
+        # bitwise, sign bits included, the basis evaluated at the grid
+        assert system.values.tobytes() == w.basis_matrix(
+            config.spec, collocation_points(config.spec)).tobytes()
+
     def test_zero_coefficients_satisfy_homogeneous_boundary_rows(self, operators):
         config = _config(operators)
         system = assemble_lhs(config)
@@ -337,6 +361,23 @@ class TestWeakSecondDerivative:
 
 
 class TestInitialCoefficients:
+    @pytest.mark.parametrize("ic", [lambda x: 1.0, lambda x: np.zeros(3),
+                                    lambda x: x[:, None]],
+                             ids=["scalar", "3-vector", "column"])
+    def test_initial_data_of_the_wrong_shape_rejected(self, operators, ic):
+        config = _config(operators, level=3, ic=ic)
+        with pytest.raises(ValueError, match=r"initial condition returned "
+                                             r"shape .*expected \(9,\)"):
+            initial_coefficients(config, assemble_lhs(config))
+
+    def test_initial_data_are_not_written_through(self, operators):
+        # the boundary data replace the end values of a copy: an initial
+        # condition that returns its argument leaves the grid as it was
+        config = _config(operators, level=3, ic=lambda x: x)
+        system = assemble_lhs(config)
+        initial_coefficients(config, system)
+        np.testing.assert_array_equal(system.grid, collocation_points(config.spec))
+
     def test_singular_interpolation_rejected(self, operators):
         config = _config(operators, level=3)
         system = assemble_lhs(config)
@@ -421,7 +462,7 @@ class TestStep:
         # sin initial data, Re = 1: u(0.5, 0.05) = 0.60907 published
         config = _config(operators, level=5, t_end=0.05)
         coeffs = w.solve(config).coeffs[50]
-        assert w.reconstruct(coeffs, config.spec, 0.5) == pytest.approx(
+        assert w.basis_matrix(config.spec, [0.5])[0] @ coeffs == pytest.approx(
             0.60907, abs=1e-3)
 
     def test_antisymmetric_state_stays_antisymmetric(self, operators):
@@ -447,13 +488,13 @@ class TestSolve:
     def test_published_anchor_case1_re10(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=0.5)
         series = w.solve(config)
-        assert w.sample(series, 0.5, [0.7])[0] == pytest.approx(0.57585, abs=1e-3)
+        assert _values_at(series, 0.5, [0.7])[0] == pytest.approx(0.57585, abs=1e-3)
 
     def test_published_anchor_case2_re1(self, operators):
         config = _config(operators, level=5, t_end=0.05,
                                    ic=lambda x: 4.0 * x * (1.0 - x))
         series = w.solve(config)
-        assert w.sample(series, 0.05, [0.3])[0] == pytest.approx(0.49093, abs=1e-3)
+        assert _values_at(series, 0.05, [0.3])[0] == pytest.approx(0.49093, abs=1e-3)
 
     def test_runs_from_the_config_alone(self):
         spec = w.BasisSpec(max_level=3)
@@ -726,20 +767,20 @@ class TestSample:
     def test_boundary_samples_match_prescribed_values(self, operators):
         config = _config(operators, t_end=0.02)
         series = w.solve(config)
-        left, right = w.sample(series, 0.02, [0.0, 1.0])
+        left, right = _values_at(series, 0.02, [0.0, 1.0])
         assert abs(left) <= 1e-9 and abs(right) <= 1e-9
 
     def test_initial_samples_match_initial_data_at_grid(self, operators):
         config = _config(operators, t_end=0.01)
         series = w.solve(config)
         grid = collocation_points(config.spec)
-        values = w.sample(series, 0.0, grid)
+        values = _values_at(series, 0.0, grid)
         np.testing.assert_allclose(values, np.sin(np.pi * grid), atol=1e-10)
 
     def test_published_row_sampled_from_one_series(self, operators):
         config = _config(operators, level=5, t_end=0.1)
         series = w.solve(config)
-        values = w.sample(series, 0.1, [0.1, 0.3, 0.5, 0.7, 0.9])
+        values = _values_at(series, 0.1, [0.1, 0.3, 0.5, 0.7, 0.9])
         published = (0.10954, 0.29190, 0.37158, 0.30991, 0.12069)
         np.testing.assert_allclose(values, published, atol=1e-3)
 
@@ -747,4 +788,4 @@ class TestSample:
         config = _config(operators, t_end=0.01)
         series = w.solve(config)
         with pytest.raises(ValueError, match="outside"):
-            w.sample(series, 0.5, [0.5])
+            series.coefficients_at(0.5)
