@@ -19,7 +19,7 @@ from .basis import BasisSpec, _nodal_matrix, collocation_points
 from .operators import guard_condition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelSplit:
     """Coefficients separated into the coarse block and per-level details."""
 

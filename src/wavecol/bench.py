@@ -22,7 +22,8 @@ from . import published
 from .approx import check_keep_level, truncate
 from .basis import BasisSpec, basis_matrix
 from .operators import derivative_matrix, derivative_inner_products, gram_matrix
-from .oracle import POLY_4X_1MX, SIN_PI, ExactSolutionSpec, table_values
+from .oracle import (POLY_4X_1MX, SIN_PI, ExactSolutionSpec, check_time,
+                     table_values)
 from .solver import (
     DIRICHLET,
     NEUMANN,
@@ -94,7 +95,7 @@ def case_definition(case_id: int, reynolds: float | None = None,
                           family)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorReport:
     """Numeric vs exact values at the report grid, with comparator columns.
 
@@ -186,7 +187,7 @@ class Case3Report:
     front_oscillation: dict[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
@@ -253,10 +254,10 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     is D*D of the dumped ``deriv_op``.  The first run at a resolution
     builds its profile grid, basis rows and wavelet-space operators (four
     operator builds); later runs at that resolution share them (see
-    _resolution_tables and RunResult).  Bad run parameters (dt, a report
-    time that is not a multiple of dt, two report times on the same step
-    or printed with the same label, truncate_level) raise ValueError
-    before any operator is built or step taken.
+    _resolution_tables and RunResult).  Bad run parameters (dt, report
+    times off the dt grid, on one step, printed with one label or refused
+    by the oracle, truncate_level) raise ValueError before any operator is
+    built or step taken.
     """
     spec = spec_for_points(n_points)
     config = SolverConfig(
@@ -271,6 +272,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             raise ValueError(f"report times t = {labels[label]!r} and "
                              f"t = {t!r} share the label {label}")
         labels[label] = t
+        if case.oracle_family is not None:
+            check_time(t)
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     series = solve(config)

@@ -133,6 +133,17 @@ def _coefficient(spec: ExactSolutionSpec, n: int) -> tuple[float, float]:
     )
 
 
+def check_time(t: float) -> None:
+    """Raise ValueError unless t is a time at which exact_u serves u."""
+    if not math.isfinite(t):
+        raise ValueError(f"t = {t} is not finite")
+    if t <= 0.0:
+        raise ValueError("exact solution requires t > 0")
+    if t < MIN_TIME:
+        raise ValueError(f"t = {t} below {MIN_TIME}: series truncation "
+                         "cannot be trusted there")
+
+
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """Series solution u(x, t) for t > 0.
 
@@ -150,14 +161,7 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
-    if not math.isfinite(t):
-        raise ValueError(f"t = {t} is not finite")
-    if t <= 0.0:
-        raise ValueError("exact solution requires t > 0")
-    if t < MIN_TIME:
-        raise ValueError(
-            f"t = {t} below {MIN_TIME}: series truncation cannot be trusted there"
-        )
+    check_time(t)
     if x == 0.0 or x == 1.0:
         # every numerator term carries sin(n pi x) = 0
         return 0.0

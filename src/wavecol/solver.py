@@ -183,7 +183,7 @@ class SolverConfig:
         return max(self.report_steps())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CollocationSystem:
     """Left-hand side plus the cached evaluation rows it was built from.
 
@@ -209,13 +209,6 @@ class CollocationSystem:
     first_deriv: np.ndarray
     second_deriv: np.ndarray
     flux: np.ndarray | None = None
-
-
-def _boundary_rows(config: SolverConfig, values: np.ndarray,
-                   first_deriv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if config.bc.kind == NEUMANN:
-        return first_deriv[0], first_deriv[-1]
-    return values[0], values[-1]
 
 
 def derivative_rows(values: np.ndarray, bc: BoundarySpec
@@ -254,7 +247,8 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
     weight = config.dt / config.reynolds
     matrix = values - THETA * weight * second_deriv
-    matrix[0], matrix[-1] = _boundary_rows(config, values, first_deriv)
+    ends = first_deriv if config.bc.kind == NEUMANN else values
+    matrix[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
     guard_condition(matrix, "collocation system")
     explicit = np.vstack([config.dt * values, first_deriv,
                           values + (1.0 - THETA) * weight * second_deriv])
@@ -322,21 +316,20 @@ def initial_coefficients(config: SolverConfig,
                          system: CollocationSystem) -> np.ndarray:
     """Interpolate the initial condition, with the boundary rows enforced.
 
-    Interior rows match the initial data at the grid points; the endpoint
-    rows impose the boundary conditions, so for Neumann data the endpoint
-    values come from the constrained interpolant rather than the raw data.
+    Interior rows are T's, matching the initial data at the grid points;
+    the endpoint rows are A's boundary rows, so for Neumann data the
+    endpoint values come from the constrained interpolant, not the data.
     """
     matrix = system.values.copy()
+    matrix[[0, -1]] = system.matrix[[0, -1]]
     rhs = grid_values(config.ic, system.grid, "initial condition")
-    matrix[0], matrix[-1] = _boundary_rows(config, system.values,
-                                           system.first_deriv)
     rhs[0] = config.bc.left_value
     rhs[-1] = config.bc.right_value
     guard_condition(matrix, "initial interpolation")
     return np.linalg.solve(matrix, rhs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionSeries:
     """Coefficients of one run at its report times.
 
@@ -355,35 +348,31 @@ class SolutionSeries:
         return self.coeffs[self.config.times.index(t)]
 
 
-def _report_state(system: CollocationSystem, rhs: np.ndarray, step: int,
-                  dt: float) -> np.ndarray:
-    # the state step solves for, c = A^-1 r
-    coeffs = np.linalg.solve(system.matrix, rhs)
-    if not np.isfinite(coeffs).all():
-        raise DivergenceError(step, step * dt)
-    return coeffs
-
-
 def solve(config: SolverConfig) -> SolutionSeries:
     """Step to the last report time and keep the state at each report time.
 
     The loop carries right-hand sides from r_0 = A c_0, one propagator
     gemv per step, and solves for the coefficients only at the report
-    times; the state at a report time of 0 is c_0 itself.  It runs in
-    blocks of _CHECK_EVERY steps, each checked finite once after its last
-    step and then searched for report states.  The first non-finite r_j
-    raises DivergenceError for step j - 1, the step whose state it was
-    built from; a report state recovered non-finite raises it for its own
-    step.  Nothing solve allocates grows with the number of steps.
+    times; the state at a report time of 0 is c_0, stored before the loop.
+    It runs in blocks of _CHECK_EVERY steps, each checked finite once after
+    its last step; then the report states whose steps fall in the block
+    are solved for, earliest first.  The first non-finite r_j raises
+    DivergenceError for step j - 1, the step whose state it was built
+    from; a report state recovered non-finite raises it for its own step.
+    Nothing solve allocates grows with the number of steps.
     """
     system = assemble_lhs(config)
     propagator = system.propagator
     coeffs = initial_coefficients(config, system)
-    report = np.array(config.report_steps())
-    n_steps = int(report.max())
+    report = config.report_steps()
+    n_steps = max(report)
     n = config.spec.n_functions
     kept = np.empty((len(report), n))
-    kept[report == 0] = coeffs
+    if 0 in report:
+        kept[report.index(0)] = coeffs
+    # (step, index) of every later report state, the earliest last
+    pending = sorted(((k, i) for i, k in enumerate(report) if k),
+                     reverse=True)
     forcing = (None if system.flux is None
                else (config.dt / config.reynolds) * system.flux[1:-1])
     if forcing is not None and not forcing.any():
@@ -400,8 +389,11 @@ def solve(config: SolverConfig) -> SolutionSeries:
             if not finite.all():
                 failed = base + int(np.argmin(finite))
                 raise DivergenceError(failed, failed * config.dt)
-            for i in np.flatnonzero((report > base) & (report <= base + size)):
-                kept[i] = _report_state(system, block[report[i] - base],
-                                        int(report[i]), config.dt)
+            while pending and pending[-1][0] <= base + size:
+                k, i = pending.pop()
+                # the state step k solves for, c = A^-1 r
+                kept[i] = np.linalg.solve(system.matrix, block[k - base])
+                if not np.isfinite(kept[i]).all():
+                    raise DivergenceError(k, k * config.dt)
             block[0] = block[size]
     return SolutionSeries(coeffs=kept, config=config, system=system)

@@ -214,6 +214,25 @@ class TestRunCase:
         with pytest.raises(ValueError, match="share the label 0.05"):
             w.run_case(case, 5, dt=1e-8)
 
+    @pytest.mark.parametrize(
+        "case_id, reynolds, times, dt, n_points, message", [
+            (2, 10.0, (5e-5, 1.0), 5e-5, 65, r"t = 5e-05 below 0\.0001"),
+            (1, None, (0.0, 0.1), 1e-3, 17, r"exact solution requires t > 0"),
+        ], ids=["below-min-time", "zero"])
+    def test_report_times_the_oracle_refuses_rejected_before_solving(
+            self, monkeypatch, case_id, reynolds, times, dt, n_points,
+            message):
+        # the oracle cannot serve these times, so the run would fail only
+        # after its last step
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_case integrated before checking the "
+                                 "oracle's times")
+
+        monkeypatch.setattr("wavecol.bench.solve", no_solve)
+        case = w.case_definition(case_id, reynolds=reynolds, times=times)
+        with pytest.raises(ValueError, match=message):
+            w.run_case(case, n_points, dt=dt)
+
     def test_case3_builds_the_solver_rows_once(self, monkeypatch):
         calls = []
 

@@ -146,17 +146,21 @@ def _full_vector_history(config):
 
 
 class _ReportSolves:
-    """Stands in for system.matrix, which solve reads only to seed the loop,
-    np.dot(system.matrix, c_0), and to solve for its report states,
-    np.linalg.solve(system.matrix, r).
+    """Stands in for system.matrix, which solve reads only to take its
+    boundary rows for the initial interpolation, system.matrix[[0, -1]],
+    to seed the loop, np.dot(system.matrix, c_0), and to solve for its
+    report states, np.linalg.solve(system.matrix, r).
 
-    Passes the seed product through uncounted, counts the solves and hands
-    each real solution to outcome, whose return value is the state solve
-    sees.
+    Hands out the real rows and passes the seed product through, both
+    uncounted, counts the solves and hands each real solution to outcome,
+    whose return value is the state solve sees.
     """
 
     def __init__(self, outcome):
         self.outcome, self.real, self.solves = outcome, None, 0
+
+    def __getitem__(self, key):
+        return self.real[key]
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
@@ -361,6 +365,30 @@ class TestWeakSecondDerivative:
 
 
 class TestInitialCoefficients:
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET, 0.3, -0.2),
+                                    w.BoundarySpec(NEUMANN, 0.5, -1.0)],
+                             ids=["dirichlet", "neumann"])
+    def test_interpolation_matrix_has_lhs_end_rows_and_t_interior_rows(
+            self, operators, monkeypatch, bc, level):
+        # the boundary rows are chosen once, by assemble_lhs; the initial
+        # interpolation takes A's end rows and T's interior rows, bitwise
+        config = _config(operators, level=level, bc=bc)
+        system = assemble_lhs(config)
+        guarded = {}
+        monkeypatch.setattr(solver, "guard_condition", lambda matrix, what:
+                            guarded.setdefault(what, matrix.copy()))
+        coeffs = initial_coefficients(config, system)
+        matrix = guarded["initial interpolation"]
+        assert matrix.shape == system.matrix.shape
+        np.testing.assert_array_equal(matrix[[0, -1]], system.matrix[[0, -1]])
+        np.testing.assert_array_equal(matrix[1:-1], system.values[1:-1])
+        ends = system.first_deriv if bc.kind == NEUMANN else system.values
+        np.testing.assert_array_equal(matrix[[0, -1]], ends[[0, -1]])
+        np.testing.assert_allclose(matrix[[0, -1]] @ coeffs,
+                                   [bc.left_value, bc.right_value],
+                                   rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize("ic", [lambda x: 1.0, lambda x: np.zeros(3),
                                     lambda x: x[:, None]],
                              ids=["scalar", "3-vector", "column"])
