@@ -2,8 +2,6 @@
 
 from .approx import (
     LevelSplit,
-    combine_levels,
-    interpolate,
     split_levels,
     truncate,
 )
@@ -68,7 +66,6 @@ __all__ = [
     "basis_matrix",
     "basis_piecewise",
     "case_definition",
-    "combine_levels",
     "derivative_inner_products",
     "derivative_matrix",
     "dual_transform",
@@ -76,7 +73,6 @@ __all__ = [
     "exact_u",
     "gram_matrix",
     "initial_coefficients",
-    "interpolate",
     "oscillation_excess",
     "run_case",
     "solve",

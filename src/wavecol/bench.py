@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -174,7 +175,8 @@ class Case3Report:
     """Qualitative property measurements for the Neumann case.
 
     Per report time: the antisymmetry defect max |u(x) + u(1 - x)| on the
-    dense profile grid, |u(1/2)|, the boundary derivative residuals, and
+    dense profile grid, |u(1/2)|, the boundary slope residuals
+    (|u_x - g| at the left and right ends, g the prescribed slope), and
     the oscillation excess inside FRONT_WINDOW.
     """
 
@@ -191,24 +193,28 @@ class Case3Report:
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
-    The run configuration (dt, report times) is series.config.  profile_xs
-    is shared by every run in the process, and the gram, deriv_inner and
-    deriv_op arrays of operators by every run at the same resolution; all
-    are read-only.  The operators dict itself is the run's own.
+    The run configuration (dt, report times) is series.config.  Every
+    profile is on the shared grid _profile_grid().  The gram, deriv_inner
+    and deriv_op arrays of operators are shared by every run at the same
+    resolution and are read-only; the operators dict itself is the run's
+    own.
     """
 
     case: CaseDefinition
     n_points: int
     report: ErrorReport | Case3Report
-    profile_xs: np.ndarray
     profiles: dict[float, np.ndarray]
     series: SolutionSeries
     operators: dict[str, np.ndarray]
 
 
 def spec_for_points(n_points: int) -> BasisSpec:
-    """Basis spec whose collocation grid has the requested point count."""
-    if n_points not in VALID_N_POINTS:
+    """Basis spec whose collocation grid has the requested point count.
+
+    Raises ValueError unless n_points is an integer in VALID_N_POINTS.
+    """
+    if not (isinstance(n_points, numbers.Integral)
+            and n_points in VALID_N_POINTS):
         raise ValueError(f"n_points must be one of {VALID_N_POINTS}")
     return BasisSpec(max_level=int(math.log2(n_points - 1)))
 
@@ -225,23 +231,24 @@ def _profile_grid() -> np.ndarray:
 def _resolution_tables(max_level: int):
     """The run-independent tables of one resolution, built once, read-only.
 
-    Returns the profile grid, the basis rows at it and at the published
-    report locations, and the (name, matrix) pairs of the wavelet-space
-    operators: gram, deriv_inner and deriv_op.  Their builds (gram, dual
-    and deriv_inner inside derivative_matrix, and deriv_inner again) are
-    the four that wavebench/selfcheck.py pins for a run at a new resolution.
+    Returns the basis rows at the profile grid and at the published report
+    locations, and the (name, matrix) pairs of the wavelet-space
+    operators: gram, deriv_inner and deriv_op.  The first run at a
+    resolution builds the operators whether or not it dumps them; their
+    builds (gram, dual and deriv_inner inside derivative_matrix, and
+    deriv_inner again) are the four that wavebench/selfcheck.py pins for a
+    run at a new resolution.
     """
     spec = BasisSpec(max_level=max_level)
-    profile_xs = _profile_grid()
     gram = gram_matrix(spec)
     operators = (("gram", gram),
                  ("deriv_inner", derivative_inner_products(spec)),
                  ("deriv_op", derivative_matrix(spec, gram)))
-    rows = (basis_matrix(spec, profile_xs),
+    rows = (basis_matrix(spec, _profile_grid()),
             basis_matrix(spec, published.COMPARISON_X))
     for array in (*rows, *(matrix for _, matrix in operators)):
         array.flags.writeable = False
-    return profile_xs, *rows, operators
+    return *rows, operators
 
 
 def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
@@ -252,12 +259,12 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     include ``second_deriv``, the weak Laplacian's node rows that the
     solver used (see ``wavecol.solver``); the Dirichlet second derivative
     is D*D of the dumped ``deriv_op``.  The first run at a resolution
-    builds its profile grid, basis rows and wavelet-space operators (four
-    operator builds); later runs at that resolution share them (see
-    _resolution_tables and RunResult).  Bad run parameters (dt, report
-    times off the dt grid, on one step, printed with one label or refused
-    by the oracle, truncate_level) raise ValueError before any operator is
-    built or step taken.
+    builds its basis rows and wavelet-space operators (four operator
+    builds); later runs at that resolution share them (see
+    _resolution_tables and RunResult).  Bad run parameters (n_points, dt,
+    report times off the dt grid, on one step, printed with one label or
+    refused by the oracle, truncate_level) raise ValueError before any
+    operator is built or step taken.
     """
     spec = spec_for_points(n_points)
     config = SolverConfig(
@@ -277,8 +284,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     series = solve(config)
-    dense_xs, dense_rows, report_rows, operators = _resolution_tables(
-        spec.max_level)
+    dense_rows, report_rows, operators = _resolution_tables(spec.max_level)
 
     # the reported state at each report time, truncated once
     states = {t: series.coefficients_at(t) for t in case.report_times}
@@ -295,6 +301,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         report: ErrorReport | Case3Report = error_metrics(
             case, n_points, numeric, exact)
     else:
+        dense_xs = _profile_grid()
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
         endpoint_deriv = series.system.first_deriv[[0, -1]]
         antisymmetry = {}
@@ -307,7 +314,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             antisymmetry[t] = float(np.max(np.abs(u + u[::-1])))
             center[t] = abs(float(u[PROFILE_POINTS // 2]))  # x = 1/2
             left, right = endpoint_deriv @ c
-            residuals[t] = (abs(float(left)), abs(float(right)))
+            residuals[t] = (abs(float(left) - case.bc.left_value),
+                            abs(float(right) - case.bc.right_value))
             oscillation[t] = oscillation_excess(u[window])
         report = Case3Report(
             reynolds=case.reynolds, n_points=n_points, times=case.report_times,
@@ -320,11 +328,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     operators = dict(operators)
     if case.bc.kind == NEUMANN:
         operators["second_deriv"] = series.system.second_deriv
-    return RunResult(
-        case=case, n_points=n_points, report=report,
-        profile_xs=dense_xs, profiles=profiles, series=series,
-        operators=operators,
-    )
+    return RunResult(case=case, n_points=n_points, report=report,
+                     profiles=profiles, series=series, operators=operators)
 
 
 # ---------------------------------------------------------------------------
@@ -483,29 +488,23 @@ def emit_reports(result: RunResult, fmt: str, out_dir: Path) -> list[Path]:
                             for prefix, writer in writers.items()})
 
 
-def _profile_template(xs: np.ndarray) -> str:
-    """The header and x column of a profile file, with a slot for each u."""
-    values = tuple(np.asarray(xs, float).tolist())
-    return "x,u\n" + ("%.17g,%%.17g\n" * len(values)) % values
-
-
 @functools.cache
-def _grid_template() -> str:
-    """The shared profile grid's template, rendered by the first emission."""
-    return _profile_template(_profile_grid())
+def _profile_template() -> str:
+    """The header and x column of a profile file, with a slot for each u,
+    rendered once per process from the shared profile grid."""
+    values = tuple(_profile_grid().tolist())
+    return "x,u\n" + ("%.17g,%%.17g\n" * len(values)) % values
 
 
 def emit_profiles(result: RunResult, out_dir: Path) -> list[Path]:
     """Write one x,u profile CSV per report time (plot-ready).
 
-    Each profile fills a template holding the rendered x column with its u
-    values; the text is _matrix_csv's, with the header line.  The shared
-    grid's template is rendered once per process, any other grid's once
-    per call.
+    Every profile is on the shared grid _profile_grid(); each fills the
+    one template holding its rendered x column with its u values, so the
+    text is _matrix_csv's, with the header line.
     """
     stem = _stem(result)
-    template = (_grid_template() if result.profile_xs is _profile_grid()
-                else _profile_template(result.profile_xs))
+    template = _profile_template()
     return _write(out_dir, {
         f"profile_{stem}_t{t:g}.csv":
             template % tuple(np.asarray(result.profiles[t], float).tolist())

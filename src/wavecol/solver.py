@@ -76,7 +76,6 @@ from typing import Callable
 
 import numpy as np
 
-from .approx import grid_values
 from .basis import BasisSpec, _nodal_matrix, collocation_points
 from .errors import DivergenceError
 from .operators import guard_condition, p1_kernel
@@ -316,13 +315,21 @@ def initial_coefficients(config: SolverConfig,
                          system: CollocationSystem) -> np.ndarray:
     """Interpolate the initial condition, with the boundary rows enforced.
 
-    Interior rows are T's, matching the initial data at the grid points;
-    the endpoint rows are A's boundary rows, so for Neumann data the
-    endpoint values come from the constrained interpolant, not the data.
+    The initial condition is sampled at the grid points, into a new array;
+    ValueError unless it returns one finite value per point.  Interior
+    rows are T's, matching those samples; the endpoint rows are A's
+    boundary rows, so for Neumann data the endpoint values come from the
+    constrained interpolant, not the data.
     """
     matrix = system.values.copy()
     matrix[[0, -1]] = system.matrix[[0, -1]]
-    rhs = grid_values(config.ic, system.grid, "initial condition")
+    grid = system.grid
+    rhs = np.array(config.ic(grid), float)
+    if rhs.shape != grid.shape:
+        raise ValueError(f"initial condition returned shape {rhs.shape}, "
+                         f"expected {grid.shape}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("initial condition returned non-finite values")
     rhs[0] = config.bc.left_value
     rhs[-1] = config.bc.right_value
     guard_condition(matrix, "initial interpolation")

@@ -1,11 +1,13 @@
-"""Exact quadrature of piecewise-linear segment representations, and the
-L2 projection the operator tests check the dual basis with.
+"""Exact quadrature of piecewise-linear segment representations, the L2
+projection the operator tests check the dual basis with, and the grid
+interpolation the tests build expansions with.
 
 The reference the tests integrate the basis against: wavecol.basis gives
 each basis function as a PiecewiseLinear with exact rational breakpoints,
 and integrate_product integrates a product of two such functions with no
 error beyond roundoff.  project_l2 expands a function through the dual
-basis, dual times the raw moments.  The package itself uses neither.
+basis, dual times the raw moments.  interpolate expands it so that it is
+reproduced at the collocation grid.  The package itself uses none of them.
 """
 
 import math
@@ -14,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wavecol.basis import BasisSpec, PiecewiseLinear, _nodal_matrix
+from wavecol.basis import (BasisSpec, PiecewiseLinear, _nodal_matrix,
+                           collocation_points)
 
 # 2-point Gauss-Legendre on [-1, 1]: exact through cubics.  Products of two
 # piecewise-linear segments are at most quadratic per cell.
@@ -74,3 +77,10 @@ def project_l2(f, spec: BasisSpec, dual: np.ndarray) -> np.ndarray:
     hat_moments[:-1] += weighted @ (1.0 - rising)
     hat_moments[1:] += weighted @ rising
     return dual @ (_nodal_matrix(spec.max_level).T @ hat_moments)
+
+
+def interpolate(f, spec: BasisSpec) -> np.ndarray:
+    """Expansion coefficients that reproduce f at the collocation grid:
+    one solve with T, the basis values at the grid nodes."""
+    return np.linalg.solve(_nodal_matrix(spec.max_level),
+                           f(collocation_points(spec)))

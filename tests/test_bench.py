@@ -169,7 +169,7 @@ class TestRunCase:
 
     def test_profiles_cover_the_domain(self, benchmark_run):
         result = benchmark_run(1, 1.0, 33)
-        assert result.profile_xs.shape == (PROFILE_POINTS,)
+        assert bench._profile_grid().shape == (PROFILE_POINTS,)
         for t in result.case.report_times:
             assert result.profiles[t].shape == (PROFILE_POINTS,)
 
@@ -201,6 +201,42 @@ class TestRunCase:
         case = w.case_definition(1, times=(0.05,))
         with pytest.raises(ValueError, match="keep_level 9 not in 2..4"):
             w.run_case(case, 17, truncate_level=9)
+
+    @pytest.mark.parametrize("n_points, truncate_level, message", [
+        (33.0, None, "n_points must be one of"),
+        (17, 2.5, "keep_level 2.5 is not an integer"),
+    ], ids=["float-points", "float-level"])
+    def test_non_integer_resolution_rejected_before_solving(
+            self, monkeypatch, n_points, truncate_level, message):
+        # 33.0 used to run and write report_case1_re1_np33.0.csv, and a
+        # keep level of 2.5 kept level 2
+        def no_solve(*args, **kwargs):
+            raise AssertionError("run_case integrated before checking the "
+                                 "resolution")
+
+        monkeypatch.setattr("wavecol.bench.solve", no_solve)
+        case = w.case_definition(1, times=(0.05,))
+        with pytest.raises(ValueError, match=message):
+            w.run_case(case, n_points, truncate_level=truncate_level)
+
+    def test_numpy_integer_point_count_names_its_files(self, tmp_path):
+        result = w.run_case(w.case_definition(1, times=(0.05,)), np.int64(17),
+                            truncate_level=np.int64(3))
+        paths = emit_reports(result, "csv", tmp_path)
+        assert [p.name for p in paths] == ["report_case1_re1_np17.csv",
+                                           "summary_case1_re1_np17.csv"]
+
+    def test_slope_residuals_are_against_the_prescribed_slopes(self):
+        # u = x - 1/2 has slope 1 at both ends, the prescribed slopes; the
+        # residuals used to report |u_x| = 1
+        bc = w.BoundarySpec(NEUMANN, 1.0, 1.0)
+        case = w.CaseDefinition(4, 10.0, lambda x: x - 0.5, bc, (0.1,), None)
+        result = w.run_case(case, 17)
+        slopes = result.series.system.first_deriv[[0, -1]] @ (
+            result.series.coefficients_at(0.1))
+        np.testing.assert_allclose(slopes, 1.0, rtol=0, atol=1e-12)
+        left, right = result.report.neumann_residuals[0.1]
+        assert left <= 1e-12 and right <= 1e-12
 
     def test_report_times_with_one_label_rejected_before_solving(
             self, monkeypatch):
@@ -321,7 +357,8 @@ class TestRunCase:
         case = w.case_definition(3, times=times)
         runs = {n: w.run_case(case, n) for n in (17, 33, 65)}
         xs, reference = _case3_reference(case, times)
-        np.testing.assert_allclose(xs, runs[17].profile_xs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(xs, bench._profile_grid(), rtol=0,
+                                   atol=1e-15)
         for t, ref in zip(times, reference):
             err = {n: np.max(np.abs(run.profiles[t] - ref))
                    for n, run in runs.items()}
@@ -385,8 +422,8 @@ class TestResolutionTables:
 
     def test_cached_arrays_refuse_writes(self):
         result = w.run_case(w.case_definition(1, times=(0.05,)), 17)
-        shared = [result.profile_xs, *result.operators.values(),
-                  *bench._resolution_tables(4)[:3],
+        shared = [bench._profile_grid(), *result.operators.values(),
+                  *bench._resolution_tables(4)[:2],
                   *operators.p1_kernel(17)]
         for array in shared:
             assert not array.flags.writeable
@@ -410,7 +447,7 @@ class TestResolutionTables:
         assert list(neumann.operators) == list(again.operators) == [
             "gram", "deriv_inner", "deriv_op", "second_deriv"]
         assert again.operators["gram"] is dirichlet.operators["gram"]
-        assert again.profile_xs is dirichlet.profile_xs
+        assert bench._profile_grid() is bench._profile_grid()
 
     def test_each_resolution_has_its_own_tables(self):
         case = w.case_definition(1, times=(0.05,))
@@ -420,7 +457,7 @@ class TestResolutionTables:
             assert matrix.shape == (17, 17)
         np.testing.assert_array_equal(result.operators["gram"],
                                       w.gram_matrix(w.spec_for_points(17)))
-        dense_rows, report_rows = bench._resolution_tables(4)[1:3]
+        dense_rows, report_rows = bench._resolution_tables(4)[:2]
         assert dense_rows.shape == (PROFILE_POINTS, 17)
         assert report_rows.shape == (5, 17)
 
@@ -499,7 +536,7 @@ def _per_value_texts(result):
     for t in result.case.report_times:
         files[f"profile_{stem}_t{t:g}.csv"] = ["x,u"] + [
             f"{full(x)},{full(u)}"
-            for x, u in zip(result.profile_xs, result.profiles[t])]
+            for x, u in zip(bench._profile_grid(), result.profiles[t])]
     for name, matrix in result.operators.items():
         files[f"operators_np{result.n_points}_{name}.csv"] = [
             ",".join(map(full, row)) for row in matrix]
@@ -517,14 +554,13 @@ class TestEmission:
         assert _matrix_csv(values) == expected
 
     def test_profile_is_the_matrix_csv_of_its_columns(self, tmp_path):
-        specials = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
-                             -1.0 / 3.0, 0.1])
+        specials = np.resize([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300,
+                              -1.0 / 3.0, 0.1], PROFILE_POINTS)
         real = w.run_case(w.case_definition(1, times=(0.05, 0.1)), 9)
-        for xs, profiles in (
-                (real.profile_xs, real.profiles),
-                (specials, {0.05: specials[::-1], 0.1: np.zeros(8)})):
-            result = dataclasses.replace(real, profile_xs=xs,
-                                         profiles=profiles)
+        xs = bench._profile_grid()
+        for profiles in (real.profiles,
+                         {0.05: specials[::-1], 0.1: specials}):
+            result = dataclasses.replace(real, profiles=profiles)
             paths = emit_profiles(result, tmp_path)
             assert [p.name for p in paths] == [
                 "profile_case1_re1_np9_t0.05.csv",

@@ -14,7 +14,7 @@ from wavecol.errors import ConditioningError
 from wavecol.operators import guard_condition, p1_kernel
 from wavecol.solver import DIRICHLET, derivative_rows
 
-from exact_reference import constant_one, integrate_product
+from exact_reference import constant_one, integrate_product, interpolate
 
 
 def _pieces(max_level):
@@ -301,14 +301,14 @@ class TestConditionGuard:
 class TestDerivativeOperator:
     def test_affine_derivative_is_exact(self, operators):
         spec, _, _, deriv_op = operators(4)
-        coeffs = w.interpolate(lambda x: 0.7 + 1.9 * x, spec)
+        coeffs = interpolate(lambda x: 0.7 + 1.9 * x, spec)
         xs = np.linspace(0.0, 1.0, 100)
         values = w.basis_matrix(spec, xs) @ (deriv_op.T @ coeffs)
         np.testing.assert_allclose(values, 1.9, rtol=0, atol=1e-9)
 
     def test_constant_maps_to_zero(self, operators):
         spec, _, _, deriv_op = operators(4)
-        coeffs = w.interpolate(lambda x: np.ones_like(x), spec)
+        coeffs = interpolate(lambda x: np.ones_like(x), spec)
         assert np.max(np.abs(deriv_op.T @ coeffs)) <= 1e-10
 
     def test_row_sums_equal_endpoint_differences(self, operators):
@@ -346,9 +346,9 @@ class TestSecondDerivative:
     def test_affine_second_derivative_vanishes(self, operators):
         spec, _, _, _ = operators(4)
         _, _, second = _dirichlet_rows(spec)
-        coeffs = w.interpolate(lambda x: 0.3 + 2.0 * x, spec)
+        coeffs = interpolate(lambda x: 0.3 + 2.0 * x, spec)
         assert np.max(np.abs(second @ coeffs)) <= 1e-8
-        constant = w.interpolate(lambda x: np.ones_like(x), spec)
+        constant = interpolate(lambda x: np.ones_like(x), spec)
         assert np.max(np.abs(second @ constant)) <= 1e-9
 
     @pytest.mark.parametrize("level, bound", [(4, 3e-4), (5, 3e-5), (6, 2e-6)])
@@ -357,7 +357,7 @@ class TestSecondDerivative:
         # spec-level guarantee is the much looser O(2**-level)
         spec, _, _, _ = operators(level)
         _, _, second = _dirichlet_rows(spec)
-        coeffs = w.interpolate(lambda x: np.sin(np.pi * x), spec)
+        coeffs = interpolate(lambda x: np.sin(np.pi * x), spec)
         value = float(second[2**(level - 1)] @ coeffs)  # node x = 1/2
         assert abs(value + np.pi**2) <= bound
         assert abs(value + np.pi**2) <= 0.01 * 2.0**-level

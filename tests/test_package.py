@@ -1,9 +1,20 @@
-"""The package's public names: every exported name resolves, and the
-records that hold arrays compare and hash by identity."""
+"""The package's public names: every exported name resolves, every
+exported function is one a run reaches, and the records that hold arrays
+compare and hash by identity."""
+
+import inspect
+import sys
 
 import numpy as np
 
 import wavecol
+from wavecol import bench, cli
+
+#: Exported functions no run calls, each with the reason it stays.
+_UNREACHED = {
+    "split_levels": "the north star names it and ROADMAP item 4 reads it",
+    "basis_piecewise": "wavebench/tracing.py binds it until ROADMAP item 1",
+}
 
 
 def test_every_exported_name_resolves():
@@ -17,6 +28,37 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from wavecol import *", namespace)
     assert set(wavecol.__all__) <= set(namespace)
+
+
+def test_every_exported_function_is_one_a_run_reaches(tmp_path):
+    # earlier tests warm the resolution tables, whose cache would hide the
+    # operator and basis builds
+    bench._resolution_tables.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        for case_id in (1, 2):
+            result = wavecol.run_case(
+                wavecol.case_definition(case_id, times=(0.05,)), 9)
+            bench.emit_reports(result, "csv", tmp_path / "api")
+            bench.emit_profiles(result, tmp_path / "api")
+        for argv in (["--profiles"], ["--format", "md", "--truncate-level", "2"],
+                     ["--dump-operators"]):
+            code = cli.main(["--case", "3", "--np", "9", "--times", "0.05",
+                             *argv, "--out", str(tmp_path / "cli")])
+            assert code == cli.EXIT_OK
+    finally:
+        sys.setprofile(None)
+    unreached = sorted(
+        name for name in wavecol.__all__
+        if inspect.isfunction(function := getattr(wavecol, name))
+        and function.__code__ not in called)
+    assert unreached == sorted(_UNREACHED), f"not reached: {unreached}"
 
 
 def test_records_that_hold_arrays_compare_by_identity():

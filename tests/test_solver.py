@@ -10,7 +10,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import wavecol as w
 from wavecol import basis, solver
-from wavecol.approx import collocation_points
+from wavecol.basis import collocation_points
 from wavecol.errors import ConditioningError, DivergenceError
 from wavecol.solver import (
     DIRICHLET,
@@ -396,6 +396,12 @@ class TestInitialCoefficients:
         config = _config(operators, level=3, ic=ic)
         with pytest.raises(ValueError, match=r"initial condition returned "
                                              r"shape .*expected \(9,\)"):
+            initial_coefficients(config, assemble_lhs(config))
+
+    def test_non_finite_samples_rejected(self, operators):
+        config = _config(operators, level=3,
+                         ic=lambda x: np.full_like(x, np.nan))
+        with pytest.raises(ValueError, match="non-finite"):
             initial_coefficients(config, assemble_lhs(config))
 
     def test_initial_data_are_not_written_through(self, operators):
