@@ -108,6 +108,16 @@ class TestLevelSplit:
         with pytest.raises(ValueError, match="coefficients"):
             w.split_levels(np.zeros(7), spec)
 
+    def test_blocks_are_copies(self, operators):
+        # writing into a block leaves the coefficients it came from alone
+        spec, _, _, _ = operators(4)
+        coeffs = np.arange(spec.n_functions, dtype=float)
+        parts = w.split_levels(coeffs, spec)
+        parts.coarse[:] = -1.0
+        for block in parts.details.values():
+            block[:] = -1.0
+        np.testing.assert_array_equal(coeffs, np.arange(spec.n_functions))
+
 
 class TestTruncate:
     def test_keeping_everything_is_a_no_op(self, operators):

@@ -404,6 +404,22 @@ class TestInitialCoefficients:
         with pytest.raises(ValueError, match="non-finite"):
             initial_coefficients(config, assemble_lhs(config))
 
+    @pytest.mark.parametrize("value, index", [(np.nan, 0), (np.inf, 4),
+                                              (-np.inf, -1)],
+                             ids=["nan-left-end", "inf-interior",
+                                  "minus-inf-right-end"])
+    def test_one_non_finite_sample_rejected(self, operators, value, index):
+        # the check reads the samples before the boundary data replace
+        # their end values, so a bad end sample is refused too
+        def ic(x):
+            out = np.sin(np.pi * x)
+            out[index] = value
+            return out
+
+        config = _config(operators, level=3, ic=ic)
+        with pytest.raises(ValueError, match="non-finite"):
+            initial_coefficients(config, assemble_lhs(config))
+
     def test_initial_data_are_not_written_through(self, operators):
         # the boundary data replace the end values of a copy: an initial
         # condition that returns its argument leaves the grid as it was
