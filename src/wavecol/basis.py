@@ -14,7 +14,7 @@ node of the collocation grid, so a function is fixed by its values at the
 grid nodes, and its value anywhere is the hat interpolation of those node
 values.  _nodal_matrix builds those node values, the matrix T with one row
 per node and one column per function, once per resolution and read-only;
-the operators, the solver and grid interpolation read T itself.
+the operators and the solver read T itself.
 basis_matrix is the one way to evaluate the basis anywhere else: it
 interpolates the rows of T, and at x = 1 the right boundary hat attains 1,
 so the partition of unity holds on the closed interval.  basis_piecewise

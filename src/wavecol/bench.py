@@ -434,12 +434,11 @@ def _comparison_markdown(report: ErrorReport) -> str:
                      *map(_fmt_pub, report.numeric[i])])
         parts += [f"\n## t = {t:g}\n", *_md_table(header, rows)]
     rows = [["this run", *(f"{report.avg_rel_err[t]:.2e}" for t in report.times)]]
-    for method in ("ifdm", "bem"):
+    for method, label in _METHOD_LABELS.items():
         avgs = report.comparator_avg.get(method)
         if avgs:
-            rows.append([_METHOD_LABELS[method],
-                         *(f"{avgs[t]:.2e}" if t in avgs else ""
-                           for t in report.times)])
+            rows.append([label, *(f"{avgs[t]:.2e}" if t in avgs else ""
+                                  for t in report.times)])
     parts += ["\n## Average relative error\n",
               *_md_table(["method", *(f"t={t:g}" for t in report.times)], rows)]
     return _lines(parts)

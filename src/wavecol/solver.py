@@ -28,6 +28,16 @@ excites at the front.  The weak operator keeps case 3 bounded to t = 1.
 The paper does not say how u_xx is discretised under Neumann data, so the
 weak operator is a deviation from its method, not a reading of it.
 
+The initial state is the L2 projection of the initial data onto the basis
+span, c_0 = G^-1 <f, psi>, which is what expanding the data through the
+dual basis gives; the paper's printed wavelet-collocation rows imply it
+(72 of their 75 entries are reproduced to five decimals, none from an
+interpolation of the data at the nodes).  For Dirichlet data its end
+values are then set to the boundary data.  It is computed in nodal
+coordinates, u = M^-1 <f, h>, then c_0 = T^-1 u.  The node rows depend on
+the resolution and the boundary data only, and T's condition on the
+resolution only, so both are built or checked once per process.
+
 A step solves no linear system.  The left-hand matrix A is constant, so
 the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
 rather than the coefficients.  It starts from r_0 = A c_0, the right-hand
@@ -70,13 +80,14 @@ block of _CHECK_EVERY + 1 right-hand sides.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .basis import BasisSpec, _nodal_matrix, collocation_points
+from .basis import BasisSpec, _nodal_matrix
 from .errors import DivergenceError
 from .operators import guard_condition, p1_kernel
 
@@ -101,6 +112,15 @@ MAX_STEPS = 10**8
 #: solve steps in blocks of this many steps and checks each block's
 #: right-hand sides for non-finite values once, after its last step.
 _CHECK_EVERY = 64
+
+#: Gauss-Legendre nodes and weights of order 5 on [-1, 1], as
+#: numpy.polynomial.legendre.leggauss(5) gives them: the initial data's
+#: hat moments are integrated with them on every grid cell.
+_GAUSS5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                      0.5384693101056831, 0.906179845938664])
+_GAUSS5_W = np.array([0.23692688505618928, 0.4786286704993663,
+                      0.5688888888888887, 0.4786286704993663,
+                      0.23692688505618928])
 
 
 def steps_to(t: float, dt: float) -> int:
@@ -186,22 +206,22 @@ class SolverConfig:
 class CollocationSystem:
     """Left-hand side plus the cached evaluation rows it was built from.
 
-    grid holds the collocation points and matrix the left-hand matrix A,
-    whose condition assemble_lhs has checked.  propagator is P = F A^-1,
-    C-contiguous and read-only, with F the (3N x N) stacked explicit
-    operator [dt V; D1; V + (1 - THETA)(dt/Re) D2]: it maps a step's
-    right-hand side to dt u, u_x and the old-level part of the state that
-    step solves for, which, with A for the report states, is all solve
+    matrix is the left-hand matrix A, whose condition assemble_lhs has
+    checked.  propagator is P = F A^-1, C-contiguous and read-only, with F
+    the (3N x N) stacked explicit operator
+    [dt V; D1; V + (1 - THETA)(dt/Re) D2]: it maps a step's right-hand
+    side to dt u, u_x and the old-level part of the state that step solves
+    for, which, with A for the report states, is all solve
     steps with.  F itself is not kept.  values and first_deriv are the
     coefficients-to-point-values maps for u and du/dx, one row per grid
     point; values is T, the basis values at the grid nodes, shared by
     every run at the resolution and read-only.  second_deriv is the map
     for d2u/dx2, and flux the constant part of d2u/dx2 that comes from the
     boundary data (the weak operator's M^-1 b); flux is None for Dirichlet
-    data.
+    data.  first_deriv, second_deriv and flux are shared by every run at
+    the resolution with the same boundary data, and read-only.
     """
 
-    grid: np.ndarray
     matrix: np.ndarray
     propagator: np.ndarray
     values: np.ndarray
@@ -237,13 +257,36 @@ def derivative_rows(values: np.ndarray, bc: BoundarySpec
     return rows[:, :n], rows[:, n:2 * n], rows[:, -1]
 
 
+@functools.lru_cache(maxsize=16)
+def _resolution_rows(max_level: int, bc: BoundarySpec
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """derivative_rows of T at one resolution and boundary data, built
+    once per process and read-only."""
+    rows = derivative_rows(_nodal_matrix(max_level), bc)
+    for array in rows:
+        if array is not None:
+            array.flags.writeable = False
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def _interpolation_matrix(max_level: int) -> np.ndarray:
+    """T, the basis values at the grid nodes, once its condition has been
+    checked: once per resolution, not once per run."""
+    values = _nodal_matrix(max_level)
+    guard_condition(values, "initial interpolation")
+    return values
+
+
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     """Build the (time-independent) left-hand matrix A, check its
     condition, and precompose the propagator P = F A^-1 solve steps with;
-    the stacked explicit operator F is formed only to build P."""
-    grid = collocation_points(config.spec)
-    values = _nodal_matrix(config.spec.max_level)
-    first_deriv, second_deriv, flux = derivative_rows(values, config.bc)
+    the stacked explicit operator F is formed only to build P.  The node
+    rows come from _resolution_rows; only the dt/Re combination, A's guard
+    and P are the run's own."""
+    level = config.spec.max_level
+    values = _nodal_matrix(level)
+    first_deriv, second_deriv, flux = _resolution_rows(level, config.bc)
     weight = config.dt / config.reynolds
     matrix = values - THETA * weight * second_deriv
     ends = first_deriv if config.bc.kind == NEUMANN else values
@@ -255,7 +298,6 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     propagator = np.ascontiguousarray(np.linalg.solve(matrix.T, explicit.T).T)
     propagator.flags.writeable = False
     return CollocationSystem(
-        grid=grid,
         matrix=matrix,
         propagator=propagator,
         values=values,
@@ -311,29 +353,39 @@ def _advance(propagator: np.ndarray, stacked: np.ndarray,
             add(out, forcing, out)
 
 
-def initial_coefficients(config: SolverConfig,
-                         system: CollocationSystem) -> np.ndarray:
-    """Interpolate the initial condition, with the boundary rows enforced.
+def initial_coefficients(config: SolverConfig) -> np.ndarray:
+    """The L2 projection of the initial condition onto the basis span.
 
-    The initial condition is sampled at the grid points, into a new array;
-    ValueError unless it returns one finite value per point.  Interior
-    rows are T's, matching those samples; the endpoint rows are A's
-    boundary rows, so for Neumann data the endpoint values come from the
-    constrained interpolant, not the data.
+    The hat moments of the data are integrated with Gauss-5 on every grid
+    cell: the initial condition is called once on the 5 (N - 1)
+    quadrature nodes, cell by cell, and ValueError is raised unless it
+    returns one finite value per node.  u = M^-1 moments, with M the P1
+    mass matrix, are the nodal values of the projection; for Dirichlet
+    data the end values are then set to the boundary data, so the state
+    at t = 0 meets them.  The coefficients are c_0 = T^-1 u.  Expanding
+    the data through the dual basis, G^-1 <f, psi> with G = T^T M T, is
+    the same projection: its nodal values are M^-1 times the moments.
     """
-    matrix = system.values.copy()
-    matrix[[0, -1]] = system.matrix[[0, -1]]
-    grid = system.grid
-    rhs = np.array(config.ic(grid), float)
-    if rhs.shape != grid.shape:
-        raise ValueError(f"initial condition returned shape {rhs.shape}, "
-                         f"expected {grid.shape}")
-    if not np.all(np.isfinite(rhs)):
+    n = config.spec.n_functions
+    cells = n - 1
+    half = 0.5 / cells
+    nodes = ((np.arange(cells) + 0.5) / cells)[:, None] + half * _GAUSS5_X
+    samples = np.array(config.ic(nodes.ravel()), float)
+    if samples.shape != (nodes.size,):
+        raise ValueError(f"initial condition returned shape {samples.shape}, "
+                         f"expected {(nodes.size,)}")
+    if not np.all(np.isfinite(samples)):
         raise ValueError("initial condition returned non-finite values")
-    rhs[0] = config.bc.left_value
-    rhs[-1] = config.bc.right_value
-    guard_condition(matrix, "initial interpolation")
-    return np.linalg.solve(matrix, rhs)
+    weighted = half * _GAUSS5_W * samples.reshape(nodes.shape)
+    rising = (1.0 + _GAUSS5_X) / 2.0  # the cell's right hat at its nodes
+    moments = np.zeros(n)
+    moments[:-1] += weighted @ (1.0 - rising)
+    moments[1:] += weighted @ rising
+    mass, _, _ = p1_kernel(n)
+    nodal = np.linalg.solve(mass, moments)
+    if config.bc.kind == DIRICHLET:
+        nodal[0], nodal[-1] = config.bc.left_value, config.bc.right_value
+    return np.linalg.solve(_interpolation_matrix(config.spec.max_level), nodal)
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,7 +422,7 @@ def solve(config: SolverConfig) -> SolutionSeries:
     """
     system = assemble_lhs(config)
     propagator = system.propagator
-    coeffs = initial_coefficients(config, system)
+    coeffs = initial_coefficients(config)
     report = config.report_steps()
     n_steps = max(report)
     n = config.spec.n_functions

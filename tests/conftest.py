@@ -32,3 +32,16 @@ def operators():
 def benchmark_run():
     """benchmark_run(case_id, reynolds, n_points) -> RunResult, memoized."""
     return _benchmark_run
+
+
+@pytest.fixture
+def fresh_tables():
+    """Empties the solver's per-resolution caches, the node rows and the
+    checked T, before and after the test, so that a patched builder or
+    guard is called and what it returned does not outlive the test."""
+    caches = (w.solver._resolution_rows, w.solver._interpolation_matrix)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()

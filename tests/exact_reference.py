@@ -1,13 +1,15 @@
 """Exact quadrature of piecewise-linear segment representations, the L2
-projection the operator tests check the dual basis with, and the grid
-interpolation the tests build expansions with.
+projection the tests check the dual basis and the solver's initial state
+with, and the grid interpolation the tests build expansions with.
 
 The reference the tests integrate the basis against: wavecol.basis gives
 each basis function as a PiecewiseLinear with exact rational breakpoints,
 and integrate_product integrates a product of two such functions with no
 error beyond roundoff.  project_l2 expands a function through the dual
-basis, dual times the raw moments.  interpolate expands it so that it is
-reproduced at the collocation grid.  The package itself uses none of them.
+basis, dual times the raw moments; wavecol.solver.initial_coefficients
+computes the same projection in nodal coordinates, without the dual.
+interpolate expands a function so that it is reproduced at the
+collocation grid.  The package itself uses none of them.
 """
 
 import math

@@ -24,7 +24,7 @@ from wavecol.bench import (
     emit_reports,
 )
 from wavecol.approx import truncate
-from wavecol.published import AVERAGE_REL_ERRORS
+from wavecol.published import AVERAGE_REL_ERRORS, PROFILE_ROWS
 from wavecol.solver import NEUMANN, assemble_lhs, derivative_rows
 
 
@@ -149,6 +149,35 @@ class TestErrorMetrics:
             1.97e-2, rel=0.05)
 
 
+class TestPublishedWaveletRows:
+    """The paper's own wavelet-collocation rows (cw_np33, cw_np65), which
+    a run started from the L2 projection of the initial data reproduces."""
+
+    def test_every_printed_entry_is_matched_to_the_fifth_decimal(
+            self, benchmark_run):
+        checked = 0
+        for (case_id, reynolds), by_time in PROFILE_ROWS.items():
+            for method, n_points in (("cw_np33", 33), ("cw_np65", 65)):
+                report = benchmark_run(case_id, reynolds, n_points).report
+                for i, t in enumerate(report.times):
+                    row = by_time[t].get(method)
+                    if row is None:
+                        continue
+                    worst = np.max(np.abs(report.numeric[i] - row))
+                    assert worst <= 1e-5, (case_id, reynolds, t, method, worst)
+                    checked += len(row)
+        assert checked == 75
+
+    @pytest.mark.parametrize("reynolds", [1.0, 10.0])
+    def test_case2_averages_are_the_published_averages(self, benchmark_run,
+                                                       reynolds):
+        # within 5%, as criterion 4 holds the IFDM and BEM averages
+        report = benchmark_run(2, reynolds, 33).report
+        for t in report.times:
+            stored = AVERAGE_REL_ERRORS[("cw", reynolds, t)]
+            assert report.avg_rel_err[t] == pytest.approx(stored, rel=0.05)
+
+
 class TestOscillationExcess:
     def test_monotone_profiles_have_zero_excess(self):
         assert w.oscillation_excess([0.0, 0.5, 0.7, 1.0]) == 0.0
@@ -269,7 +298,8 @@ class TestRunCase:
         with pytest.raises(ValueError, match=message):
             w.run_case(case, n_points, dt=dt)
 
-    def test_case3_builds_the_solver_rows_once(self, monkeypatch):
+    def test_case3_builds_the_solver_rows_once(self, monkeypatch, fresh_tables):
+        # once per process: a second run at the resolution shares the rows
         calls = []
 
         def counted(values, bc):
@@ -278,9 +308,12 @@ class TestRunCase:
 
         assert not hasattr(w.bench, "derivative_rows")
         monkeypatch.setattr("wavecol.solver.derivative_rows", counted)
-        result = w.run_case(w.case_definition(3, times=(0.1,)), 17)
+        case = w.case_definition(3, times=(0.1,))
+        result, again = w.run_case(case, 17), w.run_case(case, 17)
         assert calls == [NEUMANN]
         assert result.operators["second_deriv"] is result.series.system.second_deriv
+        assert again.operators["second_deriv"] is result.operators["second_deriv"]
+        assert not result.operators["second_deriv"].flags.writeable
 
     def test_report_times_within_roundoff_of_a_step_accepted(self):
         # 0.15 / 1e-3 is 149.99999999999997 in floating point
@@ -632,6 +665,24 @@ class TestEmission:
         assert "| exact |" in text
         assert "| this run (N_p=33) |" in text
         assert "Average relative error" in text
+
+    def test_markdown_averages_include_the_papers_own_rows(
+            self, benchmark_run, tmp_path):
+        # every published method with rows at the run's times gets an
+        # average row, the paper's wavelet-collocation rows included
+        for reynolds, methods in ((1.0, ("ifdm", "bem", "cw_np33", "cw_np65")),
+                                  (10.0, ("ifdm", "bem", "cw_np33"))):
+            result = benchmark_run(1, reynolds, 33)
+            report = result.report
+            (path,) = emit_reports(result, "md", tmp_path / f"re{reynolds:g}")
+            _, averages = path.read_text().split("## Average relative error")
+            rows = [line for line in averages.splitlines()
+                    if line.startswith("| ") and "(published)" in line]
+            assert rows == [
+                "| " + " | ".join([bench._METHOD_LABELS[method], *(
+                    f"{report.comparator_avg[method][t]:.2e}"
+                    for t in report.times)]) + " |"
+                for method in methods]
 
     def test_case3_csv_columns(self, tmp_path):
         case = w.case_definition(3, times=(0.05,))

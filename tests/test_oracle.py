@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import wavecol as w
-from wavecol import oracle
+from wavecol import oracle, solver
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import trapezoid
 from scipy.special import ive
@@ -115,7 +115,8 @@ class TestFourierCoefficients:
 
 @pytest.mark.parametrize("nodes, weights, order", [
     (oracle._GAUSS10_X, oracle._GAUSS10_W, 10),
-], ids=["oracle-gauss10"])
+    (solver._GAUSS5_X, solver._GAUSS5_W, 5),
+], ids=["oracle-gauss10", "solver-gauss5"])
 def test_gauss_rule_literals_are_leggauss(nodes, weights, order):
     # written out so that importing wavecol does not load numpy.polynomial
     expected_nodes, expected_weights = leggauss(order)

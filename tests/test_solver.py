@@ -20,6 +20,8 @@ from wavecol.solver import (
     initial_coefficients,
 )
 
+from exact_reference import project_l2
+
 
 def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, bc=None,
             ic=None):
@@ -48,7 +50,7 @@ def _reference_history(config):
     system = assemble_lhs(config)
     lu = lu_factor(system.matrix)
     weight = config.dt / config.reynolds
-    coeffs = initial_coefficients(config, system)
+    coeffs = initial_coefficients(config)
     history = [coeffs]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(config.n_steps()):
@@ -122,7 +124,7 @@ def _full_vector_history(config):
     whenever there is one, and both ends set to the boundary data every
     step; one np.linalg.solve with A per nonzero report time."""
     system = assemble_lhs(config)
-    coeffs = initial_coefficients(config, system)
+    coeffs = initial_coefficients(config)
     n = config.spec.n_functions
     forcing = (None if system.flux is None
                else (config.dt / config.reynolds) * system.flux)
@@ -146,21 +148,17 @@ def _full_vector_history(config):
 
 
 class _ReportSolves:
-    """Stands in for system.matrix, which solve reads only to take its
-    boundary rows for the initial interpolation, system.matrix[[0, -1]],
-    to seed the loop, np.dot(system.matrix, c_0), and to solve for its
-    report states, np.linalg.solve(system.matrix, r).
+    """Stands in for system.matrix, which solve reads only to seed the
+    loop, np.dot(system.matrix, c_0), and to solve for its report states,
+    np.linalg.solve(system.matrix, r).
 
-    Hands out the real rows and passes the seed product through, both
-    uncounted, counts the solves and hands each real solution to outcome,
-    whose return value is the state solve sees.
+    Passes the seed product through uncounted, counts the solves and hands
+    each real solution to outcome, whose return value is the state solve
+    sees.
     """
 
     def __init__(self, outcome):
         self.outcome, self.real, self.solves = outcome, None, 0
-
-    def __getitem__(self, key):
-        return self.real[key]
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
@@ -271,7 +269,8 @@ class TestAssembleLhs:
         assert system.matrix.shape == (5, 5)
         assert np.isfinite(np.linalg.cond(system.matrix))
 
-    def test_singular_system_rejected(self, operators, monkeypatch):
+    def test_singular_system_rejected(self, operators, monkeypatch,
+                                      fresh_tables):
         # THETA * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
         spec, _, _, _ = operators(2)
         config = w.SolverConfig(reynolds=1.0, times=(0.5,), dt=0.5,
@@ -283,6 +282,32 @@ class TestAssembleLhs:
                            match="collocation system") as info:
             assemble_lhs(config)
         assert info.value.condition == np.inf
+
+    def test_node_rows_are_built_once_per_resolution_and_boundary_data(
+            self, operators, monkeypatch, fresh_tables):
+        calls = []
+        real = solver.derivative_rows
+
+        def counted(values, bc):
+            calls.append(bc)
+            return real(values, bc)
+
+        monkeypatch.setattr(solver, "derivative_rows", counted)
+        dirichlet = _config(operators, level=4)
+        neumann = _config(operators, level=4,
+                          bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        first = assemble_lhs(dirichlet)
+        again = assemble_lhs(_config(operators, level=4, reynolds=10.0,
+                                     dt=0.01))
+        other = assemble_lhs(neumann)
+        assert calls == [dirichlet.bc, neumann.bc]
+        assert again.first_deriv is first.first_deriv
+        assert again.second_deriv is first.second_deriv
+        for array in (first.first_deriv, first.second_deriv,
+                      other.first_deriv, other.second_deriv, other.flux):
+            assert not array.flags.writeable
+        # derivative_rows itself stays uncached: fresh, writable arrays
+        assert real(first.values, dirichlet.bc)[0].flags.writeable
 
     def test_neumann_rows_are_derivative_rows(self, operators):
         config = _config(operators, bc=w.BoundarySpec(NEUMANN))
@@ -320,7 +345,8 @@ class TestWeakSecondDerivative:
         config = _config(operators,
                                    bc=w.BoundarySpec(NEUMANN, 0.0, 2.0))
         system = assemble_lhs(config)
-        coeffs = np.linalg.solve(system.values, system.grid ** 2)
+        coeffs = np.linalg.solve(system.values,
+                                 collocation_points(config.spec) ** 2)
         curvature = system.second_deriv @ coeffs + system.flux
         np.testing.assert_allclose(curvature, 2.0, rtol=0, atol=1e-11)
 
@@ -366,51 +392,74 @@ class TestWeakSecondDerivative:
 
 class TestInitialCoefficients:
     @pytest.mark.parametrize("level", [4, 5, 6])
-    @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET, 0.3, -0.2),
-                                    w.BoundarySpec(NEUMANN, 0.5, -1.0)],
-                             ids=["dirichlet", "neumann"])
-    def test_interpolation_matrix_has_lhs_end_rows_and_t_interior_rows(
-            self, operators, monkeypatch, bc, level):
-        # the boundary rows are chosen once, by assemble_lhs; the initial
-        # interpolation takes A's end rows and T's interior rows, bitwise
-        config = _config(operators, level=level, bc=bc)
-        system = assemble_lhs(config)
-        guarded = {}
-        monkeypatch.setattr(solver, "guard_condition", lambda matrix, what:
-                            guarded.setdefault(what, matrix.copy()))
-        coeffs = initial_coefficients(config, system)
-        matrix = guarded["initial interpolation"]
-        assert matrix.shape == system.matrix.shape
-        np.testing.assert_array_equal(matrix[[0, -1]], system.matrix[[0, -1]])
-        np.testing.assert_array_equal(matrix[1:-1], system.values[1:-1])
-        ends = system.first_deriv if bc.kind == NEUMANN else system.values
-        np.testing.assert_array_equal(matrix[[0, -1]], ends[[0, -1]])
-        np.testing.assert_allclose(matrix[[0, -1]] @ coeffs,
-                                   [bc.left_value, bc.right_value],
-                                   rtol=0, atol=1e-12)
+    @pytest.mark.parametrize("bc, ic", [
+        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x)),
+        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC),
+    ], ids=["dirichlet", "neumann"])
+    def test_nodal_values_are_the_l2_projection(self, operators, bc, ic,
+                                                level):
+        # the state's node values T c_0 against the test reference's
+        # expansion through the dual basis, G^-1 <f, psi>, at every node
+        # but the Dirichlet ends, which the boundary data replace
+        spec, _, dual, _ = operators(level)
+        config = _config(operators, level=level, bc=bc, ic=ic)
+        values = basis._nodal_matrix(level)
+        state = values @ initial_coefficients(config)
+        reference = values @ project_l2(ic, spec, dual)
+        kept = slice(1, -1) if bc.kind == DIRICHLET else slice(None)
+        assert (np.max(np.abs(state[kept] - reference[kept]))
+                <= 1e-12 * np.max(np.abs(reference)))
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_dirichlet_ends_meet_the_boundary_data_at_t0(self, operators,
+                                                         level):
+        config = dataclasses.replace(
+            _config(operators, level=level,
+                    bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2)), times=(0.0,))
+        (initial,) = w.solve(config).coeffs
+        np.testing.assert_array_equal(initial, initial_coefficients(config))
+        ends = basis._nodal_matrix(level)[[0, -1]] @ initial
+        np.testing.assert_allclose(ends, [0.3, -0.2], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("level", [3, 4, 6])
+    @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
+    def test_grid_piecewise_linear_datum_is_reproduced(self, operators, kind,
+                                                       level):
+        # a member of the span is its own projection: Gauss-5 integrates
+        # its products with the hats exactly, cell by cell
+        spec, _, _, _ = operators(level)
+        grid = collocation_points(spec)
+        nodal = np.random.default_rng(level).uniform(-1.0, 1.0, grid.size)
+        bc = (w.BoundarySpec(DIRICHLET, nodal[0], nodal[-1])
+              if kind == DIRICHLET else w.BoundarySpec(NEUMANN))
+        config = _config(operators, level=level, bc=bc,
+                         ic=lambda x: np.interp(x, grid, nodal))
+        state = basis._nodal_matrix(level) @ initial_coefficients(config)
+        np.testing.assert_allclose(state, nodal, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("ic", [lambda x: 1.0, lambda x: np.zeros(3),
                                     lambda x: x[:, None]],
                              ids=["scalar", "3-vector", "column"])
     def test_initial_data_of_the_wrong_shape_rejected(self, operators, ic):
+        # one value per quadrature node: five on each of the 8 cells
         config = _config(operators, level=3, ic=ic)
         with pytest.raises(ValueError, match=r"initial condition returned "
-                                             r"shape .*expected \(9,\)"):
-            initial_coefficients(config, assemble_lhs(config))
+                                             r"shape .*expected \(40,\)"):
+            initial_coefficients(config)
 
     def test_non_finite_samples_rejected(self, operators):
         config = _config(operators, level=3,
                          ic=lambda x: np.full_like(x, np.nan))
         with pytest.raises(ValueError, match="non-finite"):
-            initial_coefficients(config, assemble_lhs(config))
+            initial_coefficients(config)
 
     @pytest.mark.parametrize("value, index", [(np.nan, 0), (np.inf, 4),
                                               (-np.inf, -1)],
                              ids=["nan-left-end", "inf-interior",
                                   "minus-inf-right-end"])
     def test_one_non_finite_sample_rejected(self, operators, value, index):
-        # the check reads the samples before the boundary data replace
-        # their end values, so a bad end sample is refused too
+        # the samples nearest the ends, whose node values the Dirichlet data
+        # replace, are checked too
         def ic(x):
             out = np.sin(np.pi * x)
             out[index] = value
@@ -418,22 +467,42 @@ class TestInitialCoefficients:
 
         config = _config(operators, level=3, ic=ic)
         with pytest.raises(ValueError, match="non-finite"):
-            initial_coefficients(config, assemble_lhs(config))
+            initial_coefficients(config)
 
     def test_initial_data_are_not_written_through(self, operators):
-        # the boundary data replace the end values of a copy: an initial
-        # condition that returns its argument leaves the grid as it was
-        config = _config(operators, level=3, ic=lambda x: x)
-        system = assemble_lhs(config)
-        initial_coefficients(config, system)
-        np.testing.assert_array_equal(system.grid, collocation_points(config.spec))
+        # an initial condition that returns its argument: the quadrature
+        # nodes it was handed stay as they were
+        handed = []
 
-    def test_singular_interpolation_rejected(self, operators):
+        def ic(x):
+            handed.append((x, x.copy()))
+            return x
+
+        initial_coefficients(_config(operators, level=3, ic=ic))
+        ((nodes, before),) = handed
+        np.testing.assert_array_equal(nodes, before)
+
+    def test_singular_interpolation_rejected(self, operators, monkeypatch,
+                                             fresh_tables):
+        # T's condition is checked on the first run at a resolution, through
+        # the cache; a failed check is not cached
         config = _config(operators, level=3)
-        system = assemble_lhs(config)
-        broken = dataclasses.replace(system, values=np.ones_like(system.values))
-        with pytest.raises(ConditioningError, match="initial interpolation"):
-            initial_coefficients(config, broken)
+        monkeypatch.setattr(solver, "_nodal_matrix",
+                            lambda level: np.ones((9, 9)))
+        for _ in range(2):
+            with pytest.raises(ConditioningError,
+                               match="initial interpolation"):
+                initial_coefficients(config)
+
+    def test_nodal_matrix_is_guarded_once_per_resolution(
+            self, operators, monkeypatch, fresh_tables):
+        guarded = []
+        monkeypatch.setattr(solver, "guard_condition",
+                            lambda matrix, what: guarded.append(what))
+        for level in (4, 4, 5, 4):
+            for bc in (w.BoundarySpec(DIRICHLET), w.BoundarySpec(NEUMANN)):
+                initial_coefficients(_config(operators, level=level, bc=bc))
+        assert guarded == ["initial interpolation"] * 2
 
 
 class TestBuildRhs:
@@ -467,11 +536,15 @@ class TestBuildRhs:
     def test_sine_state_matches_analytic_step_target_at_center(self, operators,
                                                                level):
         # at the center the convection term vanishes and the diffusion share
-        # gives 1 - dt pi^2 / 2; discrete curvature error is O(2**-level)
+        # gives (1 - dt pi^2 / 2) times the state's centre value, which the
+        # projection puts at 1 + O(h^2); discrete curvature error is
+        # O(2**-level)
         config = _config(operators, level=level)
-        _, rhs = _first_step(config)
+        initial, rhs = _first_step(config)
         center = config.spec.n_functions // 2
-        target = 1.0 - config.dt * np.pi**2 / 2.0
+        value = (basis._nodal_matrix(level) @ initial)[center]
+        assert abs(value - 1.0) <= 4.0**-level
+        target = value * (1.0 - config.dt * np.pi**2 / 2.0)
         assert abs(rhs[center] - target) <= 1e-3 * 2.0**-level
 
     @pytest.mark.parametrize("bc, ic, reynolds", [
@@ -728,8 +801,8 @@ class TestSolve:
         (5, 1e-3, w.BoundarySpec(DIRICHLET),
          lambda x: 1e160 * np.sin(np.pi * x), 1.0, 0),
         # case 3 past its Courant limit, at 33 and at 65 points
-        (5, 0.02, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 15),
-        (6, 0.0125, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 19),
+        (5, 0.02, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 13),
+        (6, 0.0125, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 15),
     ], ids=["rhs-overflow", "case3-np33", "case3-np65"])
     def test_divergence_step_is_pinned_under_the_block_check(
             self, operators, monkeypatch, check_every, level, dt, bc, ic,
@@ -819,13 +892,6 @@ class TestSample:
         series = w.solve(config)
         left, right = _values_at(series, 0.02, [0.0, 1.0])
         assert abs(left) <= 1e-9 and abs(right) <= 1e-9
-
-    def test_initial_samples_match_initial_data_at_grid(self, operators):
-        config = _config(operators, t_end=0.01)
-        series = w.solve(config)
-        grid = collocation_points(config.spec)
-        values = _values_at(series, 0.0, grid)
-        np.testing.assert_allclose(values, np.sin(np.pi * grid), atol=1e-10)
 
     def test_published_row_sampled_from_one_series(self, operators):
         config = _config(operators, level=5, t_end=0.1)
