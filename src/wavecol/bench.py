@@ -50,6 +50,9 @@ class CaseDefinition:
     """One benchmark problem: initial data, boundaries and report times.
 
     Every case reports at the published locations published.COMPARISON_X.
+    An oracle family's exact solution has homogeneous Dirichlet data, and a
+    case without one is reported by its boundary slopes: ValueError is
+    raised unless the data match.
     """
 
     case_id: int
@@ -58,6 +61,14 @@ class CaseDefinition:
     bc: BoundarySpec
     report_times: tuple[float, ...]
     oracle_family: str | None
+
+    def __post_init__(self) -> None:
+        if self.oracle_family is not None and self.bc != BoundarySpec(DIRICHLET):
+            raise ValueError(f"oracle family {self.oracle_family!r} needs "
+                             f"homogeneous Dirichlet data, not {self.bc}")
+        if self.oracle_family is None and self.bc.kind != NEUMANN:
+            raise ValueError(f"a case without an oracle family needs Neumann "
+                             f"data for its slope report, not {self.bc}")
 
 
 def _default_times(case_id: int, reynolds: float) -> tuple[float, ...]:
@@ -256,11 +267,11 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     """Solve one case at one resolution and measure everything the reports need.
 
     The run ends at the last report time.  For Neumann cases the operators
-    include ``second_deriv``, the weak Laplacian's node rows that the
-    solver used (see ``wavecol.solver``); the Dirichlet second derivative
-    is D*D of the dumped ``deriv_op``.  The first run at a resolution
-    builds its basis rows and wavelet-space operators (four operator
-    builds); later runs at that resolution share them (see
+    include ``second_deriv``, the weak Laplacian the solver used, mapping
+    coefficients to nodal u_xx (see ``wavecol.solver``); the Dirichlet
+    second derivative is D*D of the dumped ``deriv_op``.  The first run at
+    a resolution builds its basis rows and wavelet-space operators (four
+    operator builds); later runs at that resolution share them (see
     _resolution_tables and RunResult).  Bad run parameters (n_points, dt,
     report times off the dt grid, on one step, printed with one label or
     refused by the oracle, truncate_level) raise ValueError before any
@@ -285,6 +296,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         check_keep_level(truncate_level, spec)
     series = solve(config)
     dense_rows, report_rows, operators = _resolution_tables(spec.max_level)
+    # the arrays are shared; the dict is the run's own, since a Neumann run
+    # adds the solver's second derivative, from coefficients to nodal u_xx
+    operators = dict(operators)
 
     # the reported state at each report time, truncated once
     states = {t: series.coefficients_at(t) for t in case.report_times}
@@ -303,7 +317,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     else:
         dense_xs = _profile_grid()
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
-        endpoint_deriv = series.system.first_deriv[[0, -1]]
+        # the nodal slope rows, formed in coefficient space and applied to c
+        system = series.system
+        endpoint_deriv = system.first_deriv[[0, -1]] @ system.values
         antisymmetry = {}
         center = {}
         residuals = {}
@@ -322,12 +338,8 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             antisymmetry=antisymmetry, center_abs=center,
             neumann_residuals=residuals, front_oscillation=oscillation,
         )
+        operators["second_deriv"] = system.second_deriv @ system.values
 
-    # the arrays are shared; the dict is the run's own, since a Neumann run
-    # adds the solver's second derivative to it
-    operators = dict(operators)
-    if case.bc.kind == NEUMANN:
-        operators["second_deriv"] = series.system.second_deriv
     return RunResult(case=case, n_points=n_points, report=report,
                      profiles=profiles, series=series, operators=operators)
 

@@ -5,63 +5,63 @@ THETA = 1/2 between the old and new time levels, while the convection
 product is evaluated fully at the old level.  The left-hand matrix is
 therefore constant in time.  Interior rows collocate the scheme at the
 uniform grid points; the first and last rows impose the boundary
-conditions on the new coefficients, as value rows for Dirichlet data or
-first-derivative rows for Neumann data.
+conditions, as value rows for Dirichlet data or first-derivative rows for
+Neumann data.
 
-The rows come from the nodal P1 kernel alone.  The basis spans the hats
-of the collocation grid, so with V the basis values at the grid nodes the
-paper's projected first derivative D has node rows M^-1 K^T V, with M the
-P1 mass matrix and K[a, b] = integral of h_a' h_b; no Gram matrix, dual or
-wavelet-space D is formed.  The second derivative depends on the boundary
-data.  For Dirichlet data it is the paper operator, the projected first
-derivative compounded, D*D, whose node rows are M^-1 K^T applied to the
-first-derivative rows.  For Neumann data it is the weak P1 Laplacian on
-the collocation grid, -M^-1 S applied to the nodal values, with the
-prescribed slopes entering as the boundary flux M^-1 b.  D*D with the
-Neumann rows is unstable for the steep antisymmetric front of benchmark
-case 3: the run blows up near t = 0.26 whatever the time step.
-Diffusion alone is stable with either operator, but D*D damps the
-grid-scale modes far less (with Neumann rows at 17 points its most
-negative eigenvalue is about -730, against -2970 for the weak operator),
-which is the likely reason it cannot hold the modes that convection
-excites at the front.  The weak operator keeps case 3 bounded to t = 1.
-The paper does not say how u_xx is discretised under Neumann data, so the
-weak operator is a deviation from its method, not a reading of it.
+The scheme is built from the nodal P1 kernel alone.  The basis spans the
+hats of the collocation grid, so every operator is a nodal one composed
+with T, the basis values at the grid nodes.  The node rows act on nodal
+values u = T c: the paper's projected first derivative D has the rows
+D1 = M^-1 K^T, with M the P1 mass matrix and K[a, b] = integral of
+h_a' h_b; no Gram matrix, dual or wavelet-space D is formed.  For
+Dirichlet data the second derivative is the paper's D*D, D2 = M^-1 K^T D1.
+For Neumann data it is the weak P1 Laplacian D2 = -M^-1 S, with the
+prescribed slopes entering as the boundary flux M^-1 b: D*D with the
+Neumann rows blows up near t = 0.26 on the steep front of case 3,
+whatever the time step.  D*D damps the grid-scale modes far less (with
+Neumann rows at 17 points its most negative eigenvalue is about -730,
+against -2970 for the weak operator), the likely reason it cannot hold
+the modes that convection excites at the front; the weak operator keeps
+case 3 bounded to t = 1.  The paper does not say how u_xx is discretised
+under Neumann data, so this is a deviation from its method.
+
+T enters at two places only: c_0 = T^-1 u in initial_coefficients, and
+A = A_n T, the left-hand matrix of the coefficients, with A_n the nodal
+one; A seeds the loop and recovers the report states.  The state stays in
+coefficients, and slopes are read by rows formed in coefficient space,
+D1[[0, -1]] T: the node rows applied to T c read case 3's slopes to
+2.4e-13 at 65 points, over its 1e-13 gate, against 9e-15 for those rows.
 
 The initial state is the L2 projection of the initial data onto the basis
-span, c_0 = G^-1 <f, psi>, which is what expanding the data through the
-dual basis gives; the paper's printed wavelet-collocation rows imply it
-(72 of their 75 entries are reproduced to five decimals, none from an
-interpolation of the data at the nodes).  For Dirichlet data its end
-values are then set to the boundary data.  It is computed in nodal
-coordinates, u = M^-1 <f, h>, then c_0 = T^-1 u.  The node rows depend on
-the resolution and the boundary data only, and T's condition on the
-resolution only, so both are built or checked once per process.
+span, c_0 = G^-1 <f, psi>, what expanding the data through the dual basis
+gives; the paper's printed wavelet-collocation rows imply it (72 of their
+75 entries are reproduced to five decimals, none from an interpolation of
+the data at the nodes).  For Dirichlet data its end values are then set
+to the boundary data.  It is computed as u = M^-1 <f, h>, then
+c_0 = T^-1 u.
 
 A step solves no linear system.  The left-hand matrix A is constant, so
 the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
-rather than the coefficients.  It starts from r_0 = A c_0, the right-hand
-side whose solve is the initial state, so every step, the first one
-included, is the same update.  assemble_lhs precomposes the propagator
-P = F A^-1 once, where F = [dt V; D1; V + (1 - THETA)(dt/Re) D2] is the
-stacked explicit operator with dt folded into its first block; F is a
-temporary of the build, and P comes from one transposed solve,
-P^T = A^-T F^T, not as a product with A^-1.  One gemv P r_n gives dt u,
-u_x and the old-level part u + (1 - THETA)(dt/Re) u_xx of state n; the
-lagged convection product dt u u_x is formed in place and subtracted
-straight into r_{n+1}, and the weak operator's boundary flux (dt/Re)
-M^-1 b is added at full weight for Neumann data with nonzero slopes.  The
-first and last entries of every r_n after the seed are the boundary data;
-they are written once, when the buffers are built, and a step writes only
-the interior entries.  So a step is three numpy calls on prebuilt views, the
-gemv, a multiply and a subtract, plus an add for nonzero slopes.  The gemv
-stays the full 3N x N product: one over the interior rows alone changed
-the results in their last bits, since BLAS rounds each row according to
-the layout.  The coefficients are solved for, by one np.linalg.solve with
-A, only at the report times.  A form that carried the coefficients
-instead, c_{n+1} = A^-1 F c_n with A^-1 F precomposed, broke case 3's
-antisymmetry gate, and so did P = F inv(A); carrying r with P from the
-transposed solve keeps every gate (see the README's numerical notes).
+rather than the coefficients.  It starts from r_0 = A c_0, so every step,
+the first one included, is the same update.  The propagator does not
+depend on the basis: with F = F_n T, P = F A^-1 = F_n A_n^-1, where
+F_n = [dt I; D1; I + (1 - THETA)(dt/Re) D2] is the stacked nodal
+explicit operator with dt folded into its first block.  assemble_lhs
+forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T.
+One gemv P r_n gives dt u, u_x and the old-level part
+u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
+dt u u_x is formed in place and subtracted straight into r_{n+1}, and the
+weak operator's boundary flux (dt/Re) M^-1 b is added at full weight for
+nonzero slopes.  The ends of every r_n after the seed are the boundary
+data, written once, when the buffers are built, so a step is three numpy
+calls on prebuilt views, the gemv, a multiply and a subtract, plus an add
+for nonzero slopes.  The gemv stays the full 3N x N product: one over
+the interior rows alone changed the results in their last bits, since
+BLAS rounds each row according to the layout.  The coefficients are
+solved for, by one np.linalg.solve with A, only at the report times.
+Carrying the coefficients, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
+broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
+with P from the transposed solve keeps every gate (see the README).
 
 solve runs the steps in blocks of _CHECK_EVERY, the last block shorter.
 A block steps from its first right-hand side, then checks the ones it
@@ -204,22 +204,16 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class CollocationSystem:
-    """Left-hand side plus the cached evaluation rows it was built from.
+    """Left-hand side and propagator, and the node rows they were built from.
 
-    matrix is the left-hand matrix A, whose condition assemble_lhs has
-    checked.  propagator is P = F A^-1, C-contiguous and read-only, with F
-    the (3N x N) stacked explicit operator
-    [dt V; D1; V + (1 - THETA)(dt/Re) D2]: it maps a step's right-hand
-    side to dt u, u_x and the old-level part of the state that step solves
-    for, which, with A for the report states, is all solve
-    steps with.  F itself is not kept.  values and first_deriv are the
-    coefficients-to-point-values maps for u and du/dx, one row per grid
-    point; values is T, the basis values at the grid nodes, shared by
-    every run at the resolution and read-only.  second_deriv is the map
-    for d2u/dx2, and flux the constant part of d2u/dx2 that comes from the
-    boundary data (the weak operator's M^-1 b); flux is None for Dirichlet
-    data.  first_deriv, second_deriv and flux are shared by every run at
-    the resolution with the same boundary data, and read-only.
+    matrix is A = A_n T, whose condition assemble_lhs has checked.
+    propagator is P = F_n A_n^-1, C-contiguous and read-only: it maps a
+    step's right-hand side to dt u, u_x and the old-level part of the state
+    that step solves for.  values is T, shared and read-only.  first_deriv,
+    second_deriv and flux are derivative_rows' D1, D2 and M^-1 b (None for
+    Dirichlet data), shared and read-only.  The rows act on nodal values,
+    not on coefficients: the slopes of c are
+    first_deriv[[0, -1]] @ values @ c.
     """
 
     matrix: np.ndarray
@@ -230,39 +224,32 @@ class CollocationSystem:
     flux: np.ndarray | None = None
 
 
-def derivative_rows(values: np.ndarray, bc: BoundarySpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """First- and second-derivative node rows, and the Neumann flux.
-
-    values maps coefficients to nodal values u = V c.  Returns the paper's
-    projected first derivative M^-1 K^T V; the second derivative, which is
-    M^-1 K^T applied to those rows (D*D) for Dirichlet data and the weak
-    Laplacian -M^-1 S V for Neumann data; and, for Neumann data, the flux
-    M^-1 b with b = (-g_L, 0, ..., 0, g_R), where g_L and g_R are the
-    prescribed slopes (None for Dirichlet data).  The weak Laplacian plus
-    the flux is exact for quadratics: for u = x**2 with g_L = 0 and g_R = 2
-    it is 2 at every node, endpoints included.  Every independent
-    right-hand side goes through one solve with M.
-    """
-    mass, stiffness, hat_deriv = p1_kernel(values.shape[0])
-    if bc.kind == DIRICHLET:
-        first_deriv = np.linalg.solve(mass, hat_deriv.T @ values)
-        return (first_deriv, np.linalg.solve(mass, hat_deriv.T @ first_deriv),
-                None)
-    n = values.shape[1]
-    boundary = np.zeros((values.shape[0], 1))
-    boundary[0], boundary[-1] = -bc.left_value, bc.right_value
-    rows = np.linalg.solve(mass, np.hstack(
-        [hat_deriv.T @ values, -(stiffness @ values), boundary]))
-    return rows[:, :n], rows[:, n:2 * n], rows[:, -1]
-
-
 @functools.lru_cache(maxsize=16)
-def _resolution_rows(max_level: int, bc: BoundarySpec
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """derivative_rows of T at one resolution and boundary data, built
-    once per process and read-only."""
-    rows = derivative_rows(_nodal_matrix(max_level), bc)
+def derivative_rows(n_points: int, bc: BoundarySpec
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Nodal first- and second-derivative rows, and the Neumann flux.
+
+    The rows act on the values at the n_points grid nodes: D1 = M^-1 K^T;
+    D2 = M^-1 K^T D1 (D*D) for Dirichlet data, the weak Laplacian -M^-1 S
+    for Neumann data; and, for Neumann data, the flux M^-1 b with
+    b = (-g_L, 0, ..., 0, g_R), g_L and g_R the prescribed slopes (None for
+    Dirichlet data).  The weak Laplacian plus the flux is exact for
+    quadratics: for u = x**2, g_L = 0 and g_R = 2 it is 2 at every node.
+    One solve with M per boundary kind; built once per (n_points, bc) and
+    returned read-only.
+    """
+    mass, stiffness, hat_deriv = p1_kernel(n_points)
+    if bc.kind == DIRICHLET:
+        first_deriv = np.linalg.solve(mass, hat_deriv.T)
+        rows = (first_deriv, np.linalg.solve(mass, hat_deriv.T @ first_deriv),
+                None)
+    else:
+        boundary = np.zeros((n_points, 1))
+        boundary[0], boundary[-1] = -bc.left_value, bc.right_value
+        stacked = np.linalg.solve(mass, np.hstack(
+            [hat_deriv.T, -stiffness, boundary]))
+        rows = (stacked[:, :n_points], stacked[:, n_points:2 * n_points],
+                stacked[:, -1])
     for array in rows:
         if array is not None:
             array.flags.writeable = False
@@ -279,32 +266,33 @@ def _interpolation_matrix(max_level: int) -> np.ndarray:
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build the (time-independent) left-hand matrix A, check its
-    condition, and precompose the propagator P = F A^-1 solve steps with;
-    the stacked explicit operator F is formed only to build P.  The node
-    rows come from _resolution_rows; only the dt/Re combination, A's guard
-    and P are the run's own."""
-    level = config.spec.max_level
-    values = _nodal_matrix(level)
-    first_deriv, second_deriv, flux = _resolution_rows(level, config.bc)
+    """Build A_n, the propagator P = F_n A_n^-1 and A = A_n T.
+
+    A_n = I - THETA (dt/Re) D2 with the identity's end rows (Dirichlet
+    data) or D1's (Neumann data), so A's end rows are T's value rows, or
+    the slope rows D1[[0, -1]] T.  A_n is checked before P's solve and A
+    ("collocation system") before it is returned: T's condition is up to
+    44 at 65 points, so one check does not bound the other.
+    """
+    n = config.spec.n_functions
+    first_deriv, second_deriv, flux = derivative_rows(n, config.bc)
     weight = config.dt / config.reynolds
-    matrix = values - THETA * weight * second_deriv
-    ends = first_deriv if config.bc.kind == NEUMANN else values
-    matrix[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
-    guard_condition(matrix, "collocation system")
-    explicit = np.vstack([config.dt * values, first_deriv,
-                          values + (1.0 - THETA) * weight * second_deriv])
-    # P^T = A^-T F^T: one transposed solve, not a product with A^-1
-    propagator = np.ascontiguousarray(np.linalg.solve(matrix.T, explicit.T).T)
+    identity = np.eye(n)
+    nodal = identity - THETA * weight * second_deriv
+    ends = first_deriv if config.bc.kind == NEUMANN else identity
+    nodal[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
+    guard_condition(nodal, "nodal collocation system")
+    explicit = np.vstack([config.dt * identity, first_deriv,
+                          identity + (1.0 - THETA) * weight * second_deriv])
+    # P^T = A_n^-T F_n^T: one transposed solve, not a product with A_n^-1
+    propagator = np.ascontiguousarray(np.linalg.solve(nodal.T, explicit.T).T)
     propagator.flags.writeable = False
-    return CollocationSystem(
-        matrix=matrix,
-        propagator=propagator,
-        values=values,
-        first_deriv=first_deriv,
-        second_deriv=second_deriv,
-        flux=flux,
-    )
+    values = _interpolation_matrix(config.spec.max_level)
+    matrix = nodal @ values
+    guard_condition(matrix, "collocation system")
+    return CollocationSystem(matrix=matrix, propagator=propagator,
+                             values=values, first_deriv=first_deriv,
+                             second_deriv=second_deriv, flux=flux)
 
 
 def _rhs_buffers(n: int, bc: BoundarySpec):

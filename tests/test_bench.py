@@ -91,6 +91,23 @@ class TestCaseDefinition:
         with pytest.raises(ValueError, match="case"):
             w.case_definition(4)
 
+    @pytest.mark.parametrize("bc, family, message", [
+        (w.BoundarySpec("dirichlet", 0.3, 0.0), None, "needs Neumann data"),
+        (w.BoundarySpec("dirichlet"), None, "needs Neumann data"),
+        (w.BoundarySpec(NEUMANN), "sin_pi", "homogeneous Dirichlet"),
+        (w.BoundarySpec("dirichlet", 0.0, 0.2), "poly_4x_1mx",
+         "homogeneous Dirichlet"),
+    ], ids=["dirichlet-data-no-oracle", "dirichlet-no-oracle",
+            "neumann-oracle", "dirichlet-data-oracle"])
+    def test_oracle_and_boundary_data_must_match(self, bc, family, message):
+        # without an oracle a case is reported by its boundary slopes, and
+        # the oracle is the exact solution under homogeneous Dirichlet
+        # data; sin(pi x) under Dirichlet data (0.3, 0) without one used to
+        # report slope residuals of 0.286 and 1.348 at 17 points
+        with pytest.raises(ValueError, match=message):
+            w.CaseDefinition(4, 1.0, lambda x: np.sin(np.pi * x), bc, (0.1,),
+                             family)
+
     def test_initial_conditions(self):
         xs = np.array([0.0, 0.25, 0.5, 1.0])
         np.testing.assert_allclose(w.case_definition(1).ic(xs), np.sin(np.pi * xs))
@@ -261,7 +278,8 @@ class TestRunCase:
         bc = w.BoundarySpec(NEUMANN, 1.0, 1.0)
         case = w.CaseDefinition(4, 10.0, lambda x: x - 0.5, bc, (0.1,), None)
         result = w.run_case(case, 17)
-        slopes = result.series.system.first_deriv[[0, -1]] @ (
+        system = result.series.system
+        slopes = (system.first_deriv[[0, -1]] @ system.values) @ (
             result.series.coefficients_at(0.1))
         np.testing.assert_allclose(slopes, 1.0, rtol=0, atol=1e-12)
         left, right = result.report.neumann_residuals[0.1]
@@ -298,22 +316,20 @@ class TestRunCase:
         with pytest.raises(ValueError, match=message):
             w.run_case(case, n_points, dt=dt)
 
-    def test_case3_builds_the_solver_rows_once(self, monkeypatch, fresh_tables):
-        # once per process: a second run at the resolution shares the rows
-        calls = []
-
-        def counted(values, bc):
-            calls.append(bc.kind)
-            return derivative_rows(values, bc)
-
+    def test_case3_builds_the_solver_rows_once(self, fresh_tables):
+        # once per process: a second run at the resolution shares the rows,
+        # and the dump maps coefficients to the nodal u_xx they step with
         assert not hasattr(w.bench, "derivative_rows")
-        monkeypatch.setattr("wavecol.solver.derivative_rows", counted)
         case = w.case_definition(3, times=(0.1,))
         result, again = w.run_case(case, 17), w.run_case(case, 17)
-        assert calls == [NEUMANN]
-        assert result.operators["second_deriv"] is result.series.system.second_deriv
-        assert again.operators["second_deriv"] is result.operators["second_deriv"]
-        assert not result.operators["second_deriv"].flags.writeable
+        info = derivative_rows.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        system = result.series.system
+        assert again.series.system.second_deriv is system.second_deriv
+        assert not system.second_deriv.flags.writeable
+        for run in (result, again):
+            np.testing.assert_array_equal(run.operators["second_deriv"],
+                                          system.second_deriv @ system.values)
 
     def test_report_times_within_roundoff_of_a_step_accepted(self):
         # 0.15 / 1e-3 is 149.99999999999997 in floating point
@@ -494,7 +510,8 @@ class TestResolutionTables:
         assert dense_rows.shape == (PROFILE_POINTS, 17)
         assert report_rows.shape == (5, 17)
 
-    def test_only_the_first_run_at_a_resolution_builds(self, monkeypatch):
+    def test_only_the_first_run_at_a_resolution_builds(self, monkeypatch,
+                                                        fresh_tables):
         # the builds wavebench counts: gram, dual and deriv_inner (twice)
         calls = []
 
@@ -513,7 +530,6 @@ class TestResolutionTables:
                              (operators, "derivative_inner_products"),
                              (operators, "dual_transform")):
             counted(module, name)
-        bench._resolution_tables.cache_clear()
         case = w.case_definition(1, times=(0.05,))
         w.run_case(case, 17)
         assert sorted(calls) == ["basis_matrix", "basis_matrix",
@@ -727,7 +743,8 @@ class TestEmission:
         dumped = np.loadtxt(tmp_path / "operators_np9_second_deriv.csv",
                             delimiter=",")
         system = assemble_lhs(result.series.config)
-        np.testing.assert_array_equal(dumped, system.second_deriv)
+        np.testing.assert_array_equal(dumped,
+                                      system.second_deriv @ system.values)
 
     def test_emission_is_deterministic(self, benchmark_run, tmp_path):
         result = benchmark_run(1, 1.0, 33)

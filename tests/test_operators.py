@@ -139,7 +139,8 @@ class TestNodalKernel:
         assert self._relative_gap(w.derivative_inner_products(spec),
                                   reference) <= 1e-13
 
-    def test_program_never_reaches_the_reference(self, monkeypatch, tmp_path):
+    def test_program_never_reaches_the_reference(self, monkeypatch, tmp_path,
+                                                 fresh_tables):
         def refuse(*args, **kwargs):
             raise AssertionError("reference quadrature reached")
 
@@ -153,8 +154,8 @@ class TestNodalKernel:
                         sites.append(f"{name}.{attr}")
         assert {"wavecol.basis.basis_piecewise"} <= set(sites)
         monkeypatch.setattr(Fraction, "__new__", refuse)
-        # rebuild the cached nodal matrix under the guard
-        basis._nodal_matrix.cache_clear()
+        # fresh_tables emptied the cached nodal matrix: it is rebuilt under
+        # the guard
 
         for case_id in (1, 3):
             w.run_case(w.case_definition(case_id, times=(0.05,)), 9)
@@ -326,9 +327,11 @@ class TestDerivativeOperator:
 
 
 def _dirichlet_rows(spec):
+    """T and the solver's Dirichlet rows, formed in coefficient space."""
     values = w.basis_matrix(spec, basis.collocation_points(spec))
-    first, second, _ = derivative_rows(values, w.BoundarySpec(DIRICHLET))
-    return values, first, second
+    first, second, _ = derivative_rows(spec.n_functions,
+                                       w.BoundarySpec(DIRICHLET))
+    return values, first @ values, second @ values
 
 
 class TestSecondDerivative:

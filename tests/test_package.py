@@ -30,10 +30,10 @@ def test_star_import_binds_every_exported_name():
     assert set(wavecol.__all__) <= set(namespace)
 
 
-def test_every_exported_function_is_one_a_run_reaches(tmp_path):
+def test_every_exported_function_is_one_a_run_reaches(tmp_path,
+                                                      fresh_tables):
     # earlier tests warm the resolution tables, whose cache would hide the
     # operator and basis builds
-    bench._resolution_tables.cache_clear()
     called = set()
 
     def profile(frame, event, arg):

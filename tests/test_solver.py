@@ -44,19 +44,22 @@ def _reference_history(config):
 
     A dense per-step solve of the coefficients, with the right-hand side
     u + (1/2)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux) formed here from the
-    assembled rows, so it shares no step code with solve.  Returns the
-    coefficient history, or the DivergenceError the run ends in.
+    assembled node rows, taken to coefficient space, so it shares no step
+    code with solve.  Returns the coefficient history, or the
+    DivergenceError the run ends in.
     """
     system = assemble_lhs(config)
     lu = lu_factor(system.matrix)
     weight = config.dt / config.reynolds
+    first = system.first_deriv @ system.values
+    second = system.second_deriv @ system.values
     coeffs = initial_coefficients(config)
     history = [coeffs]
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(config.n_steps()):
             u = system.values @ coeffs
-            u_x = system.first_deriv @ coeffs
-            u_xx = system.second_deriv @ coeffs
+            u_x = first @ coeffs
+            u_xx = second @ coeffs
             rhs = u + 0.5 * weight * u_xx - config.dt * u * u_x
             if system.flux is not None:
                 rhs += weight * system.flux
@@ -76,9 +79,26 @@ def _values_at(series, t, xs):
 
 
 def _explicit_rows(config):
-    """Node rows V, D1 and D2 and the flux, built apart from assemble_lhs."""
+    """Coefficient rows V, D1 V and D2 V and the flux, built apart from
+    assemble_lhs."""
     values = w.basis_matrix(config.spec, collocation_points(config.spec))
-    return (values,) + derivative_rows(values, config.bc)
+    first, second, flux = derivative_rows(config.spec.n_functions, config.bc)
+    return values, first @ values, second @ values, flux
+
+
+def _nodal_operators(config):
+    """A_n and F_n, the nodal left-hand matrix, with the identity's or
+    D1's end rows, and the stacked explicit operator
+    [dt I; D1; I + (1 - THETA)(dt/Re) D2], from derivative_rows."""
+    n = config.spec.n_functions
+    first, second, _ = derivative_rows(n, config.bc)
+    weight = config.dt / config.reynolds
+    identity = np.eye(n)
+    nodal = identity - solver.THETA * weight * second
+    nodal[[0, -1]] = (first if config.bc.kind == NEUMANN else identity)[[0, -1]]
+    folded = np.vstack([config.dt * identity, first,
+                        identity + (1.0 - solver.THETA) * weight * second])
+    return nodal, folded
 
 
 def _step_algebra(config, coeffs):
@@ -96,11 +116,13 @@ def _step_algebra(config, coeffs):
 
 
 def _first_step(config):
-    """The initial state c_0 and A c_1, the right-hand side of the first
-    step that solve took, recovered from its state c_1."""
-    series = w.solve(dataclasses.replace(config, times=(0.0, config.dt)))
-    initial, first = series.coeffs
-    return initial, series.system.matrix @ first
+    """The initial state c_0 and r_1, the right-hand side of the first step
+    that solve took, as solve hands it to the report solve for c_1."""
+    with pytest.MonkeyPatch.context() as patch:
+        report_solves = _wrap_report_solves(patch, lambda solved: solved)
+        series = w.solve(dataclasses.replace(config, times=(0.0, config.dt)))
+    (rhs,) = report_solves.handed
+    return series.coeffs[0], rhs
 
 
 def _one_step(rhs, bc, forcing, propagator=None):
@@ -152,19 +174,21 @@ class _ReportSolves:
     loop, np.dot(system.matrix, c_0), and to solve for its report states,
     np.linalg.solve(system.matrix, r).
 
-    Passes the seed product through uncounted, counts the solves and hands
-    each real solution to outcome, whose return value is the state solve
-    sees.
+    Passes the seed product through uncounted, counts the solves, keeps a
+    copy of each right-hand side in handed, and hands each real solution
+    to outcome, whose return value is the state solve sees.
     """
 
     def __init__(self, outcome):
         self.outcome, self.real, self.solves = outcome, None, 0
+        self.handed = []
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.dot:
             return func(self.real, *args[1:], **kwargs)
         assert func is np.linalg.solve
         self.solves += 1
+        self.handed.append(np.array(args[1]))
         return self.outcome(func(self.real, *args[1:], **kwargs))
 
 
@@ -249,6 +273,9 @@ class TestAssembleLhs:
         # bitwise, sign bits included, the basis evaluated at the grid
         assert system.values.tobytes() == w.basis_matrix(
             config.spec, collocation_points(config.spec)).tobytes()
+        # A = A_n T with the identity's end rows in A_n: T's value rows
+        np.testing.assert_array_equal(system.matrix[[0, -1]],
+                                      system.values[[0, -1]])
 
     def test_zero_coefficients_satisfy_homogeneous_boundary_rows(self, operators):
         config = _config(operators)
@@ -277,22 +304,15 @@ class TestAssembleLhs:
                                 bc=w.BoundarySpec(DIRICHLET),
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         monkeypatch.setattr(solver, "derivative_rows",
-                            lambda values, bc: (2.0 * values, 4.0 * values, None))
+                            lambda n_points, bc: (2.0 * np.eye(n_points),
+                                                  4.0 * np.eye(n_points), None))
         with pytest.raises(ConditioningError,
                            match="collocation system") as info:
             assemble_lhs(config)
         assert info.value.condition == np.inf
 
     def test_node_rows_are_built_once_per_resolution_and_boundary_data(
-            self, operators, monkeypatch, fresh_tables):
-        calls = []
-        real = solver.derivative_rows
-
-        def counted(values, bc):
-            calls.append(bc)
-            return real(values, bc)
-
-        monkeypatch.setattr(solver, "derivative_rows", counted)
+            self, operators, fresh_tables):
         dirichlet = _config(operators, level=4)
         neumann = _config(operators, level=4,
                           bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
@@ -300,27 +320,86 @@ class TestAssembleLhs:
         again = assemble_lhs(_config(operators, level=4, reynolds=10.0,
                                      dt=0.01))
         other = assemble_lhs(neumann)
-        assert calls == [dirichlet.bc, neumann.bc]
+        info = solver.derivative_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
         assert again.first_deriv is first.first_deriv
         assert again.second_deriv is first.second_deriv
         for array in (first.first_deriv, first.second_deriv,
                       other.first_deriv, other.second_deriv, other.flux):
             assert not array.flags.writeable
-        # derivative_rows itself stays uncached: fresh, writable arrays
-        assert real(first.values, dirichlet.bc)[0].flags.writeable
+
+    def test_derivative_rows_are_shared_across_dt_and_reynolds(
+            self, operators, fresh_tables):
+        # keyed by the grid size and the boundary data alone: equal data
+        # in another BoundarySpec share the rows, other slopes do not
+        rows = derivative_rows(33, w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        for reynolds, dt in ((1.0, 1e-3), (10.0, 0.01), (100.0, 0.05)):
+            config = _config(operators, level=5, reynolds=reynolds, dt=dt,
+                             t_end=dt, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
+                             ic=CASE3_IC)
+            system = w.solve(config).system
+            assert all(mine is shared for mine, shared in zip(
+                (system.first_deriv, system.second_deriv, system.flux), rows))
+        assert derivative_rows(33, w.BoundarySpec(NEUMANN)) is not rows
+        info = derivative_rows.cache_info()
+        assert (info.misses, info.hits) == (2, 3)
+        for array in rows:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_propagator_does_not_depend_on_the_basis(
+            self, operators, monkeypatch, fresh_tables):
+        # P = F A^-1 = F_n A_n^-1: another well-conditioned T leaves P
+        # bitwise as it was and enters only A = A_n T
+        config = _config(operators, level=4, reynolds=10.0, dt=0.01,
+                         bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        system = assemble_lhs(config)
+        n = config.spec.n_functions
+        other = np.eye(n) + np.triu(
+            np.random.default_rng(4).uniform(-0.5, 0.5, (n, n)), 1)
+        assert np.linalg.cond(other, 1) < 1e3
+        monkeypatch.setattr(solver, "_interpolation_matrix",
+                            lambda level: other)
+        patched = assemble_lhs(config)
+        assert patched.values is other
+        assert patched.propagator.tobytes() == system.propagator.tobytes()
+        nodal, _ = _nodal_operators(config)
+        np.testing.assert_array_equal(patched.matrix, nodal @ other)
+        np.testing.assert_array_equal(system.matrix, nodal @ system.values)
+
+    @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET, 0.3, -0.2),
+                                    w.BoundarySpec(NEUMANN, 0.5, -1.0)],
+                             ids=["dirichlet", "neumann"])
+    def test_both_solved_matrices_are_guarded(self, operators, monkeypatch,
+                                              fresh_tables, bc):
+        # A_n before P's solve, A before the report solves: T's condition
+        # is up to 44, so a guard on one does not bound the other
+        guarded = []
+        monkeypatch.setattr(solver, "guard_condition",
+                            lambda matrix, what: guarded.append((what, matrix)))
+        config = _config(operators, level=4, reynolds=10.0, dt=0.01, bc=bc)
+        system = assemble_lhs(config)
+        assert [what for what, _ in guarded] == [
+            "nodal collocation system", "initial interpolation",
+            "collocation system"]
+        np.testing.assert_array_equal(guarded[0][1],
+                                      _nodal_operators(config)[0])
+        assert guarded[1][1] is system.values
+        assert guarded[2][1] is system.matrix
 
     def test_neumann_rows_are_derivative_rows(self, operators):
         config = _config(operators, bc=w.BoundarySpec(NEUMANN))
         system = assemble_lhs(config)
-        np.testing.assert_array_equal(system.matrix[0], system.first_deriv[0])
-        np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
+        slopes = system.first_deriv[[0, -1]] @ system.values
+        np.testing.assert_array_equal(system.matrix[[0, -1]], slopes)
 
     @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET),
                                     w.BoundarySpec(NEUMANN)],
                              ids=["dirichlet", "neumann"])
     def test_propagator_is_the_explicit_operator_through_the_inverse(
             self, operators, bc):
-        # P = F A^-1 with dt folded into F's first block, so P A = F
+        # P = F_n A_n^-1 with dt folded into F_n's first block, so
+        # P A_n = F_n
         config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
         system = assemble_lhs(config)
         n = config.spec.n_functions
@@ -328,11 +407,8 @@ class TestAssembleLhs:
         assert propagator.shape == (3 * n, n)
         assert propagator.flags.c_contiguous
         assert not propagator.flags.writeable
-        values, first, second, _ = _explicit_rows(config)
-        weight = config.dt / config.reynolds
-        folded = np.vstack([config.dt * values, first,
-                            values + (1.0 - solver.THETA) * weight * second])
-        assert (np.max(np.abs(propagator @ system.matrix - folded))
+        nodal, folded = _nodal_operators(config)
+        assert (np.max(np.abs(propagator @ nodal - folded))
                 <= 1e-12 * np.max(np.abs(folded)))
 
 
@@ -345,16 +421,16 @@ class TestWeakSecondDerivative:
         config = _config(operators,
                                    bc=w.BoundarySpec(NEUMANN, 0.0, 2.0))
         system = assemble_lhs(config)
-        coeffs = np.linalg.solve(system.values,
-                                 collocation_points(config.spec) ** 2)
-        curvature = system.second_deriv @ coeffs + system.flux
+        nodal = collocation_points(config.spec) ** 2
+        curvature = system.second_deriv @ nodal + system.flux
         np.testing.assert_allclose(curvature, 2.0, rtol=0, atol=1e-11)
 
     def test_boundary_rows_stay_derivative_rows(self, operators):
         config = _config(operators, bc=w.BoundarySpec(NEUMANN))
         system = assemble_lhs(config)
-        np.testing.assert_array_equal(system.matrix[0], system.first_deriv[0])
-        np.testing.assert_array_equal(system.matrix[-1], system.first_deriv[-1])
+        np.testing.assert_array_equal(
+            system.matrix[[0, -1]],
+            system.first_deriv[[0, -1]] @ system.values)
 
     def test_flux_enters_rhs_interior_at_full_weight(self, operators):
         config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
@@ -380,13 +456,14 @@ class TestWeakSecondDerivative:
 
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
         # the rows are formed from the nodal kernel, not from the
-        # wavelet-space D, so they agree with V (D D)^T to roundoff only
+        # wavelet-space D, so in coefficient space they agree with
+        # V (D D)^T to roundoff only
         _, _, _, deriv_op = operators(4)
         config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.5, 1.0))
         system = assemble_lhs(config)
         assert system.flux is None
         paper = system.values @ (deriv_op @ deriv_op).T
-        assert (np.max(np.abs(system.second_deriv - paper))
+        assert (np.max(np.abs(system.second_deriv @ system.values - paper))
                 <= 1e-14 * np.max(np.abs(paper)))
 
 
@@ -507,8 +584,9 @@ class TestInitialCoefficients:
 
 class TestBuildRhs:
     """The right-hand side a step builds: from _rhs_buffers and _advance
-    themselves, and through solve, read back as A c_{k+1} from the state that step solved
-    for, the first step from the seed r_0 = A c_0."""
+    themselves, and through solve, as the first step's right-hand side
+    solve hands to its report solve or read back as A c_{k+1} from the
+    state a step solved for, the first step from the seed r_0 = A c_0."""
 
     def test_zero_state_leaves_only_boundary_values(self, operators):
         bc = w.BoundarySpec(DIRICHLET, 0.3, -0.2)
