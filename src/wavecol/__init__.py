@@ -37,7 +37,6 @@ from .operators import (
 )
 from .oracle import ExactSolutionSpec, exact_u, table_values
 from .solver import (
-    BoundarySpec,
     SolutionSeries,
     SolverConfig,
     assemble_lhs,
@@ -48,7 +47,6 @@ from .solver import (
 __all__ = [
     "BasisIndex",
     "BasisSpec",
-    "BoundarySpec",
     "Case3Report",
     "CaseDefinition",
     "ConditioningError",

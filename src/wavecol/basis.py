@@ -137,11 +137,6 @@ def _nodal_matrix(max_level: int) -> np.ndarray:
     return nodal
 
 
-def collocation_points(spec: BasisSpec) -> np.ndarray:
-    """Uniform grid of n_functions points on [0, 1] (spacing 2**-max_level)."""
-    return np.linspace(0.0, 1.0, spec.n_functions)
-
-
 def basis_matrix(spec: BasisSpec, xs) -> np.ndarray:
     """Evaluation matrix with one row of basis values per x, in index_map order.
 

@@ -6,7 +6,9 @@ product is evaluated fully at the old level.  The left-hand matrix is
 therefore constant in time.  Interior rows collocate the scheme at the
 uniform grid points; the first and last rows impose the boundary
 conditions, as value rows for Dirichlet data or first-derivative rows for
-Neumann data.
+Neumann data.  The boundary data are the paper's, homogeneous: u = 0 at
+both ends (Dirichlet) or u_x = 0 at both ends (Neumann); only their kind
+is an input.
 
 The scheme is built from the nodal P1 kernel alone.  The basis spans the
 hats of the collocation grid, so every operator is a nodal one composed
@@ -15,15 +17,16 @@ values u = T c: the paper's projected first derivative D has the rows
 D1 = M^-1 K^T, with M the P1 mass matrix and K[a, b] = integral of
 h_a' h_b; no Gram matrix, dual or wavelet-space D is formed.  For
 Dirichlet data the second derivative is the paper's D*D, D2 = M^-1 K^T D1.
-For Neumann data it is the weak P1 Laplacian D2 = -M^-1 S, with the
-prescribed slopes entering as the boundary flux M^-1 b: D*D with the
-Neumann rows blows up near t = 0.26 on the steep front of case 3,
-whatever the time step.  D*D damps the grid-scale modes far less (with
-Neumann rows at 17 points its most negative eigenvalue is about -730,
-against -2970 for the weak operator), the likely reason it cannot hold
-the modes that convection excites at the front; the weak operator keeps
-case 3 bounded to t = 1.  The paper does not say how u_xx is discretised
-under Neumann data, so this is a deviation from its method.
+For Neumann data it is the weak P1 Laplacian D2 = -M^-1 S, whose
+integration-by-parts boundary term u_x h vanishes under zero slopes:
+D*D with the Neumann rows blows up near t = 0.26 on the steep front of
+case 3, whatever the time step.  D*D damps the grid-scale modes far
+less (with Neumann rows at 17 points its most negative eigenvalue is
+about -730, against -2970 for the weak operator), the likely reason it
+cannot hold the modes that convection excites at the front; the weak
+operator keeps case 3 bounded to t = 1.  The paper does not say how u_xx
+is discretised under Neumann data, so this is a deviation from its
+method.
 
 T enters at two places only: c_0 = T^-1 u in initial_coefficients, and
 A = A_n T, the left-hand matrix of the coefficients, with A_n the nodal
@@ -37,8 +40,7 @@ span, c_0 = G^-1 <f, psi>, what expanding the data through the dual basis
 gives; the paper's printed wavelet-collocation rows imply it (72 of their
 75 entries are reproduced to five decimals, none from an interpolation of
 the data at the nodes).  For Dirichlet data its end values are then set
-to the boundary data.  It is computed as u = M^-1 <f, h>, then
-c_0 = T^-1 u.
+to 0.  It is computed as u = M^-1 <f, h>, then c_0 = T^-1 u.
 
 A step solves no linear system.  The left-hand matrix A is constant, so
 the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
@@ -50,15 +52,14 @@ explicit operator with dt folded into its first block.  assemble_lhs
 forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T.
 One gemv P r_n gives dt u, u_x and the old-level part
 u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
-dt u u_x is formed in place and subtracted straight into r_{n+1}, and the
-weak operator's boundary flux (dt/Re) M^-1 b is added at full weight for
-nonzero slopes.  The ends of every r_n after the seed are the boundary
-data, written once, when the buffers are built, so a step is three numpy
-calls on prebuilt views, the gemv, a multiply and a subtract, plus an add
-for nonzero slopes.  The gemv stays the full 3N x N product: one over
-the interior rows alone changed the results in their last bits, since
-BLAS rounds each row according to the layout.  The coefficients are
-solved for, by one np.linalg.solve with A, only at the report times.
+dt u u_x is formed in place and subtracted straight into r_{n+1}.  The
+ends of every r_n after the seed are the boundary data, 0, which the
+buffers are allocated with, so a step is three numpy calls on prebuilt
+views, the gemv, a multiply and a subtract.  The gemv stays the full
+3N x N product: one over the interior rows alone changed the results in
+their last bits, since BLAS rounds each row according to the layout.
+The coefficients are solved for, by one np.linalg.solve with A, only at
+the report times.
 Carrying the coefficients, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
 broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
 with P from the transposed solve keeps every gate (see the README).
@@ -142,26 +143,11 @@ def steps_to(t: float, dt: float) -> int:
 
 
 @dataclass(frozen=True)
-class BoundarySpec:
-    """Endpoint data: finite values of u (Dirichlet) or of du/dx (Neumann)."""
-
-    kind: str
-    left_value: float = 0.0
-    right_value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in (DIRICHLET, NEUMANN):
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
-        for name in ("left_value", "right_value"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} = {value} is not finite")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     """Run parameters: physics, time discretization, boundary and initial data.
 
+    bc is the boundary kind, DIRICHLET (u = 0 at both ends) or NEUMANN
+    (u_x = 0 at both ends); any other value raises ValueError here.
     times are the report times: the run steps to the last of them and keeps
     the state at each, in the order given; a time of 0 names the initial
     state.  Every report time must be a non-negative multiple of dt, at
@@ -171,12 +157,14 @@ class SolverConfig:
 
     reynolds: float
     times: tuple[float, ...]
-    bc: BoundarySpec
+    bc: str
     ic: Callable[[np.ndarray], np.ndarray]
     spec: BasisSpec
     dt: float = 1e-3
 
     def __post_init__(self) -> None:
+        if self.bc not in (DIRICHLET, NEUMANN):
+            raise ValueError(f"unknown boundary kind {self.bc!r}")
         if not (math.isfinite(self.reynolds) and self.reynolds > 0):
             raise ValueError("reynolds must be positive and finite")
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -209,10 +197,9 @@ class CollocationSystem:
     matrix is A = A_n T, whose condition assemble_lhs has checked.
     propagator is P = F_n A_n^-1, C-contiguous and read-only: it maps a
     step's right-hand side to dt u, u_x and the old-level part of the state
-    that step solves for.  values is T, shared and read-only.  first_deriv,
-    second_deriv and flux are derivative_rows' D1, D2 and M^-1 b (None for
-    Dirichlet data), shared and read-only.  The rows act on nodal values,
-    not on coefficients: the slopes of c are
+    that step solves for.  values is T, shared and read-only.  first_deriv
+    and second_deriv are derivative_rows' D1 and D2, shared and read-only.
+    The rows act on nodal values, not on coefficients: the slopes of c are
     first_deriv[[0, -1]] @ values @ c.
     """
 
@@ -221,38 +208,27 @@ class CollocationSystem:
     values: np.ndarray
     first_deriv: np.ndarray
     second_deriv: np.ndarray
-    flux: np.ndarray | None = None
 
 
 @functools.lru_cache(maxsize=16)
-def derivative_rows(n_points: int, bc: BoundarySpec
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Nodal first- and second-derivative rows, and the Neumann flux.
+def derivative_rows(n_points: int, bc: str) -> tuple[np.ndarray, np.ndarray]:
+    """Nodal first- and second-derivative rows, (D1, D2).
 
     The rows act on the values at the n_points grid nodes: D1 = M^-1 K^T;
     D2 = M^-1 K^T D1 (D*D) for Dirichlet data, the weak Laplacian -M^-1 S
-    for Neumann data; and, for Neumann data, the flux M^-1 b with
-    b = (-g_L, 0, ..., 0, g_R), g_L and g_R the prescribed slopes (None for
-    Dirichlet data).  The weak Laplacian plus the flux is exact for
-    quadratics: for u = x**2, g_L = 0 and g_R = 2 it is 2 at every node.
-    One solve with M per boundary kind; built once per (n_points, bc) and
+    for Neumann data, whose boundary term the zero slopes remove.  One
+    solve with M per boundary kind; built once per (n_points, bc) and
     returned read-only.
     """
     mass, stiffness, hat_deriv = p1_kernel(n_points)
-    if bc.kind == DIRICHLET:
+    if bc == DIRICHLET:
         first_deriv = np.linalg.solve(mass, hat_deriv.T)
-        rows = (first_deriv, np.linalg.solve(mass, hat_deriv.T @ first_deriv),
-                None)
+        rows = (first_deriv, np.linalg.solve(mass, hat_deriv.T @ first_deriv))
     else:
-        boundary = np.zeros((n_points, 1))
-        boundary[0], boundary[-1] = -bc.left_value, bc.right_value
-        stacked = np.linalg.solve(mass, np.hstack(
-            [hat_deriv.T, -stiffness, boundary]))
-        rows = (stacked[:, :n_points], stacked[:, n_points:2 * n_points],
-                stacked[:, -1])
+        stacked = np.linalg.solve(mass, np.hstack([hat_deriv.T, -stiffness]))
+        rows = (stacked[:, :n_points], stacked[:, n_points:])
     for array in rows:
-        if array is not None:
-            array.flags.writeable = False
+        array.flags.writeable = False
     return rows
 
 
@@ -275,11 +251,11 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     44 at 65 points, so one check does not bound the other.
     """
     n = config.spec.n_functions
-    first_deriv, second_deriv, flux = derivative_rows(n, config.bc)
+    first_deriv, second_deriv = derivative_rows(n, config.bc)
     weight = config.dt / config.reynolds
     identity = np.eye(n)
     nodal = identity - THETA * weight * second_deriv
-    ends = first_deriv if config.bc.kind == NEUMANN else identity
+    ends = first_deriv if config.bc == NEUMANN else identity
     nodal[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
     guard_condition(nodal, "nodal collocation system")
     explicit = np.vstack([config.dt * identity, first_deriv,
@@ -292,32 +268,30 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     guard_condition(matrix, "collocation system")
     return CollocationSystem(matrix=matrix, propagator=propagator,
                              values=values, first_deriv=first_deriv,
-                             second_deriv=second_deriv, flux=flux)
+                             second_deriv=second_deriv)
 
 
-def _rhs_buffers(n: int, bc: BoundarySpec):
+def _rhs_buffers(n: int):
     """The buffers solve steps in, and the interior views a step writes.
 
     Returns the 3N propagator product, the interior views of its three row
     blocks (dt u, u_x and u + (1 - THETA)(dt/Re) u_xx), the block of
     _CHECK_EVERY + 1 carried right-hand sides, its rows, and the interior
-    view of each row.  Every row's first and last entries are set to the
-    boundary data here, once: a step writes only the interior, so they
-    stay, and block[0] = block[size] carries them into the next block.
+    view of each row.  The block is allocated zero, so every row's first
+    and last entries are the boundary data: a step writes only the
+    interior, so they stay, and block[0] = block[size] carries them into
+    the next block.
     """
     stacked = np.empty(3 * n)
     products = (stacked[1:n - 1], stacked[n + 1:2 * n - 1],
                 stacked[2 * n + 1:3 * n - 1])
-    block = np.empty((_CHECK_EVERY + 1, n))
-    block[:, 0] = bc.left_value
-    block[:, -1] = bc.right_value
+    block = np.zeros((_CHECK_EVERY + 1, n))
     return stacked, products, block, list(block), [row[1:-1] for row in block]
 
 
 def _advance(propagator: np.ndarray, stacked: np.ndarray,
              products: tuple[np.ndarray, np.ndarray, np.ndarray],
-             rows: list[np.ndarray], interiors: list[np.ndarray],
-             forcing: np.ndarray | None) -> None:
+             rows: list[np.ndarray], interiors: list[np.ndarray]) -> None:
     """Step each right-hand side in rows into the matching interior view.
 
     One gemv, the propagator's bound dot (np.dot without its
@@ -325,20 +299,15 @@ def _advance(propagator: np.ndarray, stacked: np.ndarray,
     product of a right-hand side into stacked, whose interior views are
     products; the first is overwritten with the convection product
     dt u u_x, which is subtracted from the third straight into the
-    interior of the next right-hand side.
-    forcing, the interior of the weak operator's boundary flux times dt/Re,
-    is added at full weight, since it is the same at both time levels; it
-    is None when it is zero.  The ends are not written (see _rhs_buffers).
+    interior of the next right-hand side.  The ends are not written (see
+    _rhs_buffers).
     """
-    dot, multiply, subtract, add = (propagator.dot, np.multiply, np.subtract,
-                                    np.add)
+    dot, multiply, subtract = propagator.dot, np.multiply, np.subtract
     product, u_x, part = products
     for rhs, out in zip(rows, interiors):
         dot(rhs, stacked)
         multiply(product, u_x, product)
         subtract(part, product, out)
-        if forcing is not None:
-            add(out, forcing, out)
 
 
 def initial_coefficients(config: SolverConfig) -> np.ndarray:
@@ -349,8 +318,8 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     quadrature nodes, cell by cell, and ValueError is raised unless it
     returns one finite value per node.  u = M^-1 moments, with M the P1
     mass matrix, are the nodal values of the projection; for Dirichlet
-    data the end values are then set to the boundary data, so the state
-    at t = 0 meets them.  The coefficients are c_0 = T^-1 u.  Expanding
+    data the end values are then set to 0, so the state at t = 0 meets
+    the boundary data.  The coefficients are c_0 = T^-1 u.  Expanding
     the data through the dual basis, G^-1 <f, psi> with G = T^T M T, is
     the same projection: its nodal values are M^-1 times the moments.
     """
@@ -371,8 +340,8 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     moments[1:] += weighted @ rising
     mass, _, _ = p1_kernel(n)
     nodal = np.linalg.solve(mass, moments)
-    if config.bc.kind == DIRICHLET:
-        nodal[0], nodal[-1] = config.bc.left_value, config.bc.right_value
+    if config.bc == DIRICHLET:
+        nodal[0] = nodal[-1] = 0.0
     return np.linalg.solve(_interpolation_matrix(config.spec.max_level), nodal)
 
 
@@ -420,18 +389,14 @@ def solve(config: SolverConfig) -> SolutionSeries:
     # (step, index) of every later report state, the earliest last
     pending = sorted(((k, i) for i, k in enumerate(report) if k),
                      reverse=True)
-    forcing = (None if system.flux is None
-               else (config.dt / config.reynolds) * system.flux[1:-1])
-    if forcing is not None and not forcing.any():
-        forcing = None
-    stacked, products, block, rows, interiors = _rhs_buffers(n, config.bc)
+    stacked, products, block, rows, interiors = _rhs_buffers(n)
     with np.errstate(over="ignore", invalid="ignore"):
         # block[r] is the right-hand side of step base + r
         block[0] = np.dot(system.matrix, coeffs)
         for base in range(0, n_steps, _CHECK_EVERY):
             size = min(_CHECK_EVERY, n_steps - base)
             _advance(propagator, stacked, products, rows[:size],
-                     interiors[1:size + 1], forcing)
+                     interiors[1:size + 1])
             finite = np.isfinite(block[1:size + 1]).all(axis=1)
             if not finite.all():
                 failed = base + int(np.argmin(finite))

@@ -37,12 +37,13 @@ def benchmark_run():
 @pytest.fixture
 def fresh_tables():
     """Empties every per-process table the package keeps, before and after
-    the test: the node values T, the solver's node rows and checked T, and
-    the runs' resolution tables.  So a patched builder or guard is called,
-    a traced build is seen, and what a patch built does not outlive the
-    test."""
-    caches = (w.basis._nodal_matrix, w.solver.derivative_rows,
-              w.solver._interpolation_matrix, w.bench._resolution_tables)
+    the test: the node values T, the P1 kernel, the solver's node rows and
+    checked T, and the runs' resolution tables.  So a patched builder or
+    guard is called, a traced build is seen, and what a patch built does
+    not outlive the test."""
+    caches = (w.basis._nodal_matrix, w.operators.p1_kernel,
+              w.solver.derivative_rows, w.solver._interpolation_matrix,
+              w.bench._resolution_tables)
     for cache in caches:
         cache.cache_clear()
     yield

@@ -18,8 +18,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from wavecol.basis import (BasisSpec, PiecewiseLinear, _nodal_matrix,
-                           collocation_points)
+from wavecol.basis import BasisSpec, PiecewiseLinear, _nodal_matrix
 
 # 2-point Gauss-Legendre on [-1, 1]: exact through cubics.  Products of two
 # piecewise-linear segments are at most quadratic per cell.
@@ -85,4 +84,4 @@ def interpolate(f, spec: BasisSpec) -> np.ndarray:
     """Expansion coefficients that reproduce f at the collocation grid:
     one solve with T, the basis values at the grid nodes."""
     return np.linalg.solve(_nodal_matrix(spec.max_level),
-                           f(collocation_points(spec)))
+                           f(np.linspace(0.0, 1.0, spec.n_functions)))

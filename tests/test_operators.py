@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import get_lapack_funcs
 
 import wavecol as w
-from wavecol import basis, cli
-from wavecol.basis import SCALING, WAVELET, collocation_points
+from wavecol import cli
+from wavecol.basis import SCALING, WAVELET
 from wavecol.errors import ConditioningError
 from wavecol.operators import guard_condition, p1_kernel
 from wavecol.solver import DIRICHLET, derivative_rows
@@ -272,7 +272,8 @@ class TestConditionGuard:
     @pytest.mark.parametrize("n_points", [17, 33, 65])
     def test_gram_and_basis_matrices_far_below_the_limit(self, n_points):
         spec = w.spec_for_points(n_points)
-        nodal = w.basis_matrix(spec, collocation_points(spec))
+        nodal = w.basis_matrix(spec,
+                               np.linspace(0.0, 1.0, spec.n_functions))
         for matrix, bound in ((w.gram_matrix(spec), 55.0), (nodal, 45.0)):
             cond = guard_condition(matrix, "matrix")
             assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
@@ -280,7 +281,8 @@ class TestConditionGuard:
 
     def test_singular_collocation_matrix_maps_linalg_error_to_inf(self):
         spec = w.spec_for_points(17)
-        singular = w.basis_matrix(spec, collocation_points(spec)).copy()
+        singular = w.basis_matrix(
+            spec, np.linspace(0.0, 1.0, spec.n_functions)).copy()
         singular[:, -1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(singular)
@@ -328,9 +330,8 @@ class TestDerivativeOperator:
 
 def _dirichlet_rows(spec):
     """T and the solver's Dirichlet rows, formed in coefficient space."""
-    values = w.basis_matrix(spec, basis.collocation_points(spec))
-    first, second, _ = derivative_rows(spec.n_functions,
-                                       w.BoundarySpec(DIRICHLET))
+    values = w.basis_matrix(spec, np.linspace(0.0, 1.0, spec.n_functions))
+    first, second = derivative_rows(spec.n_functions, DIRICHLET)
     return values, first @ values, second @ values
 
 

@@ -1,8 +1,10 @@
-"""The package's public names: every exported name resolves, every
-exported function is one a run reaches, and the records that hold arrays
-compare and hash by identity."""
+"""The package's public names: every exported name resolves, every public
+function of its modules is one a run reaches, and the records that hold
+arrays compare and hash by identity."""
 
+import importlib
 import inspect
+import pkgutil
 import sys
 
 import numpy as np
@@ -10,7 +12,7 @@ import numpy as np
 import wavecol
 from wavecol import bench, cli
 
-#: Exported functions no run calls, each with the reason it stays.
+#: Public functions no run calls, each with the reason it stays.
 _UNREACHED = {
     "split_levels": "the north star names it and ROADMAP item 4 reads it",
     "basis_piecewise": "wavebench/tracing.py binds it until ROADMAP item 1",
@@ -30,10 +32,21 @@ def test_star_import_binds_every_exported_name():
     assert set(wavecol.__all__) <= set(namespace)
 
 
-def test_every_exported_function_is_one_a_run_reaches(tmp_path,
-                                                      fresh_tables):
-    # earlier tests warm the resolution tables, whose cache would hide the
-    # operator and basis builds
+def _public_functions():
+    """(name, function) of every public module-level function that a
+    wavecol module defines, unwrapped from its cache if it has one."""
+    for info in pkgutil.iter_modules(wavecol.__path__):
+        module = importlib.import_module(f"wavecol.{info.name}")
+        for name, value in vars(module).items():
+            function = inspect.unwrap(value)
+            if (not name.startswith("_") and inspect.isfunction(function)
+                    and function.__module__ == module.__name__):
+                yield name, function
+
+
+def test_every_public_function_is_one_a_run_reaches(tmp_path, fresh_tables):
+    # earlier tests warm the per-process tables, whose caches would hide
+    # the kernel, operator and basis builds
     called = set()
 
     def profile(frame, event, arg):
@@ -54,10 +67,8 @@ def test_every_exported_function_is_one_a_run_reaches(tmp_path,
             assert code == cli.EXIT_OK
     finally:
         sys.setprofile(None)
-    unreached = sorted(
-        name for name in wavecol.__all__
-        if inspect.isfunction(function := getattr(wavecol, name))
-        and function.__code__ not in called)
+    unreached = sorted(name for name, function in _public_functions()
+                       if function.__code__ not in called)
     assert unreached == sorted(_UNREACHED), f"not reached: {unreached}"
 
 

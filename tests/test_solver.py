@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -10,7 +11,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 import wavecol as w
 from wavecol import basis, solver
-from wavecol.basis import collocation_points
 from wavecol.errors import ConditioningError, DivergenceError
 from wavecol.solver import (
     DIRICHLET,
@@ -23,14 +23,14 @@ from wavecol.solver import (
 from exact_reference import project_l2
 
 
-def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3, bc=None,
-            ic=None):
+def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3,
+            bc=DIRICHLET, ic=None):
     # every step up to t_end is a report time, so coeffs[k] is step k
     spec, _, _, _ = operators(level)
     times = tuple(k * dt for k in range(round(t_end / dt))) + (t_end,)
     return w.SolverConfig(
         reynolds=reynolds, times=times, dt=dt,
-        bc=bc or w.BoundarySpec(DIRICHLET),
+        bc=bc,
         ic=ic or (lambda x: np.sin(np.pi * x)),
         spec=spec,
     )
@@ -43,10 +43,10 @@ def _reference_history(config):
     """The step algebra spelled out with scipy's lu_factor and lu_solve.
 
     A dense per-step solve of the coefficients, with the right-hand side
-    u + (1/2)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux) formed here from the
-    assembled node rows, taken to coefficient space, so it shares no step
-    code with solve.  Returns the coefficient history, or the
-    DivergenceError the run ends in.
+    u + (1/2)(dt/Re) u_xx - dt u u_x formed here from the assembled node
+    rows, taken to coefficient space, so it shares no step code with
+    solve.  Returns the coefficient history, or the DivergenceError the
+    run ends in.
     """
     system = assemble_lhs(config)
     lu = lu_factor(system.matrix)
@@ -61,9 +61,7 @@ def _reference_history(config):
             u_x = first @ coeffs
             u_xx = second @ coeffs
             rhs = u + 0.5 * weight * u_xx - config.dt * u * u_x
-            if system.flux is not None:
-                rhs += weight * system.flux
-            rhs[0], rhs[-1] = config.bc.left_value, config.bc.right_value
+            rhs[0] = rhs[-1] = 0.0
             if not np.all(np.isfinite(rhs)):
                 return DivergenceError(n, n * config.dt)
             coeffs = lu_solve(lu, rhs)
@@ -79,11 +77,22 @@ def _values_at(series, t, xs):
 
 
 def _explicit_rows(config):
-    """Coefficient rows V, D1 V and D2 V and the flux, built apart from
-    assemble_lhs."""
-    values = w.basis_matrix(config.spec, collocation_points(config.spec))
-    first, second, flux = derivative_rows(config.spec.n_functions, config.bc)
-    return values, first @ values, second @ values, flux
+    """Coefficient rows V, D1 V and D2 V, built apart from assemble_lhs."""
+    values = w.basis_matrix(config.spec,
+                            np.linspace(0.0, 1.0, config.spec.n_functions))
+    first, second = derivative_rows(config.spec.n_functions, config.bc)
+    return values, first @ values, second @ values
+
+
+def _slope_rows(system):
+    """D1[[0, -1]] T, the slope rows, through a product of A's own shape:
+    the end rows of E T, E zero but for D1's end rows.  BLAS may round a
+    row of a product differently with its shape (at 65 points the 2 x N
+    product D1[[0, -1]] @ T differs from A's end rows by 1.7e-49), but not
+    with the other rows' values."""
+    ends = np.zeros_like(system.first_deriv)
+    ends[[0, -1]] = system.first_deriv[[0, -1]]
+    return (ends @ system.values)[[0, -1]]
 
 
 def _nodal_operators(config):
@@ -91,11 +100,11 @@ def _nodal_operators(config):
     D1's end rows, and the stacked explicit operator
     [dt I; D1; I + (1 - THETA)(dt/Re) D2], from derivative_rows."""
     n = config.spec.n_functions
-    first, second, _ = derivative_rows(n, config.bc)
+    first, second = derivative_rows(n, config.bc)
     weight = config.dt / config.reynolds
     identity = np.eye(n)
     nodal = identity - solver.THETA * weight * second
-    nodal[[0, -1]] = (first if config.bc.kind == NEUMANN else identity)[[0, -1]]
+    nodal[[0, -1]] = (first if config.bc == NEUMANN else identity)[[0, -1]]
     folded = np.vstack([config.dt * identity, first,
                         identity + (1.0 - solver.THETA) * weight * second])
     return nodal, folded
@@ -103,15 +112,13 @@ def _nodal_operators(config):
 
 def _step_algebra(config, coeffs):
     """The right-hand side the scheme builds from the state coeffs:
-    u + (1 - THETA)(dt/Re) u_xx - dt u u_x (+ (dt/Re) flux), with the
-    boundary data at the ends, spelled out from _explicit_rows."""
-    values, first, second, flux = _explicit_rows(config)
+    u + (1 - THETA)(dt/Re) u_xx - dt u u_x, with the boundary data, 0, at
+    the ends, spelled out from _explicit_rows."""
+    values, first, second = _explicit_rows(config)
     weight = config.dt / config.reynolds
     u, u_x, u_xx = values @ coeffs, first @ coeffs, second @ coeffs
     rhs = u + (1.0 - solver.THETA) * weight * u_xx - config.dt * u * u_x
-    if flux is not None:
-        rhs += weight * flux
-    rhs[0], rhs[-1] = config.bc.left_value, config.bc.right_value
+    rhs[0] = rhs[-1] = 0.0
     return rhs
 
 
@@ -125,31 +132,27 @@ def _first_step(config):
     return series.coeffs[0], rhs
 
 
-def _one_step(rhs, bc, forcing, propagator=None):
-    """The next right-hand side, from solve's own buffers and step: the
-    ends _rhs_buffers sets and the interior _advance writes from rhs.
-    propagator defaults to zero, so the product blocks are all zero."""
+def _one_step(rhs):
+    """The next right-hand side, from solve's own buffers and step, under a
+    zero propagator: the ends _rhs_buffers allocates and the interior
+    _advance writes from rhs, from product blocks that are all zero."""
     n = rhs.shape[0]
-    if propagator is None:
-        propagator = np.zeros((3 * n, n))
-    stacked, products, block, rows, interiors = solver._rhs_buffers(n, bc)
+    stacked, products, block, rows, interiors = solver._rhs_buffers(n)
     block[0] = rhs
-    solver._advance(propagator, stacked, products, rows[:1], interiors[1:2],
-                    forcing)
+    solver._advance(np.zeros((3 * n, n)), stacked, products, rows[:1],
+                    interiors[1:2])
     return block[1]
 
 
 def _full_vector_history(config):
     """The states at the report times from the full-vector step: np.dot(P,
     r) into one 3N buffer, dt u u_x formed over the whole first block and
-    subtracted from the whole third one into a fresh vector, the flux added
-    whenever there is one, and both ends set to the boundary data every
-    step; one np.linalg.solve with A per nonzero report time."""
+    subtracted from the whole third one into a fresh vector, and both ends
+    set to the boundary data, 0, every step; one np.linalg.solve with A
+    per nonzero report time."""
     system = assemble_lhs(config)
     coeffs = initial_coefficients(config)
     n = config.spec.n_functions
-    forcing = (None if system.flux is None
-               else (config.dt / config.reynolds) * system.flux)
     stacked = np.empty(3 * n)
     product, u_x, part = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
     report = config.report_steps()
@@ -160,10 +163,7 @@ def _full_vector_history(config):
         product *= u_x
         rhs = np.empty(n)
         np.subtract(part, product, out=rhs)
-        if forcing is not None:
-            rhs += forcing
-        rhs[0] = config.bc.left_value
-        rhs[-1] = config.bc.right_value
+        rhs[0] = rhs[-1] = 0.0
         if step in report:
             states[step] = np.linalg.solve(system.matrix, rhs)
     return np.array([states[k] for k in report])
@@ -208,7 +208,7 @@ def _wrap_report_solves(monkeypatch, outcome):
 class TestConfigValidation:
     def test_bad_parameters_rejected(self, operators):
         spec, _, _, _ = operators(3)
-        bc = w.BoundarySpec(DIRICHLET)
+        bc = DIRICHLET
         ic = lambda x: np.zeros_like(x)
         with pytest.raises(ValueError, match="reynolds"):
             w.SolverConfig(reynolds=-1.0, times=(0.1,), bc=bc, ic=ic, spec=spec)
@@ -225,7 +225,7 @@ class TestConfigValidation:
 
     def test_report_time_past_the_step_ceiling_rejected(self, operators):
         spec, _, _, _ = operators(3)
-        config = dict(reynolds=1.0, dt=1e-3, bc=w.BoundarySpec(DIRICHLET),
+        config = dict(reynolds=1.0, dt=1e-3, bc=DIRICHLET,
                       ic=lambda x: np.zeros_like(x), spec=spec)
         at_ceiling = w.SolverConfig(times=(solver.MAX_STEPS * 1e-3,), **config)
         assert at_ceiling.n_steps() == solver.MAX_STEPS
@@ -234,34 +234,22 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="MAX_STEPS"):
                 w.SolverConfig(times=(t,), **config)
 
-    def test_unknown_boundary_kind_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            w.BoundarySpec("periodic")
-
-    @pytest.mark.parametrize("kind, left, right", [
-        (DIRICHLET, np.nan, 0.0), (DIRICHLET, 0.0, np.inf),
-        (DIRICHLET, -np.inf, 1.0), (NEUMANN, np.nan, 0.0),
-        (NEUMANN, 0.0, -np.inf)])
-    def test_non_finite_boundary_data_rejected(self, kind, left, right):
-        # unchecked, a nan gives a nan state at t = 0 and a divergence at
-        # step 0 for any later report time
-        with pytest.raises(ValueError, match="value = .* is not finite"):
-            w.BoundarySpec(kind, left, right)
+    @pytest.mark.parametrize("bc", [
+        "periodic", "robin", None, types.SimpleNamespace(kind=DIRICHLET)],
+        ids=["periodic", "robin", "none", "object-with-kind"])
+    def test_unknown_boundary_kind_rejected(self, fresh_tables, bc):
+        # the kind is the string itself: an object that carries one in a
+        # kind attribute is refused too, before anything is built
+        with pytest.raises(ValueError, match="unknown boundary kind"):
+            w.SolverConfig(reynolds=1.0, times=(0.1,), bc=bc,
+                           ic=np.zeros_like, spec=w.BasisSpec(max_level=3))
+        for cache in (solver.derivative_rows, solver._interpolation_matrix,
+                      basis._nodal_matrix):
+            assert cache.cache_info().currsize == 0
 
     def test_step_count_is_robust_to_roundoff(self, operators):
         config = _config(operators, t_end=0.1, dt=1e-3)
         assert config.n_steps() == 100
-
-
-class TestCollocationGrid:
-    def test_interior_count_and_spacing(self, operators):
-        spec, _, _, _ = operators(4)
-        grid = collocation_points(spec)
-        interior = grid[1:-1]
-        assert len(interior) == 2**4 - 1
-        assert (grid[0], grid[-1]) == (0.0, 1.0)
-        np.testing.assert_allclose(np.diff(grid), 2.0**-4, atol=1e-15)
-        assert np.all((interior > 0.0) & (interior < 1.0))
 
 
 class TestAssembleLhs:
@@ -271,8 +259,9 @@ class TestAssembleLhs:
         assert system.values is basis._nodal_matrix(4)
         assert not system.values.flags.writeable
         # bitwise, sign bits included, the basis evaluated at the grid
+        grid = np.linspace(0.0, 1.0, config.spec.n_functions)
         assert system.values.tobytes() == w.basis_matrix(
-            config.spec, collocation_points(config.spec)).tobytes()
+            config.spec, grid).tobytes()
         # A = A_n T with the identity's end rows in A_n: T's value rows
         np.testing.assert_array_equal(system.matrix[[0, -1]],
                                       system.values[[0, -1]])
@@ -301,11 +290,11 @@ class TestAssembleLhs:
         # THETA * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
         spec, _, _, _ = operators(2)
         config = w.SolverConfig(reynolds=1.0, times=(0.5,), dt=0.5,
-                                bc=w.BoundarySpec(DIRICHLET),
+                                bc=DIRICHLET,
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         monkeypatch.setattr(solver, "derivative_rows",
                             lambda n_points, bc: (2.0 * np.eye(n_points),
-                                                  4.0 * np.eye(n_points), None))
+                                                  4.0 * np.eye(n_points)))
         with pytest.raises(ConditioningError,
                            match="collocation system") as info:
             assemble_lhs(config)
@@ -314,8 +303,7 @@ class TestAssembleLhs:
     def test_node_rows_are_built_once_per_resolution_and_boundary_data(
             self, operators, fresh_tables):
         dirichlet = _config(operators, level=4)
-        neumann = _config(operators, level=4,
-                          bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        neumann = _config(operators, level=4, bc=NEUMANN)
         first = assemble_lhs(dirichlet)
         again = assemble_lhs(_config(operators, level=4, reynolds=10.0,
                                      dt=0.01))
@@ -325,22 +313,21 @@ class TestAssembleLhs:
         assert again.first_deriv is first.first_deriv
         assert again.second_deriv is first.second_deriv
         for array in (first.first_deriv, first.second_deriv,
-                      other.first_deriv, other.second_deriv, other.flux):
+                      other.first_deriv, other.second_deriv):
             assert not array.flags.writeable
 
     def test_derivative_rows_are_shared_across_dt_and_reynolds(
             self, operators, fresh_tables):
-        # keyed by the grid size and the boundary data alone: equal data
-        # in another BoundarySpec share the rows, other slopes do not
-        rows = derivative_rows(33, w.BoundarySpec(NEUMANN, 0.5, -1.0))
+        # keyed by the grid size and the boundary kind alone: the other
+        # kind has its own rows
+        rows = derivative_rows(33, NEUMANN)
         for reynolds, dt in ((1.0, 1e-3), (10.0, 0.01), (100.0, 0.05)):
             config = _config(operators, level=5, reynolds=reynolds, dt=dt,
-                             t_end=dt, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
-                             ic=CASE3_IC)
+                             t_end=dt, bc=NEUMANN, ic=CASE3_IC)
             system = w.solve(config).system
             assert all(mine is shared for mine, shared in zip(
-                (system.first_deriv, system.second_deriv, system.flux), rows))
-        assert derivative_rows(33, w.BoundarySpec(NEUMANN)) is not rows
+                (system.first_deriv, system.second_deriv), rows))
+        assert derivative_rows(33, DIRICHLET) is not rows
         info = derivative_rows.cache_info()
         assert (info.misses, info.hits) == (2, 3)
         for array in rows:
@@ -352,7 +339,7 @@ class TestAssembleLhs:
         # P = F A^-1 = F_n A_n^-1: another well-conditioned T leaves P
         # bitwise as it was and enters only A = A_n T
         config = _config(operators, level=4, reynolds=10.0, dt=0.01,
-                         bc=w.BoundarySpec(NEUMANN, 0.5, -1.0))
+                         bc=NEUMANN)
         system = assemble_lhs(config)
         n = config.spec.n_functions
         other = np.eye(n) + np.triu(
@@ -367,8 +354,7 @@ class TestAssembleLhs:
         np.testing.assert_array_equal(patched.matrix, nodal @ other)
         np.testing.assert_array_equal(system.matrix, nodal @ system.values)
 
-    @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET, 0.3, -0.2),
-                                    w.BoundarySpec(NEUMANN, 0.5, -1.0)],
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_both_solved_matrices_are_guarded(self, operators, monkeypatch,
                                               fresh_tables, bc):
@@ -387,14 +373,13 @@ class TestAssembleLhs:
         assert guarded[1][1] is system.values
         assert guarded[2][1] is system.matrix
 
-    def test_neumann_rows_are_derivative_rows(self, operators):
-        config = _config(operators, bc=w.BoundarySpec(NEUMANN))
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    def test_neumann_rows_are_derivative_rows(self, operators, level):
+        config = _config(operators, level=level, bc=NEUMANN)
         system = assemble_lhs(config)
-        slopes = system.first_deriv[[0, -1]] @ system.values
-        np.testing.assert_array_equal(system.matrix[[0, -1]], slopes)
+        assert np.array_equal(system.matrix[[0, -1]], _slope_rows(system))
 
-    @pytest.mark.parametrize("bc", [w.BoundarySpec(DIRICHLET),
-                                    w.BoundarySpec(NEUMANN)],
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_propagator_is_the_explicit_operator_through_the_inverse(
             self, operators, bc):
@@ -413,55 +398,21 @@ class TestAssembleLhs:
 
 
 class TestWeakSecondDerivative:
-    def test_flux_makes_quadratic_curvature_exact_at_every_node(
-            self, operators):
-        # u = x**2 has u'(0) = 0, u'(1) = 2 and u'' = 2; with the consistent
-        # P1 mass matrix the weak Laplacian plus the flux M^-1 b reproduces
-        # it exactly, so a dropped or mis-signed flux shows at the ends
-        config = _config(operators,
-                                   bc=w.BoundarySpec(NEUMANN, 0.0, 2.0))
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    def test_boundary_rows_stay_derivative_rows(self, operators, level):
+        # the weak Laplacian changes A's interior rows only
+        config = _config(operators, level=level, reynolds=10.0, dt=0.01,
+                         bc=NEUMANN)
         system = assemble_lhs(config)
-        nodal = collocation_points(config.spec) ** 2
-        curvature = system.second_deriv @ nodal + system.flux
-        np.testing.assert_allclose(curvature, 2.0, rtol=0, atol=1e-11)
-
-    def test_boundary_rows_stay_derivative_rows(self, operators):
-        config = _config(operators, bc=w.BoundarySpec(NEUMANN))
-        system = assemble_lhs(config)
-        np.testing.assert_array_equal(
-            system.matrix[[0, -1]],
-            system.first_deriv[[0, -1]] @ system.values)
-
-    def test_flux_enters_rhs_interior_at_full_weight(self, operators):
-        config = _config(operators, bc=w.BoundarySpec(NEUMANN, 0.5, -1.0),
-                         ic=np.zeros_like)
-        system = assemble_lhs(config)
-        forcing = (config.dt / config.reynolds) * system.flux
-        n = config.spec.n_functions
-        rhs = _one_step(np.zeros(n), config.bc, forcing[1:-1])
-        np.testing.assert_array_equal(rhs[1:-1], forcing[1:-1])
-        assert rhs[0] == 0.5 and rhs[-1] == -1.0
-        # through solve: what the first step solved, less the scheme
-        # without the flux, is the flux times dt/Re inside and the slope
-        # data at the ends
-        values, first, second, flux = _explicit_rows(config)
-        initial, rhs = _first_step(config)
-        u, u_x = values @ initial, first @ initial
-        without_flux = (u + 0.5 * (config.dt / config.reynolds)
-                        * (second @ initial) - config.dt * u * u_x)
-        np.testing.assert_allclose(
-            rhs[1:-1] - without_flux[1:-1],
-            (config.dt / config.reynolds) * flux[1:-1], rtol=0, atol=1e-15)
-        assert abs(rhs[0] - 0.5) <= 1e-15 and abs(rhs[-1] + 1.0) <= 1e-15
+        assert np.array_equal(system.matrix[[0, -1]], _slope_rows(system))
 
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
         # the rows are formed from the nodal kernel, not from the
         # wavelet-space D, so in coefficient space they agree with
         # V (D D)^T to roundoff only
         _, _, _, deriv_op = operators(4)
-        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.5, 1.0))
+        config = _config(operators)
         system = assemble_lhs(config)
-        assert system.flux is None
         paper = system.values @ (deriv_op @ deriv_op).T
         assert (np.max(np.abs(system.second_deriv @ system.values - paper))
                 <= 1e-14 * np.max(np.abs(paper)))
@@ -470,8 +421,8 @@ class TestWeakSecondDerivative:
 class TestInitialCoefficients:
     @pytest.mark.parametrize("level", [4, 5, 6])
     @pytest.mark.parametrize("bc, ic", [
-        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x)),
-        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC),
+        (DIRICHLET, lambda x: np.sin(np.pi * x)),
+        (NEUMANN, CASE3_IC),
     ], ids=["dirichlet", "neumann"])
     def test_nodal_values_are_the_l2_projection(self, operators, bc, ic,
                                                 level):
@@ -483,20 +434,23 @@ class TestInitialCoefficients:
         values = basis._nodal_matrix(level)
         state = values @ initial_coefficients(config)
         reference = values @ project_l2(ic, spec, dual)
-        kept = slice(1, -1) if bc.kind == DIRICHLET else slice(None)
+        kept = slice(1, -1) if bc == DIRICHLET else slice(None)
         assert (np.max(np.abs(state[kept] - reference[kept]))
                 <= 1e-12 * np.max(np.abs(reference)))
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_dirichlet_ends_meet_the_boundary_data_at_t0(self, operators,
                                                          level):
+        # 1 + x is 1 and 2 at the ends, so the projection's end values are
+        # far from the boundary data unless they are replaced
         config = dataclasses.replace(
-            _config(operators, level=level,
-                    bc=w.BoundarySpec(DIRICHLET, 0.3, -0.2)), times=(0.0,))
+            _config(operators, level=level, ic=lambda x: 1.0 + x),
+            times=(0.0,))
         (initial,) = w.solve(config).coeffs
         np.testing.assert_array_equal(initial, initial_coefficients(config))
-        ends = basis._nodal_matrix(level)[[0, -1]] @ initial
-        np.testing.assert_allclose(ends, [0.3, -0.2], rtol=0, atol=1e-15)
+        state = basis._nodal_matrix(level) @ initial
+        assert state[1] > 1.0 and state[-2] > 1.9
+        np.testing.assert_allclose(state[[0, -1]], 0.0, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("level", [3, 4, 6])
     @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
@@ -505,11 +459,11 @@ class TestInitialCoefficients:
         # a member of the span is its own projection: Gauss-5 integrates
         # its products with the hats exactly, cell by cell
         spec, _, _, _ = operators(level)
-        grid = collocation_points(spec)
+        grid = np.linspace(0.0, 1.0, spec.n_functions)
         nodal = np.random.default_rng(level).uniform(-1.0, 1.0, grid.size)
-        bc = (w.BoundarySpec(DIRICHLET, nodal[0], nodal[-1])
-              if kind == DIRICHLET else w.BoundarySpec(NEUMANN))
-        config = _config(operators, level=level, bc=bc,
+        if kind == DIRICHLET:  # a datum that meets the boundary data
+            nodal[[0, -1]] = 0.0
+        config = _config(operators, level=level, bc=kind,
                          ic=lambda x: np.interp(x, grid, nodal))
         state = basis._nodal_matrix(level) @ initial_coefficients(config)
         np.testing.assert_allclose(state, nodal, rtol=0, atol=1e-13)
@@ -577,7 +531,7 @@ class TestInitialCoefficients:
         monkeypatch.setattr(solver, "guard_condition",
                             lambda matrix, what: guarded.append(what))
         for level in (4, 4, 5, 4):
-            for bc in (w.BoundarySpec(DIRICHLET), w.BoundarySpec(NEUMANN)):
+            for bc in (DIRICHLET, NEUMANN):
                 initial_coefficients(_config(operators, level=level, bc=bc))
         assert guarded == ["initial interpolation"] * 2
 
@@ -589,23 +543,33 @@ class TestBuildRhs:
     state a step solved for, the first step from the seed r_0 = A c_0."""
 
     def test_zero_state_leaves_only_boundary_values(self, operators):
-        bc = w.BoundarySpec(DIRICHLET, 0.3, -0.2)
+        # a zero propagator product leaves exactly the boundary data, 0,
+        # whatever right-hand side it came from
         n = _config(operators).spec.n_functions
-        rhs = _one_step(np.zeros(n), bc, None)
-        assert rhs[0] == 0.3 and rhs[-1] == -0.2
-        assert np.max(np.abs(rhs[1:-1])) == 0.0
-        # through solve: homogeneous data keep the zero state exactly;
-        # other boundary data are what the end rows are set to
+        rhs = _one_step(np.ones(n))
+        assert np.max(np.abs(rhs)) == 0.0
+        # through solve: the zero state stays zero exactly, and from a
+        # nonzero one every carried right-hand side after the seed has
+        # ends of exactly 0, across the first block edge too
         config = _config(operators, ic=np.zeros_like)
         initial, rhs = _first_step(config)
         assert np.max(np.abs(initial)) == 0.0
         assert np.max(np.abs(rhs)) == 0.0
-        config = _config(operators, bc=bc, ic=np.zeros_like)
-        _, rhs = _first_step(config)
-        assert rhs[0] == 0.3 and rhs[-1] == -0.2
+        for bc, ic in ((DIRICHLET, lambda x: np.sin(np.pi * x)),
+                       (NEUMANN, CASE3_IC)):
+            config = _config(operators, bc=bc, ic=ic)
+            with pytest.MonkeyPatch.context() as patch:
+                report_solves = _wrap_report_solves(patch,
+                                                    lambda solved: solved)
+                w.solve(config)
+            carried = np.array(report_solves.handed)
+            assert carried.shape == (config.n_steps(), n)
+            assert np.all(np.abs(carried[:, 1:-1]).max(axis=1) > 0.0)
+            assert not carried[:, [0, -1]].any()
 
     def test_constant_state_is_nearly_stationary_inside(self, operators):
-        config = _config(operators, bc=w.BoundarySpec(DIRICHLET, 0.7, 0.7),
+        # under zero slopes a constant is an exact steady state
+        config = _config(operators, bc=NEUMANN,
                          ic=lambda x: np.full_like(x, 0.7))
         _, rhs = _first_step(config)
         np.testing.assert_allclose(rhs[1:-1], 0.7, atol=1e-10)
@@ -626,8 +590,8 @@ class TestBuildRhs:
         assert abs(rhs[center] - target) <= 1e-3 * 2.0**-level
 
     @pytest.mark.parametrize("bc, ic, reynolds", [
-        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x), 1.0),
-        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC, 10.0),
+        (DIRICHLET, lambda x: np.sin(np.pi * x), 1.0),
+        (NEUMANN, CASE3_IC, 10.0),
     ], ids=["dirichlet", "neumann"])
     def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
                                               reynolds):
@@ -668,7 +632,7 @@ class TestStep:
 
     def test_antisymmetric_state_stays_antisymmetric(self, operators):
         config = _config(operators, level=4, reynolds=10.0,
-                                   bc=w.BoundarySpec(NEUMANN), ic=CASE3_IC)
+                                   bc=NEUMANN, ic=CASE3_IC)
         series = w.solve(config)
         for coeffs in series.coeffs[1:]:
             u = series.system.values @ coeffs
@@ -700,7 +664,7 @@ class TestSolve:
     def test_runs_from_the_config_alone(self):
         spec = w.BasisSpec(max_level=3)
         config = w.SolverConfig(reynolds=1.0, times=(0.0, 0.001, 0.002),
-                                bc=w.BoundarySpec(DIRICHLET),
+                                bc=DIRICHLET,
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         series = w.solve(config)
         assert series.coeffs.shape == (3, spec.n_functions)
@@ -727,7 +691,7 @@ class TestSolve:
         # 20 000 steps at 33 points: a stored history alone would be 5.3 MB
         spec, _, _, _ = operators(5)
         config = w.SolverConfig(reynolds=1.0, times=(2.0,), dt=1e-4,
-                                bc=w.BoundarySpec(DIRICHLET),
+                                bc=DIRICHLET,
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         assert config.n_steps() == 20_000
         tracemalloc.start()
@@ -739,8 +703,8 @@ class TestSolve:
         assert peak < 1e6
 
     @pytest.mark.parametrize("bc, ic", [
-        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x)),
-        (w.BoundarySpec(NEUMANN), CASE3_IC),
+        (DIRICHLET, lambda x: np.sin(np.pi * x)),
+        (NEUMANN, CASE3_IC),
     ], ids=["dirichlet", "neumann"])
     def test_needs_no_wavelet_space_operator(self, operators, monkeypatch,
                                              bc, ic):
@@ -764,7 +728,7 @@ class TestSolve:
 
     def test_neumann_boundaries_enforced_every_step(self, operators):
         config = _config(operators, level=4, reynolds=10.0, t_end=0.05,
-                                   bc=w.BoundarySpec(NEUMANN), ic=CASE3_IC)
+                                   bc=NEUMANN, ic=CASE3_IC)
         series = w.solve(config)
         _, _, _, deriv_op = operators(4)
         slope_rows = w.basis_matrix(config.spec, [0.0, 1.0]) @ deriv_op.T
@@ -776,8 +740,8 @@ class TestSolve:
     def test_peak_magnitude_never_grows(self, operators, ic):
         config = _config(operators, level=4, t_end=0.1, ic=ic)
         series = w.solve(config)
-        grid_values = series.coeffs @ w.basis_matrix(
-            config.spec, collocation_points(config.spec)).T
+        grid = np.linspace(0.0, 1.0, config.spec.n_functions)
+        grid_values = series.coeffs @ w.basis_matrix(config.spec, grid).T
         peaks = np.max(np.abs(grid_values), axis=1)
         assert all(b <= a + 1e-6 for a, b in zip(peaks, peaks[1:]))
 
@@ -788,25 +752,22 @@ class TestSolve:
         # overflows near t = 0.55; the failure must be loud and carry the
         # blow-up time
         config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=w.BoundarySpec(NEUMANN),
+                                   dt=0.05, bc=NEUMANN,
                                    ic=CASE3_IC)
         with pytest.raises(DivergenceError, match="t = 0.5") as info:
             w.solve(config)
         assert 0.5 <= info.value.time <= 0.6
 
     @pytest.mark.parametrize("bc, ic, reynolds", [
-        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
-        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
-        (w.BoundarySpec(NEUMANN, 0.5, -1.0), lambda x: np.sin(np.pi * x),
-         1.0),
-    ], ids=["case1-dirichlet", "case3-neumann", "neumann-slopes"])
+        (DIRICHLET, lambda x: np.sin(np.pi * x), 1.0),
+        (NEUMANN, CASE3_IC, 10.0),
+    ], ids=["case1-dirichlet", "case3-neumann"])
     def test_history_matches_the_dense_reference_algebra(
             self, operators, bc, ic, reynolds):
         # solve carries right-hand sides through a precomposed propagator;
         # over 500 steps its node values must stay within the golden
-        # gates of a per-step dense solve, at 17, 33 and 65 points; nonzero
-        # slopes check that the boundary flux reaches every step
-        gate = 1e-12 if bc.kind == DIRICHLET else 1e-10
+        # gates of a per-step dense solve, at 17, 33 and 65 points
+        gate = 1e-12 if bc == DIRICHLET else 1e-10
         for level in (4, 5, 6):
             config = _config(operators, level=level, reynolds=reynolds,
                              t_end=0.5, bc=bc, ic=ic)
@@ -819,19 +780,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("level", [4, 5, 6])
     @pytest.mark.parametrize("bc, ic, reynolds", [
-        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
-        (w.BoundarySpec(DIRICHLET, 0.3, -0.2), lambda x: np.sin(np.pi * x),
-         1.0),
-        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
-        (w.BoundarySpec(NEUMANN, 0.5, -1.0), CASE3_IC, 10.0),
-    ], ids=["dirichlet", "dirichlet-data", "neumann", "neumann-slopes"])
+        (DIRICHLET, lambda x: np.sin(np.pi * x), 1.0),
+        (NEUMANN, CASE3_IC, 10.0),
+    ], ids=["dirichlet", "neumann"])
     def test_states_are_bitwise_the_full_vector_step(
             self, operators, bc, ic, reynolds, level):
-        # solve writes each row's ends once and steps only the interior;
-        # its states must equal, bit for bit, those of a step that works on
-        # whole vectors and sets the ends every step.  The report times
-        # fall at 0, inside the first block, on the block edges 64 and
-        # 128, and at step 160, inside the third block
+        # solve's rows keep the zero ends they are allocated with, and it
+        # steps only the interior; its states must equal, bit for bit,
+        # those of a step that works on whole vectors and sets the ends
+        # every step.  The report times fall at 0, inside the first block,
+        # on the block edges 64 and 128, and at step 160, inside the third
+        # block
         assert solver._CHECK_EVERY == 64
         config = _config(operators, level=level, reynolds=reynolds,
                          t_end=0.16, bc=bc, ic=ic)
@@ -844,14 +803,14 @@ class TestSolve:
 
     @pytest.mark.parametrize("n_steps", [64, 128])
     @pytest.mark.parametrize("bc, ic, reynolds", [
-        (w.BoundarySpec(DIRICHLET), lambda x: np.sin(np.pi * x), 1.0),
-        (w.BoundarySpec(NEUMANN), CASE3_IC, 10.0),
+        (DIRICHLET, lambda x: np.sin(np.pi * x), 1.0),
+        (NEUMANN, CASE3_IC, 10.0),
     ], ids=["dirichlet", "neumann"])
     def test_run_ending_on_a_block_edge_matches_the_reference_algebra(
             self, operators, bc, ic, reynolds, n_steps):
         # the last step closes a block of _CHECK_EVERY = 64 steps, so the
         # only report state is solved from that block's last row
-        gate = 1e-12 if bc.kind == DIRICHLET else 1e-10
+        gate = 1e-12 if bc == DIRICHLET else 1e-10
         assert solver._CHECK_EVERY == 64
         config = _config(operators, level=5, reynolds=reynolds,
                          t_end=n_steps * 1e-3, bc=bc, ic=ic)
@@ -865,7 +824,7 @@ class TestSolve:
 
     def test_divergence_step_matches_the_reference_algebra(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=w.BoundarySpec(NEUMANN),
+                                   dt=0.05, bc=NEUMANN,
                                    ic=CASE3_IC)
         reference = _reference_history(config)
         assert isinstance(reference, DivergenceError)
@@ -876,11 +835,11 @@ class TestSolve:
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     @pytest.mark.parametrize("level, dt, bc, ic, reynolds, diverges_at", [
         # the convection product overflows in the first right-hand side
-        (5, 1e-3, w.BoundarySpec(DIRICHLET),
+        (5, 1e-3, DIRICHLET,
          lambda x: 1e160 * np.sin(np.pi * x), 1.0, 0),
         # case 3 past its Courant limit, at 33 and at 65 points
-        (5, 0.02, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 13),
-        (6, 0.0125, w.BoundarySpec(NEUMANN), CASE3_IC, 10.0, 15),
+        (5, 0.02, NEUMANN, CASE3_IC, 10.0, 13),
+        (6, 0.0125, NEUMANN, CASE3_IC, 10.0, 15),
     ], ids=["rhs-overflow", "case3-np33", "case3-np65"])
     def test_divergence_step_is_pinned_under_the_block_check(
             self, operators, monkeypatch, check_every, level, dt, bc, ic,
@@ -954,7 +913,7 @@ class TestSolve:
 
     def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
         config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=w.BoundarySpec(NEUMANN),
+                                   dt=0.05, bc=NEUMANN,
                                    ic=CASE3_IC)
         # with every warning an error, an overflow warning from the loop
         # would surface here instead of the DivergenceError
