@@ -83,6 +83,23 @@ class TestCaseDefinition:
         assert case.report_times == (0.1, 0.5, 1.0)
         assert case.oracle_family is None
 
+    @pytest.mark.parametrize("family, kind", [
+        ("sin_pi", "dirichlet"), ("poly_4x_1mx", "dirichlet"), (None, NEUMANN),
+    ], ids=["sin_pi", "poly_4x_1mx", "no-oracle"])
+    def test_boundary_kind_follows_the_oracle_family(self, family, kind):
+        # an oracle's exact solution has zero Dirichlet data and a case
+        # without one is reported by its zero slopes; the kind is read off
+        # the family, so no case can be built with the two at odds
+        case = w.CaseDefinition(4, 1.0, lambda x: np.sin(np.pi * x), (0.1,),
+                                family)
+        assert case.bc == kind
+        assert "bc" not in {f.name for f in dataclasses.fields(case)}
+        with pytest.raises(TypeError):
+            w.CaseDefinition(4, 1.0, lambda x: np.sin(np.pi * x), (0.1,),
+                             family, kind)
+        with pytest.raises(AttributeError):
+            case.bc = kind
+
     def test_explicit_times_override(self):
         case = w.case_definition(1, times=(0.01, 0.02))
         assert case.report_times == (0.01, 0.02)
@@ -301,14 +318,34 @@ class TestRunCase:
             np.testing.assert_array_equal(run.operators["second_deriv"],
                                           system.second_deriv @ system.values)
 
-    def test_rows_are_built_once_per_boundary_kind(self, fresh_tables):
+    @pytest.mark.parametrize("n_points", [9, 17])
+    def test_rows_are_built_once_per_boundary_kind(self, fresh_tables,
+                                                   n_points):
         # the rows are keyed by the grid size and the boundary kind alone:
         # cases 1 and 2 share the Dirichlet rows, case 3 builds the Neumann
         # ones
         for case_id in (1, 2, 3):
-            w.run_case(w.case_definition(case_id, times=(0.05,)), 17)
+            w.run_case(w.case_definition(case_id, times=(0.05,)), n_points)
         info = derivative_rows.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+
+    @pytest.mark.parametrize("n_points", [17, 33])
+    def test_slope_residuals_are_the_end_slopes(self, n_points):
+        # the residual is |u_x| at each end: u = x - 1/2 has slope 1 at
+        # both ends, so the initial state reads about 1, and the stepped
+        # state, held to zero slopes, reads 0 to roundoff
+        case = w.CaseDefinition(4, 10.0, lambda x: x - 0.5, (0.0, 0.1), None)
+        result = w.run_case(case, n_points)
+        system = result.series.system
+        rows = system.first_deriv[[0, -1]] @ system.values
+        for t in case.report_times:
+            slopes = rows @ result.series.coefficients_at(t)
+            np.testing.assert_array_equal(
+                result.report.neumann_residuals[t], np.abs(slopes))
+        np.testing.assert_allclose(result.report.neumann_residuals[0.0], 1.0,
+                                   rtol=0, atol=1e-12)
+        left, right = result.report.neumann_residuals[0.1]
+        assert left <= 1e-12 and right <= 1e-12
 
     def test_report_times_within_roundoff_of_a_step_accepted(self):
         # 0.15 / 1e-3 is 149.99999999999997 in floating point

@@ -406,6 +406,26 @@ class TestWeakSecondDerivative:
         system = assemble_lhs(config)
         assert np.array_equal(system.matrix[[0, -1]], _slope_rows(system))
 
+    @pytest.mark.parametrize("level", [3, 4, 5, 6])
+    def test_zero_slopes_need_no_boundary_term(self, level):
+        # with zero slopes the integration-by-parts term u_x h vanishes, so
+        # -M^-1 S alone is the curvature: it annihilates constants to
+        # roundoff, and for cos(pi x), whose slopes are 0 at both ends, it
+        # is off by the consistent-mass error (pi^4 / 12) h^2 at every
+        # node, the ends included
+        n = 2**level + 1
+        first, second = derivative_rows(n, NEUMANN)
+        ones = np.ones(n)
+        scale = np.max(np.abs(second).sum(axis=1))
+        assert np.max(np.abs(second @ ones)) <= 1e-15 * scale
+        assert np.max(np.abs(first @ ones)) <= 1e-13
+        x = np.linspace(0.0, 1.0, n)
+        u = np.cos(np.pi * x)
+        error = np.abs(second @ u + np.pi**2 * u)
+        h = 1.0 / (n - 1)
+        assert np.max(error) <= 8.2 * h**2
+        assert error[0] >= 8.0 * h**2 and error[-1] >= 8.0 * h**2
+
     def test_dirichlet_data_keep_the_paper_operator(self, operators):
         # the rows are formed from the nodal kernel, not from the
         # wavelet-space D, so in coefficient space they agree with
@@ -548,24 +568,29 @@ class TestBuildRhs:
         n = _config(operators).spec.n_functions
         rhs = _one_step(np.ones(n))
         assert np.max(np.abs(rhs)) == 0.0
-        # through solve: the zero state stays zero exactly, and from a
-        # nonzero one every carried right-hand side after the seed has
-        # ends of exactly 0, across the first block edge too
+        # through solve: the zero state stays zero exactly
         config = _config(operators, ic=np.zeros_like)
         initial, rhs = _first_step(config)
         assert np.max(np.abs(initial)) == 0.0
         assert np.max(np.abs(rhs)) == 0.0
-        for bc, ic in ((DIRICHLET, lambda x: np.sin(np.pi * x)),
-                       (NEUMANN, CASE3_IC)):
-            config = _config(operators, bc=bc, ic=ic)
-            with pytest.MonkeyPatch.context() as patch:
-                report_solves = _wrap_report_solves(patch,
-                                                    lambda solved: solved)
-                w.solve(config)
-            carried = np.array(report_solves.handed)
-            assert carried.shape == (config.n_steps(), n)
-            assert np.all(np.abs(carried[:, 1:-1]).max(axis=1) > 0.0)
-            assert not carried[:, [0, -1]].any()
+
+    @pytest.mark.parametrize("bc, ic", [
+        (DIRICHLET, lambda x: np.sin(np.pi * x)),
+        (NEUMANN, CASE3_IC),
+    ], ids=["dirichlet", "neumann"])
+    def test_carried_rhs_ends_are_exactly_zero(self, operators, monkeypatch,
+                                               bc, ic):
+        # from a nonzero state every carried right-hand side after the
+        # seed has a nonzero interior and ends of exactly 0, the boundary
+        # data, across the first block edge too
+        config = _config(operators, bc=bc, ic=ic)
+        report_solves = _wrap_report_solves(monkeypatch, lambda solved: solved)
+        w.solve(config)
+        carried = np.array(report_solves.handed)
+        assert config.n_steps() > solver._CHECK_EVERY
+        assert carried.shape == (config.n_steps(), config.spec.n_functions)
+        assert np.all(np.abs(carried[:, 1:-1]).max(axis=1) > 0.0)
+        assert not carried[:, [0, -1]].any()
 
     def test_constant_state_is_nearly_stationary_inside(self, operators):
         # under zero slopes a constant is an exact steady state
