@@ -37,7 +37,6 @@ from .operators import (
 )
 from .oracle import ExactSolutionSpec, exact_u, table_values
 from .solver import (
-    SolutionSeries,
     SolverConfig,
     assemble_lhs,
     initial_coefficients,
@@ -58,7 +57,6 @@ __all__ = [
     "QuadratureError",
     "RunResult",
     "SeriesAccuracyError",
-    "SolutionSeries",
     "SolverConfig",
     "assemble_lhs",
     "basis_matrix",

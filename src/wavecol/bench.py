@@ -21,11 +21,11 @@ import numpy as np
 
 from . import published
 from .approx import check_keep_level, truncate
-from .basis import BasisSpec, basis_matrix
+from .basis import BasisSpec, _nodal_matrix, basis_matrix
 from .operators import derivative_matrix, derivative_inner_products, gram_matrix
 from .oracle import (POLY_4X_1MX, SIN_PI, ExactSolutionSpec, check_time,
                      table_values)
-from .solver import DIRICHLET, NEUMANN, SolutionSeries, SolverConfig, solve
+from .solver import DIRICHLET, NEUMANN, SolverConfig, derivative_rows, solve
 
 VALID_N_POINTS = (5, 9, 17, 33, 65)
 
@@ -93,25 +93,22 @@ def case_definition(case_id: int, reynolds: float | None = None,
 
 @dataclass(frozen=True, eq=False)
 class ErrorReport:
-    """Numeric vs exact values at the report grid, with comparator columns.
+    """Numeric vs exact values at the report grid, with comparator averages.
 
-    avg_rel_err maps each time to the arithmetic mean over the report
-    locations of |numeric - exact| / |exact| (locations with exact = 0 are
-    excluded; none occur at the standard interior points).  comparator_avg
-    applies the same metric to the published comparator rows.
+    The grids have one row per report time of the case and one column per
+    location of published.COMPARISON_X.  avg_rel_err maps each time to the
+    arithmetic mean over the report locations of |numeric - exact| / |exact|
+    (locations with exact = 0 are excluded; none occur at the standard
+    interior points).  comparator_avg applies the same metric to each
+    published comparator row, keyed by method and time; the rows themselves
+    stay in published.
     """
 
-    case_id: int
-    reynolds: float
-    n_points: int
-    times: tuple[float, ...]
-    xs: tuple[float, ...]
     numeric: np.ndarray
     exact: np.ndarray
     abs_err: np.ndarray
     rel_err: np.ndarray
     avg_rel_err: dict[float, float]
-    comparator_rows: dict[str, dict[float, tuple[float, ...]]]
     comparator_avg: dict[str, dict[float, float]]
 
 
@@ -122,9 +119,26 @@ def _relative_errors(numeric: np.ndarray, exact: np.ndarray) -> np.ndarray:
     return rel
 
 
-def error_metrics(case: CaseDefinition, n_points: int,
-                  numeric: np.ndarray, exact: np.ndarray) -> ErrorReport:
-    """Assemble the full error report from numeric and exact value grids."""
+_METHOD_LABELS = {
+    "ifdm": "IFDM (published)",
+    "bem": "BEM (published)",
+    "cw_np33": "wavelet collocation, 33 points (published)",
+    "cw_np65": "wavelet collocation, 65 points (published)",
+}
+
+
+def _published_row(case: CaseDefinition, t: float,
+                   method: str) -> tuple[float, ...] | None:
+    return published.profile_row(case.case_id, case.reynolds, t, method)
+
+
+def error_metrics(case: CaseDefinition, numeric: np.ndarray,
+                  exact: np.ndarray) -> ErrorReport:
+    """Assemble the error report from the numeric and exact value grids.
+
+    Both grids hold one row per report time of case; each published method
+    of _METHOD_LABELS with a row at some report time gets its averages.
+    """
     numeric = np.asarray(numeric, float)
     exact = np.asarray(exact, float)
     if numeric.shape != exact.shape:
@@ -134,29 +148,20 @@ def error_metrics(case: CaseDefinition, n_points: int,
     avg = {t: float(np.nanmean(rel_err[i]))
            for i, t in enumerate(case.report_times)}
 
-    comparator_rows: dict[str, dict[float, tuple[float, ...]]] = {}
     comparator_avg: dict[str, dict[float, float]] = {}
-    for method in ("ifdm", "bem", "cw_np33", "cw_np65"):
-        rows = {}
+    for method in _METHOD_LABELS:
         avgs = {}
         for i, t in enumerate(case.report_times):
-            row = published.profile_row(case.case_id, case.reynolds, t, method)
-            if row is None:
-                continue
-            rows[t] = row
-            rel = _relative_errors(np.asarray(row), exact[i])
-            avgs[t] = float(np.nanmean(rel))
-        if rows:
-            comparator_rows[method] = rows
+            row = _published_row(case, t, method)
+            if row is not None:
+                rel = _relative_errors(np.asarray(row), exact[i])
+                avgs[t] = float(np.nanmean(rel))
+        if avgs:
             comparator_avg[method] = avgs
 
-    return ErrorReport(
-        case_id=case.case_id, reynolds=case.reynolds, n_points=n_points,
-        times=case.report_times, xs=published.COMPARISON_X,
-        numeric=numeric, exact=exact, abs_err=abs_err, rel_err=rel_err,
-        avg_rel_err=avg, comparator_rows=comparator_rows,
-        comparator_avg=comparator_avg,
-    )
+    return ErrorReport(numeric=numeric, exact=exact, abs_err=abs_err,
+                       rel_err=rel_err, avg_rel_err=avg,
+                       comparator_avg=comparator_avg)
 
 
 def oscillation_excess(values: np.ndarray) -> float:
@@ -169,15 +174,12 @@ def oscillation_excess(values: np.ndarray) -> float:
 class Case3Report:
     """Qualitative property measurements for the Neumann case.
 
-    Per report time: the antisymmetry defect max |u(x) + u(1 - x)| on the
-    dense profile grid, |u(1/2)|, the boundary slope residuals (|u_x| at
-    the left and right ends, where the slope is 0), and the oscillation
-    excess inside FRONT_WINDOW.
+    Per report time of the case: the antisymmetry defect
+    max |u(x) + u(1 - x)| on the dense profile grid, |u(1/2)|, the boundary
+    slope residuals (|u_x| at the left and right ends, where the slope is
+    0), and the oscillation excess inside FRONT_WINDOW.
     """
 
-    reynolds: float
-    n_points: int
-    times: tuple[float, ...]
     antisymmetry: dict[float, float]
     center_abs: dict[float, float]
     neumann_residuals: dict[float, tuple[float, float]]
@@ -188,18 +190,19 @@ class Case3Report:
 class RunResult:
     """Everything one benchmark run produced, ready for report emission.
 
-    The run configuration (dt, report times) is series.config.  Every
-    profile is on the shared grid _profile_grid().  The gram, deriv_inner
-    and deriv_op arrays of operators are shared by every run at the same
-    resolution and are read-only; the operators dict itself is the run's
-    own.
+    coeffs[i] is the solver's state at case.report_times[i], before any
+    truncation; profiles and report are measured from the reported,
+    possibly truncated, states.  Every profile is on the shared grid
+    _profile_grid().  The gram, deriv_inner and deriv_op arrays of
+    operators are shared by every run at the same resolution and are
+    read-only; the operators dict itself is the run's own.
     """
 
     case: CaseDefinition
     n_points: int
     report: ErrorReport | Case3Report
     profiles: dict[float, np.ndarray]
-    series: SolutionSeries
+    coeffs: np.ndarray
     operators: dict[str, np.ndarray]
 
 
@@ -250,10 +253,13 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
              truncate_level: int | None = None) -> RunResult:
     """Solve one case at one resolution and measure everything the reports need.
 
-    The run ends at the last report time.  For Neumann cases the operators
-    include ``second_deriv``, the weak Laplacian the solver used, mapping
-    coefficients to nodal u_xx (see ``wavecol.solver``); the Dirichlet
-    second derivative is D*D of the dumped ``deriv_op``.  The first run at
+    The run ends at the last report time, and the result keeps solve's
+    states, one row per report time.  For Neumann cases the slope residuals
+    and the dumped ``second_deriv`` come from the node rows the solver
+    used, derivative_rows(n_points, bc), composed with T: ``second_deriv``
+    is the weak Laplacian mapping coefficients to nodal u_xx (see
+    ``wavecol.solver``); the Dirichlet second derivative is D*D of the
+    dumped ``deriv_op``.  The first run at
     a resolution builds its basis rows and wavelet-space operators (four
     operator builds); later runs at that resolution share them (see
     _resolution_tables and RunResult).  Bad run parameters (n_points, dt,
@@ -278,14 +284,14 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             check_time(t)
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
-    series = solve(config)
+    coeffs = solve(config)
     dense_rows, report_rows, operators = _resolution_tables(spec.max_level)
     # the arrays are shared; the dict is the run's own, since a Neumann run
     # adds the solver's second derivative, from coefficients to nodal u_xx
     operators = dict(operators)
 
     # the reported state at each report time, truncated once
-    states = {t: series.coefficients_at(t) for t in case.report_times}
+    states = dict(zip(case.report_times, coeffs))
     if truncate_level is not None:
         states = {t: truncate(c, spec, truncate_level) for t, c in states.items()}
     profiles = {t: dense_rows @ c for t, c in states.items()}
@@ -296,14 +302,14 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             ExactSolutionSpec(reynolds=case.reynolds, ic_family=case.oracle_family),
             case.report_times, published.COMPARISON_X,
         )
-        report: ErrorReport | Case3Report = error_metrics(
-            case, n_points, numeric, exact)
+        report: ErrorReport | Case3Report = error_metrics(case, numeric, exact)
     else:
         dense_xs = _profile_grid()
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
+        first_deriv, second_deriv = derivative_rows(n_points, case.bc)
+        values = _nodal_matrix(spec.max_level)
         # the nodal slope rows, formed in coefficient space and applied to c
-        system = series.system
-        endpoint_deriv = system.first_deriv[[0, -1]] @ system.values
+        endpoint_deriv = first_deriv[[0, -1]] @ values
         antisymmetry = {}
         center = {}
         residuals = {}
@@ -316,15 +322,13 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
             left, right = endpoint_deriv @ c
             residuals[t] = (abs(float(left)), abs(float(right)))
             oscillation[t] = oscillation_excess(u[window])
-        report = Case3Report(
-            reynolds=case.reynolds, n_points=n_points, times=case.report_times,
-            antisymmetry=antisymmetry, center_abs=center,
-            neumann_residuals=residuals, front_oscillation=oscillation,
-        )
-        operators["second_deriv"] = system.second_deriv @ system.values
+        report = Case3Report(antisymmetry=antisymmetry, center_abs=center,
+                             neumann_residuals=residuals,
+                             front_oscillation=oscillation)
+        operators["second_deriv"] = second_deriv @ values
 
     return RunResult(case=case, n_points=n_points, report=report,
-                     profiles=profiles, series=series, operators=operators)
+                     profiles=profiles, coeffs=coeffs, operators=operators)
 
 
 # ---------------------------------------------------------------------------
@@ -359,12 +363,13 @@ def _matrix_csv(values: np.ndarray) -> str:
     return (line * rows) % tuple(np.ravel(values).tolist())
 
 
-def _comparison_csv(report: ErrorReport) -> str:
+def _comparison_csv(result: RunResult) -> str:
+    case, report = result.case, result.report
     rows = []
-    for i, t in enumerate(report.times):
-        ifdm = report.comparator_rows.get("ifdm", {}).get(t)
-        bem = report.comparator_rows.get("bem", {}).get(t)
-        for j, x in enumerate(report.xs):
+    for i, t in enumerate(case.report_times):
+        ifdm = _published_row(case, t, "ifdm")
+        bem = _published_row(case, t, "bem")
+        for j, x in enumerate(published.COMPARISON_X):
             rows.append([
                 f"{t:g}", f"{x:g}",
                 _fmt(report.numeric[i, j]), _fmt(report.exact[i, j]),
@@ -375,9 +380,10 @@ def _comparison_csv(report: ErrorReport) -> str:
     return _csv("time,x,numeric,exact,abs_err,rel_err,ifdm,bem", rows)
 
 
-def _summary_csv(report: ErrorReport) -> str:
+def _summary_csv(result: RunResult) -> str:
+    report = result.report
     rows = []
-    for t in report.times:
+    for t in result.case.report_times:
         ifdm = report.comparator_avg.get("ifdm", {}).get(t)
         bem = report.comparator_avg.get("bem", {}).get(t)
         rows.append([
@@ -388,9 +394,10 @@ def _summary_csv(report: ErrorReport) -> str:
     return _csv("time,avg_rel_err,avg_rel_err_ifdm,avg_rel_err_bem", rows)
 
 
-def _case3_csv(report: Case3Report) -> str:
+def _case3_csv(result: RunResult) -> str:
+    report = result.report
     rows = []
-    for t in report.times:
+    for t in result.case.report_times:
         left, right = report.neumann_residuals[t]
         rows.append([
             f"{t:g}", _fmt(report.antisymmetry[t]), _fmt(report.center_abs[t]),
@@ -400,14 +407,6 @@ def _case3_csv(report: Case3Report) -> str:
                 "front_oscillation", rows)
 
 
-_METHOD_LABELS = {
-    "ifdm": "IFDM (published)",
-    "bem": "BEM (published)",
-    "cw_np33": "wavelet collocation, 33 points (published)",
-    "cw_np65": "wavelet collocation, 65 points (published)",
-}
-
-
 def _md_table(header: list[str], rows) -> list[str]:
     """Lines of a markdown table: header, rule, then one line per row."""
     lines = ["| " + " | ".join(cells) + " |" for cells in [header, *rows]]
@@ -415,41 +414,42 @@ def _md_table(header: list[str], rows) -> list[str]:
     return lines
 
 
-def _comparison_markdown(report: ErrorReport) -> str:
-    parts = [f"# Case {report.case_id}, Re = {report.reynolds:g}, "
-             f"N_p = {report.n_points}\n"]
-    header = ["method", *(f"x={x:g}" for x in report.xs)]
-    for i, t in enumerate(report.times):
+def _comparison_markdown(result: RunResult) -> str:
+    case, report, times = result.case, result.report, result.case.report_times
+    parts = [f"# Case {case.case_id}, Re = {case.reynolds:g}, "
+             f"N_p = {result.n_points}\n"]
+    header = ["method", *(f"x={x:g}" for x in published.COMPARISON_X)]
+    for i, t in enumerate(times):
         rows = [[label, *map(_fmt_pub, row)]
                 for method, label in _METHOD_LABELS.items()
-                if (row := report.comparator_rows.get(method, {}).get(t))
-                is not None]
+                if (row := _published_row(case, t, method)) is not None]
         rows.append(["exact", *map(_fmt_pub, report.exact[i])])
-        rows.append([f"this run (N_p={report.n_points})",
+        rows.append([f"this run (N_p={result.n_points})",
                      *map(_fmt_pub, report.numeric[i])])
         parts += [f"\n## t = {t:g}\n", *_md_table(header, rows)]
-    rows = [["this run", *(f"{report.avg_rel_err[t]:.2e}" for t in report.times)]]
+    rows = [["this run", *(f"{report.avg_rel_err[t]:.2e}" for t in times)]]
     for method, label in _METHOD_LABELS.items():
         avgs = report.comparator_avg.get(method)
         if avgs:
             rows.append([label, *(f"{avgs[t]:.2e}" if t in avgs else ""
-                                  for t in report.times)])
+                                  for t in times)])
     parts += ["\n## Average relative error\n",
-              *_md_table(["method", *(f"t={t:g}" for t in report.times)], rows)]
+              *_md_table(["method", *(f"t={t:g}" for t in times)], rows)]
     return _lines(parts)
 
 
-def _case3_markdown(report: Case3Report) -> str:
+def _case3_markdown(result: RunResult) -> str:
+    report = result.report
     rows = []
-    for t in report.times:
+    for t in result.case.report_times:
         left, right = report.neumann_residuals[t]
         rows.append([f"{t:g}", f"{report.antisymmetry[t]:.3e}",
                      f"{report.center_abs[t]:.3e}", f"{left:.3e}, {right:.3e}",
                      f"{report.front_oscillation[t]:.5f}"])
     header = ["t", "antisymmetry", "center value",
               "boundary slope (left, right)", "front oscillation"]
-    return _lines([f"# Case 3 (Neumann), Re = {report.reynolds:g}, "
-                   f"N_p = {report.n_points}\n", *_md_table(header, rows)])
+    return _lines([f"# Case 3 (Neumann), Re = {result.case.reynolds:g}, "
+                   f"N_p = {result.n_points}\n", *_md_table(header, rows)])
 
 
 #: (report type, format) -> {file name prefix: text writer}
@@ -478,7 +478,7 @@ def emit_reports(result: RunResult, fmt: str, out_dir: Path) -> list[Path]:
         raise ValueError(f"unknown format {fmt!r}")
     stem = _stem(result)
     writers = _REPORT_WRITERS[type(result.report), fmt]
-    return _write(out_dir, {f"{prefix}_{stem}.{fmt}": writer(result.report)
+    return _write(out_dir, {f"{prefix}_{stem}.{fmt}": writer(result)
                             for prefix, writer in writers.items()})
 
 

@@ -15,7 +15,9 @@ fast for the benchmark times but degenerates as t -> 0+, which is guarded.
 The tolerances are fixed: each moment's quadrature is doubled until two
 successive values agree to QUAD_TOL (1e-12), and summation stops once two
 consecutive terms contribute below TERM_TOL (1e-14, relative) or after
-MAX_TERMS (400) terms, which emits a RuntimeWarning.  A quadrature is
+MAX_TERMS (400) terms.  Running out of terms emits a RuntimeWarning and
+charges the unsummed tail to the error estimate below, so a series still
+far from converged is refused, not served.  A quadrature is
 composite Gauss-10 on equal cells: the integrand is called once on all
 ten node rows, and the row sums of one reduction are added in node order.
 
@@ -23,9 +25,12 @@ At high Reynolds numbers the transformed data fall from 1 to about
 exp(-Re/pi), and the series cancels: at t = 0.5, x = 0.9 the denominator's
 sum of |term| exceeds |sum of terms| by 5 at Re = 10, 9e9 at Re = 100 and
 1e16 at Re = 200.  exact_u therefore estimates the relative error of u
-from the moments' quadrature errors and the summation roundoff, and raises
-SeriesAccuracyError above MAX_REL_ERROR (1e-6) instead of returning a
-wrong value.
+from the moments' quadrature errors, the summation roundoff and any
+truncation, and raises SeriesAccuracyError above MAX_REL_ERROR (1e-6)
+instead of returning a wrong value.  At t = 0.5 and Re = 1e5 or 1e6 the
+series of cases 1 and 2 runs out of terms with a truncation charge above 2
+at every report location; without that charge Re = 1e6 would be served,
+with the wrong sign.
 """
 
 from __future__ import annotations
@@ -156,8 +161,9 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     of the denominator.  Each sum is off by at most the moments' quadrature
     errors, each the change of the moment's last doubling (times 2 for
     n >= 1, like the moment), times its damping factor, plus roundoff:
-    machine epsilon times the sum of |term|.  Above MAX_REL_ERROR the
-    result is refused with SeriesAccuracyError.
+    machine epsilon times the sum of |term|, plus, when MAX_TERMS ran out,
+    the truncation: the size of the last term of each sum.  Above
+    MAX_REL_ERROR the result is refused with SeriesAccuracyError.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"x = {x} outside [0, 1]")
@@ -199,6 +205,9 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
+        # the unsummed tail is charged at the size of the last terms
+        error_num += abs(term_num)
+        error_den += abs(term_den)
     error_num += _EPS * abs_num
     error_den += _EPS * abs_den
     if numerator == 0.0 or denominator == 0.0:

@@ -192,22 +192,17 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class CollocationSystem:
-    """Left-hand side and propagator, and the node rows they were built from.
+    """Left-hand side and propagator of one run.
 
     matrix is A = A_n T, whose condition assemble_lhs has checked.
     propagator is P = F_n A_n^-1, C-contiguous and read-only: it maps a
     step's right-hand side to dt u, u_x and the old-level part of the state
-    that step solves for.  values is T, shared and read-only.  first_deriv
-    and second_deriv are derivative_rows' D1 and D2, shared and read-only.
-    The rows act on nodal values, not on coefficients: the slopes of c are
-    first_deriv[[0, -1]] @ values @ c.
+    that step solves for.  The node rows both were built from are
+    derivative_rows(n_points, bc), and T is _interpolation_matrix(level).
     """
 
     matrix: np.ndarray
     propagator: np.ndarray
-    values: np.ndarray
-    first_deriv: np.ndarray
-    second_deriv: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -263,12 +258,9 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     # P^T = A_n^-T F_n^T: one transposed solve, not a product with A_n^-1
     propagator = np.ascontiguousarray(np.linalg.solve(nodal.T, explicit.T).T)
     propagator.flags.writeable = False
-    values = _interpolation_matrix(config.spec.max_level)
-    matrix = nodal @ values
+    matrix = nodal @ _interpolation_matrix(config.spec.max_level)
     guard_condition(matrix, "collocation system")
-    return CollocationSystem(matrix=matrix, propagator=propagator,
-                             values=values, first_deriv=first_deriv,
-                             second_deriv=second_deriv)
+    return CollocationSystem(matrix=matrix, propagator=propagator)
 
 
 def _rhs_buffers(n: int):
@@ -345,28 +337,10 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     return np.linalg.solve(_interpolation_matrix(config.spec.max_level), nodal)
 
 
-@dataclass(frozen=True, eq=False)
-class SolutionSeries:
-    """Coefficients of one run at its report times.
+def solve(config: SolverConfig) -> np.ndarray:
+    """Step to the last report time and return the states at the report times.
 
-    coeffs[i] is the state at time config.times[i]; system is the
-    collocation system the run was stepped with.
-    """
-
-    coeffs: np.ndarray
-    config: SolverConfig
-    system: CollocationSystem
-
-    def coefficients_at(self, t: float) -> np.ndarray:
-        """Coefficients at time t, which must be one of config.times."""
-        if t not in self.config.times:
-            raise ValueError(f"t = {t} outside the report times of this run")
-        return self.coeffs[self.config.times.index(t)]
-
-
-def solve(config: SolverConfig) -> SolutionSeries:
-    """Step to the last report time and keep the state at each report time.
-
+    Row i of the returned array holds the coefficients at config.times[i].
     The loop carries right-hand sides from r_0 = A c_0, one propagator
     gemv per step, and solves for the coefficients only at the report
     times; the state at a report time of 0 is c_0, stored before the loop.
@@ -408,4 +382,4 @@ def solve(config: SolverConfig) -> SolutionSeries:
                 if not np.isfinite(kept[i]).all():
                     raise DivergenceError(k, k * config.dt)
             block[0] = block[size]
-    return SolutionSeries(coeffs=kept, config=config, system=system)
+    return kept

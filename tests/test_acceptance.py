@@ -151,9 +151,10 @@ def test_criterion_2_solver_accuracy_case1():
     started = time.perf_counter()
     failures = []
     for reynolds in (1.0, 10.0):
-        report = _benchmark_run(1, reynolds, 33).report
-        for i, t in enumerate(report.times):
-            for j, x in enumerate(report.xs):
+        result = _benchmark_run(1, reynolds, 33)
+        report = result.report
+        for i, t in enumerate(result.case.report_times):
+            for j, x in enumerate(XS):
                 if report.abs_err[i, j] > 1e-3:
                     failures.append(
                         f"Re={reynolds} t={t} x={x}: |numeric - exact| "
@@ -168,14 +169,15 @@ def test_criterion_3_solver_accuracy_case2():
     started = time.perf_counter()
     failures = []
     for reynolds in (1.0, 10.0):
-        report = _benchmark_run(2, reynolds, 33).report
-        for i, t in enumerate(report.times):
-            for j, x in enumerate(report.xs):
+        result = _benchmark_run(2, reynolds, 33)
+        report = result.report
+        for i, t in enumerate(result.case.report_times):
+            for j, x in enumerate(XS):
                 if report.abs_err[i, j] > 1e-3:
                     failures.append(
                         f"Re={reynolds} t={t} x={x}: |numeric - exact| "
                         f"= {report.abs_err[i, j]:.3e} > 1e-3")
-        for t in report.times:
+        for t in result.case.report_times:
             average = report.avg_rel_err[t]
             if average > 1e-3:
                 failures.append(
@@ -195,10 +197,10 @@ def test_criterion_3_solver_accuracy_case2():
 def test_criterion_4_metric_self_validation():
     failures = []
     for reynolds in (1.0, 10.0):
-        report = _benchmark_run(2, reynolds, 33).report
+        result = _benchmark_run(2, reynolds, 33)
         for method in ("ifdm", "bem"):
-            for t in report.times:
-                computed = report.comparator_avg[method][t]
+            for t in result.case.report_times:
+                computed = result.report.comparator_avg[method][t]
                 stored = AVERAGE_REL_ERRORS[(method, reynolds, t)]
                 if abs(computed - stored) > 0.05 * stored:
                     failures.append(

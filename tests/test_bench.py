@@ -24,8 +24,10 @@ from wavecol.bench import (
     emit_reports,
 )
 from wavecol.approx import truncate
-from wavecol.published import AVERAGE_REL_ERRORS, PROFILE_ROWS
-from wavecol.solver import NEUMANN, assemble_lhs, derivative_rows
+from wavecol.published import (AVERAGE_REL_ERRORS, COMPARISON_X, PROFILE_ROWS,
+                               profile_row)
+from wavecol.basis import _nodal_matrix
+from wavecol.solver import NEUMANN, derivative_rows
 
 
 def _case3_reference(case, times, n_nodes=2 * PROFILE_POINTS - 1):
@@ -121,7 +123,7 @@ class TestErrorMetrics:
     def test_identical_inputs_give_zero_errors(self):
         case = w.case_definition(1)
         values = np.ones((3, 5))
-        report = w.error_metrics(case, 33, values, values)
+        report = w.error_metrics(case, values, values)
         assert np.max(report.abs_err) == 0.0
         assert np.max(report.rel_err) == 0.0
         assert all(v == 0.0 for v in report.avg_rel_err.values())
@@ -130,7 +132,7 @@ class TestErrorMetrics:
         case = w.case_definition(1, times=(0.05,))
         exact = np.array([[0.2, 0.4, 0.5, 0.4, 0.2]])
         numeric = exact + np.array([[0.002, -0.004, 0.005, 0.0, 0.002]])
-        report = w.error_metrics(case, 33, numeric, exact)
+        report = w.error_metrics(case, numeric, exact)
         expected = np.mean([0.002 / 0.2, 0.004 / 0.4, 0.005 / 0.5, 0.0,
                             0.002 / 0.2])
         assert report.avg_rel_err[0.05] == pytest.approx(expected, rel=1e-12)
@@ -139,7 +141,7 @@ class TestErrorMetrics:
         case = w.case_definition(1, times=(0.05,))
         exact = np.array([[0.0, 0.4, 0.5, 0.4, 0.2]])
         numeric = exact + 0.004
-        report = w.error_metrics(case, 33, numeric, exact)
+        report = w.error_metrics(case, numeric, exact)
         assert np.isnan(report.rel_err[0, 0])
         expected = np.mean([0.004 / 0.4, 0.004 / 0.5, 0.004 / 0.4, 0.004 / 0.2])
         assert report.avg_rel_err[0.05] == pytest.approx(expected, rel=1e-12)
@@ -147,7 +149,7 @@ class TestErrorMetrics:
     def test_shape_mismatch_rejected(self):
         case = w.case_definition(1)
         with pytest.raises(ValueError, match="shape"):
-            w.error_metrics(case, 33, np.ones((3, 5)), np.ones((2, 5)))
+            w.error_metrics(case, np.ones((3, 5)), np.ones((2, 5)))
 
     @pytest.mark.parametrize("reynolds", [1.0, 10.0])
     @pytest.mark.parametrize("method", ["ifdm", "bem"])
@@ -175,8 +177,9 @@ class TestPublishedWaveletRows:
         checked = 0
         for (case_id, reynolds), by_time in PROFILE_ROWS.items():
             for method, n_points in (("cw_np33", 33), ("cw_np65", 65)):
-                report = benchmark_run(case_id, reynolds, n_points).report
-                for i, t in enumerate(report.times):
+                result = benchmark_run(case_id, reynolds, n_points)
+                report = result.report
+                for i, t in enumerate(result.case.report_times):
                     row = by_time[t].get(method)
                     if row is None:
                         continue
@@ -189,10 +192,11 @@ class TestPublishedWaveletRows:
     def test_case2_averages_are_the_published_averages(self, benchmark_run,
                                                        reynolds):
         # within 5%, as criterion 4 holds the IFDM and BEM averages
-        report = benchmark_run(2, reynolds, 33).report
-        for t in report.times:
+        result = benchmark_run(2, reynolds, 33)
+        for t in result.case.report_times:
             stored = AVERAGE_REL_ERRORS[("cw", reynolds, t)]
-            assert report.avg_rel_err[t] == pytest.approx(stored, rel=0.05)
+            assert result.report.avg_rel_err[t] == pytest.approx(stored,
+                                                                 rel=0.05)
 
 
 class TestOscillationExcess:
@@ -210,8 +214,8 @@ class TestRunCase:
         report = result.report
         assert np.max(report.abs_err) <= 1e-3
         assert all(v <= 1e-3 for v in report.avg_rel_err.values())
-        assert set(report.comparator_rows) == {"ifdm", "bem", "cw_np33",
-                                               "cw_np65"}
+        assert set(report.comparator_avg) == {"ifdm", "bem", "cw_np33",
+                                              "cw_np65"}
 
     def test_profiles_cover_the_domain(self, benchmark_run):
         result = benchmark_run(1, 1.0, 33)
@@ -304,30 +308,29 @@ class TestRunCase:
             w.run_case(case, n_points, dt=dt)
 
     def test_case3_builds_the_solver_rows_once(self, fresh_tables):
-        # once per process: a second run at the resolution shares the rows,
-        # and the dump maps coefficients to the nodal u_xx they step with
-        assert not hasattr(w.bench, "derivative_rows")
+        # once per process: the solver and the report of both runs share
+        # one build of the rows, and the dump maps coefficients to the nodal
+        # u_xx they step with
         case = w.case_definition(3, times=(0.1,))
         result, again = w.run_case(case, 17), w.run_case(case, 17)
         info = derivative_rows.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
-        system = result.series.system
-        assert again.series.system.second_deriv is system.second_deriv
-        assert not system.second_deriv.flags.writeable
+        assert (info.misses, info.hits) == (1, 3)
+        _, second_deriv = derivative_rows(17, case.bc)
+        assert not second_deriv.flags.writeable
         for run in (result, again):
             np.testing.assert_array_equal(run.operators["second_deriv"],
-                                          system.second_deriv @ system.values)
+                                          second_deriv @ _nodal_matrix(4))
 
     @pytest.mark.parametrize("n_points", [9, 17])
     def test_rows_are_built_once_per_boundary_kind(self, fresh_tables,
                                                    n_points):
         # the rows are keyed by the grid size and the boundary kind alone:
         # cases 1 and 2 share the Dirichlet rows, case 3 builds the Neumann
-        # ones
+        # ones, which its report reads again for the slopes
         for case_id in (1, 2, 3):
             w.run_case(w.case_definition(case_id, times=(0.05,)), n_points)
         info = derivative_rows.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (2, 1, 2)
+        assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
 
     @pytest.mark.parametrize("n_points", [17, 33])
     def test_slope_residuals_are_the_end_slopes(self, n_points):
@@ -336,10 +339,11 @@ class TestRunCase:
         # state, held to zero slopes, reads 0 to roundoff
         case = w.CaseDefinition(4, 10.0, lambda x: x - 0.5, (0.0, 0.1), None)
         result = w.run_case(case, n_points)
-        system = result.series.system
-        rows = system.first_deriv[[0, -1]] @ system.values
-        for t in case.report_times:
-            slopes = rows @ result.series.coefficients_at(t)
+        first_deriv, _ = derivative_rows(n_points, case.bc)
+        rows = first_deriv[[0, -1]] @ _nodal_matrix(w.spec_for_points(
+            n_points).max_level)
+        for t, coeffs in zip(case.report_times, result.coeffs):
+            slopes = rows @ coeffs
             np.testing.assert_array_equal(
                 result.report.neumann_residuals[t], np.abs(slopes))
         np.testing.assert_allclose(result.report.neumann_residuals[0.0], 1.0,
@@ -351,8 +355,11 @@ class TestRunCase:
         # 0.15 / 1e-3 is 149.99999999999997 in floating point
         case = w.case_definition(3, times=(0.05, 0.1, 0.15))
         result = w.run_case(case, 9)
-        np.testing.assert_array_equal(result.series.coefficients_at(0.15),
-                                      result.series.coeffs[2])
+        config = w.SolverConfig(reynolds=case.reynolds, times=(0.15,),
+                                bc=case.bc, ic=case.ic,
+                                spec=w.spec_for_points(9))
+        assert config.report_steps() == (150,)
+        np.testing.assert_array_equal(result.coeffs[2], w.solve(config)[0])
 
     def test_truncated_view_coarsens_the_report(self):
         case = w.case_definition(1, times=(0.05,))
@@ -567,12 +574,13 @@ def _per_value_texts(result):
     stem = (f"case{result.case.case_id}_re{result.case.reynolds:g}"
             f"_np{result.n_points}")
     files = {}
+    times = result.case.report_times
     if isinstance(report, w.ErrorReport):
         lines = ["time,x,numeric,exact,abs_err,rel_err,ifdm,bem"]
-        for i, t in enumerate(report.times):
-            ifdm = report.comparator_rows.get("ifdm", {}).get(t)
-            bem = report.comparator_rows.get("bem", {}).get(t)
-            for j, x in enumerate(report.xs):
+        for i, t in enumerate(times):
+            ifdm, bem = (profile_row(result.case.case_id, result.case.reynolds,
+                                     t, method) for method in ("ifdm", "bem"))
+            for j, x in enumerate(COMPARISON_X):
                 lines.append(",".join(
                     [f"{t:g}", f"{x:g}"]
                     + [full(grid[i, j]) for grid in (
@@ -582,7 +590,7 @@ def _per_value_texts(result):
                        pub(bem[j]) if bem else ""]))
         files[f"report_{stem}.csv"] = lines
         lines = ["time,avg_rel_err,avg_rel_err_ifdm,avg_rel_err_bem"]
-        for t in report.times:
+        for t in times:
             avgs = [report.comparator_avg.get(m, {}).get(t)
                     for m in ("ifdm", "bem")]
             lines.append(",".join(
@@ -592,7 +600,7 @@ def _per_value_texts(result):
     else:
         lines = ["time,antisymmetry,center_abs,neumann_left,neumann_right,"
                  "front_oscillation"]
-        for t in report.times:
+        for t in times:
             values = (report.antisymmetry[t], report.center_abs[t],
                       *report.neumann_residuals[t],
                       report.front_oscillation[t])
@@ -681,10 +689,13 @@ class TestEmission:
 
     def test_empty_report_emits_header_only(self):
         case = w.case_definition(1, times=())
-        report = w.error_metrics(case, 33, np.empty((0, 5)), np.empty((0, 5)))
-        assert _comparison_csv(report) == ("time,x,numeric,exact,abs_err,"
+        report = w.error_metrics(case, np.empty((0, 5)), np.empty((0, 5)))
+        result = w.RunResult(case=case, n_points=33, report=report,
+                             profiles={}, coeffs=np.empty((0, 33)),
+                             operators={})
+        assert _comparison_csv(result) == ("time,x,numeric,exact,abs_err,"
                                            "rel_err,ifdm,bem\n")
-        assert _summary_csv(report).count("\n") == 1
+        assert _summary_csv(result).count("\n") == 1
 
     def test_markdown_contains_all_published_rows(self, benchmark_run, tmp_path):
         result = benchmark_run(1, 1.0, 33)
@@ -705,15 +716,15 @@ class TestEmission:
         for reynolds, methods in ((1.0, ("ifdm", "bem", "cw_np33", "cw_np65")),
                                   (10.0, ("ifdm", "bem", "cw_np33"))):
             result = benchmark_run(1, reynolds, 33)
-            report = result.report
+            averages_of = result.report.comparator_avg
             (path,) = emit_reports(result, "md", tmp_path / f"re{reynolds:g}")
             _, averages = path.read_text().split("## Average relative error")
             rows = [line for line in averages.splitlines()
                     if line.startswith("| ") and "(published)" in line]
             assert rows == [
                 "| " + " | ".join([bench._METHOD_LABELS[method], *(
-                    f"{report.comparator_avg[method][t]:.2e}"
-                    for t in report.times)]) + " |"
+                    f"{averages_of[method][t]:.2e}"
+                    for t in result.case.report_times)]) + " |"
                 for method in methods]
 
     def test_case3_csv_columns(self, tmp_path):
@@ -758,9 +769,8 @@ class TestEmission:
             "operators_np9_deriv_op.csv", "operators_np9_second_deriv.csv"}
         dumped = np.loadtxt(tmp_path / "operators_np9_second_deriv.csv",
                             delimiter=",")
-        system = assemble_lhs(result.series.config)
-        np.testing.assert_array_equal(dumped,
-                                      system.second_deriv @ system.values)
+        _, second_deriv = derivative_rows(9, NEUMANN)
+        np.testing.assert_array_equal(dumped, second_deriv @ _nodal_matrix(3))
 
     def test_emission_is_deterministic(self, benchmark_run, tmp_path):
         result = benchmark_run(1, 1.0, 33)
@@ -771,6 +781,6 @@ class TestEmission:
 
     def test_rerun_produces_byte_identical_reports(self, tmp_path):
         case = w.case_definition(1, times=(0.05,))
-        text_a = _comparison_csv(w.run_case(case, 9).report)
-        text_b = _comparison_csv(w.run_case(case, 9).report)
+        text_a = _comparison_csv(w.run_case(case, 9))
+        text_b = _comparison_csv(w.run_case(case, 9))
         assert text_a == text_b
