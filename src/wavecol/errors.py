@@ -5,8 +5,9 @@ class ConditioningError(RuntimeError):
     """A dense linear system is too ill-conditioned to solve reliably.
 
     Carries the condition number that tripped the guard: the exact 1-norm
-    condition ||A||_1 ||A^-1||_1, infinite for a matrix numpy cannot invert
-    or one whose condition is not finite.
+    condition ||A||_1 ||A^-1||_1, except for the collocation system
+    A = A_n T, whose value is the bound cond(A_n) cond(T); infinite for a
+    matrix numpy cannot factor or a condition that is not finite.
     """
 
     def __init__(self, message: str, condition: float):

@@ -8,10 +8,8 @@ closed-form tridiagonal hat matrices of p1_kernel: the Gram matrix is
 T^T M T and the derivative inner products are T^T K T, with M the P1
 mass matrix and K[a, b] = integral of h_a' h_b.  The solver reads the
 kernel directly; the wavelet-space matrices serve the operator dumps.
-p1_kernel is built once per grid size and returned read-only; the
-wavelet-space builders are not cached and return fresh, writable arrays
-on every call (wavecol.bench keeps one read-only set per resolution for
-its runs).
+Their builders are not cached and return fresh, writable arrays on every
+call (wavecol.bench keeps one read-only set per resolution for its runs).
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
@@ -44,43 +42,42 @@ def gram_matrix(spec: BasisSpec) -> np.ndarray:
     return upper + np.triu(upper, 1).T
 
 
-def _guarded_inverse(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
-    """matrix^-1 and the exact 1-norm condition ||A||_1 ||A^-1||_1.
+def check_condition(condition: float, what: str) -> float:
+    """condition, once checked against CONDITION_LIMIT.
 
-    A matrix numpy refuses to invert (LinAlgError), or whose condition is
-    not finite, counts as infinitely ill-conditioned.  Raises
-    ConditioningError when the condition exceeds CONDITION_LIMIT.
+    A condition that is not a number counts as infinite.  Raises
+    ConditioningError when it exceeds CONDITION_LIMIT.
+    """
+    condition = math.inf if math.isnan(condition) else condition
+    if condition > CONDITION_LIMIT:
+        raise ConditioningError(f"{what} is numerically singular", condition)
+    return condition
+
+
+def guarded_inverse(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """matrix^-1 and its exact 1-norm condition ||A||_1 ||A^-1||_1, checked.
+
+    The package's one explicit inverse, for T once per resolution and for
+    dual_transform.  A matrix numpy cannot invert counts as infinitely
+    ill-conditioned; check_condition raises ConditioningError.
     """
     try:
         inverse = np.linalg.inv(matrix)
-        cond = (float(np.linalg.norm(matrix, 1))
-                * float(np.linalg.norm(inverse, 1)))
+        condition = (float(np.linalg.norm(matrix, 1))
+                     * float(np.linalg.norm(inverse, 1)))
     except np.linalg.LinAlgError:
-        cond = math.inf
-    if not math.isfinite(cond):
-        cond = math.inf
-    if cond > CONDITION_LIMIT:
-        raise ConditioningError(f"{what} is numerically singular", cond)
-    return inverse, cond
-
-
-def guard_condition(matrix: np.ndarray, what: str) -> float:
-    """Exact 1-norm condition number of matrix, ||A||_1 ||A^-1||_1.
-
-    The inverse is formed only to measure the condition; callers solve with
-    np.linalg.solve.  Raises ConditioningError as _guarded_inverse does.
-    """
-    return _guarded_inverse(matrix, what)[1]
+        inverse, condition = None, math.inf
+    return inverse, check_condition(condition, what)
 
 
 def dual_transform(gram: np.ndarray) -> np.ndarray:
     """Inverse of the Gram matrix; maps raw moments to expansion coefficients.
 
     The guard's inverse is the result: np.linalg.inv solves G X = I as
-    np.linalg.solve(gram, I) does, bitwise.  Raises ConditioningError if the
-    condition exceeds CONDITION_LIMIT.
+    np.linalg.solve(gram, I) does, bitwise.  Raises ConditioningError as
+    guarded_inverse does.
     """
-    return _guarded_inverse(gram, "Gram matrix")[0]
+    return guarded_inverse(gram, "Gram matrix")[0]
 
 
 def derivative_inner_products(spec: BasisSpec) -> np.ndarray:

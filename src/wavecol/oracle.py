@@ -28,9 +28,9 @@ sum of |term| exceeds |sum of terms| by 5 at Re = 10, 9e9 at Re = 100 and
 from the moments' quadrature errors, the summation roundoff and any
 truncation, and raises SeriesAccuracyError above MAX_REL_ERROR (1e-6)
 instead of returning a wrong value.  At t = 0.5 and Re = 1e5 or 1e6 the
-series of cases 1 and 2 runs out of terms with a truncation charge above 2
-at every report location; without that charge Re = 1e6 would be served,
-with the wrong sign.
+series of cases 1 and 2 runs out of terms with a truncation charge above
+8e5 at every report location; without that charge Re = 1e6 would be
+served, with the wrong sign.
 """
 
 from __future__ import annotations
@@ -149,6 +149,26 @@ def check_time(t: float) -> None:
                          "cannot be trusted there")
 
 
+def _tail_bounds(decay: float, last: int) -> tuple[float, float]:
+    """Bounds on the unsummed tails of the numerator and the denominator.
+
+    theta_0 = exp(-(Re/2) F) lies in (0, 1] for both families, F >= 0
+    being the antiderivative of u_0 >= 0, so |c_n| <= 2 and the tails past
+    term `last` are at most the sums over n > last of 2 n e_n and 2 e_n,
+    e_n = exp(-decay n**2).  Each is bounded by its integral from `last`,
+    plus the peak 2 s e^-1/2 at s = (2 decay)^-1/2 of 2 s e(s) when that
+    lies past `last`, since a unimodal sum exceeds its integral by at most
+    its peak.
+    """
+    root = math.sqrt(decay)
+    peak = 1.0 / math.sqrt(2.0 * decay)
+    tail_num = math.exp(-decay * last * last) / decay
+    if peak > last:
+        tail_num += 2.0 * peak * math.exp(-0.5)
+    tail_den = math.sqrt(math.pi) / root * math.erfc(last * root)
+    return tail_num, tail_den
+
+
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     """Series solution u(x, t) for t > 0.
 
@@ -162,7 +182,7 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
     errors, each the change of the moment's last doubling (times 2 for
     n >= 1, like the moment), times its damping factor, plus roundoff:
     machine epsilon times the sum of |term|, plus, when MAX_TERMS ran out,
-    the truncation: the size of the last term of each sum.  Above
+    a rigorous bound on each unsummed tail (_tail_bounds).  Above
     MAX_REL_ERROR the result is refused with SeriesAccuracyError.
     """
     if not 0.0 <= x <= 1.0:
@@ -205,9 +225,9 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        # the unsummed tail is charged at the size of the last terms
-        error_num += abs(term_num)
-        error_den += abs(term_den)
+        tail_num, tail_den = _tail_bounds(decay, MAX_TERMS)
+        error_num += tail_num
+        error_den += tail_den
     error_num += _EPS * abs_num
     error_den += _EPS * abs_den
     if numerator == 0.0 or denominator == 0.0:

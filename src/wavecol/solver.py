@@ -49,7 +49,9 @@ the first one included, is the same update.  The propagator does not
 depend on the basis: with F = F_n T, P = F A^-1 = F_n A_n^-1, where
 F_n = [dt I; D1; I + (1 - THETA)(dt/Re) D2] is the stacked nodal
 explicit operator with dt folded into its first block.  assemble_lhs
-forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T.
+forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T,
+whose right-hand side also holds I: the solve gives A_n^-T, and so A_n's
+exact condition, from A_n's one factorisation, and no inverse is formed.
 One gemv P r_n gives dt u, u_x and the old-level part
 u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
 dt u u_x is formed in place and subtracted straight into r_{n+1}.  The
@@ -58,8 +60,6 @@ buffers are allocated with, so a step is three numpy calls on prebuilt
 views, the gemv, a multiply and a subtract.  The gemv stays the full
 3N x N product: one over the interior rows alone changed the results in
 their last bits, since BLAS rounds each row according to the layout.
-The coefficients are solved for, by one np.linalg.solve with A, only at
-the report times.
 Carrying the coefficients, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
 broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
 with P from the transposed solve keeps every gate (see the README).
@@ -72,11 +72,8 @@ j - 1: either its right-hand side overflowed, or the state before it did
 and the product P r_{j-1} carried the overflow on.  A report state
 recovered non-finite fails its own step.  The np.errstate that lets a
 diverging run reach the check without overflow warnings is entered once
-around solve's loop, not per step.
-
-A run keeps only the states at its report times, SolverConfig.times, so
-its memory does not grow with the number of steps: the loop holds one
-block of _CHECK_EVERY + 1 right-hand sides.
+around solve's loop, not per step.  A run keeps only the states at its
+report times, so its memory does not grow with the number of steps.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ import numpy as np
 
 from .basis import BasisSpec, _nodal_matrix
 from .errors import DivergenceError
-from .operators import guard_condition, p1_kernel
+from .operators import check_condition, guarded_inverse, p1_kernel
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -138,7 +135,7 @@ def steps_to(t: float, dt: float) -> int:
         raise ValueError(f"t = {t:g} is more than MAX_STEPS = {MAX_STEPS:,} "
                          f"steps of dt = {dt:g} from 0")
     if abs(steps - round(steps)) > _STEP_TOLERANCE:
-        raise ValueError(f"t = {t:g} is not a multiple of dt = {dt:g}")
+        raise ValueError(f"t = {t!r} is not a multiple of dt = {dt!r}")
     return round(steps)
 
 
@@ -177,8 +174,8 @@ class SolverConfig:
             if k < 0:
                 raise ValueError(f"report time t = {t:g} is negative")
             if k in seen:
-                raise ValueError(f"report times t = {seen[k]:g} and t = {t:g} "
-                                 f"land on the same step of dt = {self.dt:g}")
+                raise ValueError(f"report times t = {seen[k]!r} and t = {t!r} "
+                                 f"land on the same step of dt = {self.dt!r}")
             seen[k] = t
 
     def report_steps(self) -> tuple[int, ...]:
@@ -194,11 +191,11 @@ class SolverConfig:
 class CollocationSystem:
     """Left-hand side and propagator of one run.
 
-    matrix is A = A_n T, whose condition assemble_lhs has checked.
+    matrix is A = A_n T, whose condition assemble_lhs has bounded.
     propagator is P = F_n A_n^-1, C-contiguous and read-only: it maps a
     step's right-hand side to dt u, u_x and the old-level part of the state
     that step solves for.  The node rows both were built from are
-    derivative_rows(n_points, bc), and T is _interpolation_matrix(level).
+    derivative_rows(n_points, bc), and T is _interpolation_matrix(level)[0].
     """
 
     matrix: np.ndarray
@@ -228,12 +225,10 @@ def derivative_rows(n_points: int, bc: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation_matrix(max_level: int) -> np.ndarray:
-    """T, the basis values at the grid nodes, once its condition has been
-    checked: once per resolution, not once per run."""
+def _interpolation_matrix(max_level: int) -> tuple[np.ndarray, float]:
+    """T, the basis values at the grid nodes, and its checked condition."""
     values = _nodal_matrix(max_level)
-    guard_condition(values, "initial interpolation")
-    return values
+    return values, guarded_inverse(values, "initial interpolation")[1]
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
@@ -241,9 +236,9 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
 
     A_n = I - THETA (dt/Re) D2 with the identity's end rows (Dirichlet
     data) or D1's (Neumann data), so A's end rows are T's value rows, or
-    the slope rows D1[[0, -1]] T.  A_n is checked before P's solve and A
-    ("collocation system") before it is returned: T's condition is up to
-    44 at 65 points, so one check does not bound the other.
+    the slope rows D1[[0, -1]] T.  A_n's exact condition is checked before
+    P is used, and A ("collocation system") by cond(A_n) cond(T): T's is
+    up to 44 at 65 points, so one check does not bound the other.
     """
     n = config.spec.n_functions
     first_deriv, second_deriv = derivative_rows(n, config.bc)
@@ -252,15 +247,21 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     nodal = identity - THETA * weight * second_deriv
     ends = first_deriv if config.bc == NEUMANN else identity
     nodal[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
-    guard_condition(nodal, "nodal collocation system")
     explicit = np.vstack([config.dt * identity, first_deriv,
                           identity + (1.0 - THETA) * weight * second_deriv])
-    # P^T = A_n^-T F_n^T: one transposed solve, not a product with A_n^-1
-    propagator = np.ascontiguousarray(np.linalg.solve(nodal.T, explicit.T).T)
+    # [P^T | A_n^-T] = A_n^-T [F_n^T | I], and ||A_n^-1||_1 = ||A_n^-T||_inf
+    try:
+        solved = np.linalg.solve(nodal.T, np.hstack([explicit.T, identity]))
+        condition = (float(np.linalg.norm(nodal, 1))
+                     * float(np.linalg.norm(solved[:, 3 * n:], np.inf)))
+    except np.linalg.LinAlgError:
+        condition = math.inf
+    check_condition(condition, "nodal collocation system")
+    propagator = np.ascontiguousarray(solved[:, :3 * n].T)
     propagator.flags.writeable = False
-    matrix = nodal @ _interpolation_matrix(config.spec.max_level)
-    guard_condition(matrix, "collocation system")
-    return CollocationSystem(matrix=matrix, propagator=propagator)
+    values, values_condition = _interpolation_matrix(config.spec.max_level)
+    check_condition(condition * values_condition, "collocation system")
+    return CollocationSystem(matrix=nodal @ values, propagator=propagator)
 
 
 def _rhs_buffers(n: int):
@@ -334,7 +335,8 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     nodal = np.linalg.solve(mass, moments)
     if config.bc == DIRICHLET:
         nodal[0] = nodal[-1] = 0.0
-    return np.linalg.solve(_interpolation_matrix(config.spec.max_level), nodal)
+    return np.linalg.solve(_interpolation_matrix(config.spec.max_level)[0],
+                           nodal)
 
 
 def solve(config: SolverConfig) -> np.ndarray:

@@ -154,6 +154,22 @@ def test_report_time_off_the_step_grid_is_a_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("times, message", [
+    ("0.05,0.05000000001", "t = 0.05000000001 is not a multiple of dt = 0.001"),
+    ("0.05,0.0500000000001",
+     "t = 0.05 and t = 0.0500000000001 land on the same step"),
+], ids=["off-the-grid", "same-step"])
+def test_usage_errors_name_the_times_as_given(tmp_path, capsys, times,
+                                              message):
+    # a time is printed in full, not rounded to six digits onto its
+    # neighbour
+    code = cli.main(["--case", "1", "--np", "9", "--times", times,
+                     "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_times_with_one_label_are_a_usage_error(tmp_path, capsys):
     # both times would be written to profile_case3_re10_np5_t0.05.csv
     code = cli.main(["--case", "3", "--np", "5", "--dt", "1e-8",
@@ -189,8 +205,9 @@ def test_untrustworthy_exact_solution_maps_to_exit_5(tmp_path, capsys, flags):
     # at Re = 1000 the series cancels to an estimated relative error of
     # order 10; at Re = 1e308 the transformed data underflow to zero and
     # the series divided zero by zero; at Re = 1e6 it runs out of terms
-    # with its last terms about twice its sums, where it would otherwise
-    # serve u(1/2, 1/2) = -0.00253 for a solution that stays positive
+    # with the bounds on its unsummed tails far above its sums, where it
+    # would otherwise serve u(1/2, 1/2) = -0.00253 for a solution that
+    # stays positive
     code = cli.main(["--case", "1", "--np", "33", *flags,
                      "--out", str(tmp_path)])
     assert code == cli.EXIT_ORACLE

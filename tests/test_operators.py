@@ -11,7 +11,7 @@ import wavecol as w
 from wavecol import cli
 from wavecol.basis import SCALING, WAVELET
 from wavecol.errors import ConditioningError
-from wavecol.operators import guard_condition, p1_kernel
+from wavecol.operators import guarded_inverse, p1_kernel
 from wavecol.solver import DIRICHLET, derivative_rows
 
 from exact_reference import constant_one, integrate_product, interpolate
@@ -264,7 +264,7 @@ class TestConditionGuard:
     def test_collocation_matrix_far_below_the_limit(self, case_id, n_points,
                                                     dt):
         matrix = _collocation_matrix(case_id, n_points, dt)
-        cond = guard_condition(matrix, "collocation system")
+        cond = guarded_inverse(matrix, "collocation system")[1]
         # gecon's estimate is a lower bound, up to roundoff in both
         assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
         assert cond <= 1e3  # 7.5e2 at most, 1e-9 of CONDITION_LIMIT
@@ -275,7 +275,7 @@ class TestConditionGuard:
         nodal = w.basis_matrix(spec,
                                np.linspace(0.0, 1.0, spec.n_functions))
         for matrix, bound in ((w.gram_matrix(spec), 55.0), (nodal, 45.0)):
-            cond = guard_condition(matrix, "matrix")
+            cond = guarded_inverse(matrix, "matrix")[1]
             assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
             assert cond <= bound
 
@@ -288,7 +288,7 @@ class TestConditionGuard:
             np.linalg.inv(singular)
         with pytest.raises(ConditioningError,
                            match="collocation matrix") as info:
-            guard_condition(singular, "collocation matrix")
+            guarded_inverse(singular, "collocation matrix")
         assert info.value.condition == np.inf
 
     @pytest.mark.parametrize("diagonal", [(1.0, np.nan), (1.0, np.inf),
@@ -297,7 +297,7 @@ class TestConditionGuard:
     def test_non_finite_matrix_has_infinite_condition(self, diagonal):
         # diag(inf, inf) inverts to zeros, so its condition is inf * 0
         with pytest.raises(ConditioningError) as info:
-            guard_condition(np.diag(diagonal), "matrix")
+            guarded_inverse(np.diag(diagonal), "matrix")
         assert info.value.condition == np.inf
 
 

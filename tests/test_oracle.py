@@ -173,10 +173,26 @@ class TestExactSolution:
             w.exact_u(SIN_RE1, 1.2, 0.1)
 
     def test_truncation_warning_when_terms_run_out(self):
-        # at the earliest admitted time this series is still not quiet
-        # after MAX_TERMS terms
-        with pytest.warns(RuntimeWarning, match="MAX_TERMS"):
-            w.exact_u(POLY_RE10, 0.7, MIN_TIME)
+        # at the earliest admitted time these series are still not quiet
+        # after MAX_TERMS terms, and the bound on their unsummed tails
+        # refuses them.  At Re = 60 and x = 0.5 a charge of the last terms
+        # alone served 0.9999801, where 1500 terms give 0.9999866
+        re60 = w.ExactSolutionSpec(reynolds=60.0, ic_family=POLY_4X_1MX)
+        for spec, x in ((POLY_RE10, 0.7), (re60, 0.5)):
+            with pytest.warns(RuntimeWarning, match="MAX_TERMS"):
+                with pytest.raises(SeriesAccuracyError) as info:
+                    w.exact_u(spec, x, MIN_TIME)
+            assert info.value.estimate > MAX_REL_ERROR
+
+    @pytest.mark.parametrize("decay", [1e-7, 1e-6, 3.125e-6, 1e-5, 1e-4])
+    def test_tail_bounds_hold_the_summed_tails(self, decay):
+        # with |c_n| <= 2; the numerator's terms peak past term 400 for
+        # decay below 3.125e-6
+        n = np.arange(401, 200_001, dtype=float)
+        damping = np.exp(-decay * n * n)
+        tail_num, tail_den = oracle._tail_bounds(decay, 400)
+        assert np.sum(2.0 * n * damping) <= tail_num
+        assert np.sum(2.0 * damping) <= tail_den
 
     @pytest.mark.parametrize("reynolds", [100.0, 150.0, 200.0])
     def test_cancelled_series_is_refused(self, reynolds):

@@ -12,6 +12,7 @@ from scipy.linalg import lu_factor, lu_solve
 import wavecol as w
 from wavecol import basis, solver
 from wavecol.errors import ConditioningError, DivergenceError
+from wavecol.operators import CONDITION_LIMIT
 from wavecol.solver import (
     DIRICHLET,
     NEUMANN,
@@ -42,7 +43,7 @@ CASE3_IC = lambda x: 50.0 * (0.5 - x) ** 3
 def _rows(config):
     """T and the nodal rows D1 and D2 that assemble_lhs builds the run's
     system from, read from the solver's shared tables."""
-    return (solver._interpolation_matrix(config.spec.max_level),
+    return (solver._interpolation_matrix(config.spec.max_level)[0],
             *derivative_rows(config.spec.n_functions, config.bc))
 
 
@@ -352,7 +353,7 @@ class TestAssembleLhs:
             np.random.default_rng(4).uniform(-0.5, 0.5, (n, n)), 1)
         assert np.linalg.cond(other, 1) < 1e3
         monkeypatch.setattr(solver, "_interpolation_matrix",
-                            lambda level: other)
+                            lambda level: (other, np.linalg.cond(other, 1)))
         patched = assemble_lhs(config)
         assert patched.propagator.tobytes() == system.propagator.tobytes()
         nodal, _ = _nodal_operators(config)
@@ -364,20 +365,65 @@ class TestAssembleLhs:
                              ids=["dirichlet", "neumann"])
     def test_both_solved_matrices_are_guarded(self, operators, monkeypatch,
                                               fresh_tables, bc):
-        # A_n before P's solve, A before the report solves: T's condition
-        # is up to 44, so a guard on one does not bound the other
-        guarded = []
-        monkeypatch.setattr(solver, "guard_condition",
-                            lambda matrix, what: guarded.append((what, matrix)))
-        config = _config(operators, level=4, reynolds=10.0, dt=0.01, bc=bc)
-        system = assemble_lhs(config)
-        assert [what for what, _ in guarded] == [
-            "nodal collocation system", "initial interpolation",
-            "collocation system"]
-        np.testing.assert_array_equal(guarded[0][1],
-                                      _nodal_operators(config)[0])
-        assert guarded[1][1] is basis._nodal_matrix(4)
-        assert guarded[2][1] is system.matrix
+        # A_n's condition, read off the solve that builds P, is the exact
+        # one an inverse gives; A is guarded by cond(A_n) cond(T), since
+        # T's condition is up to 44 and one check does not bound the other
+        checked = []
+        check = solver.check_condition
+        monkeypatch.setattr(solver, "check_condition",
+                            lambda cond, what: checked.append((what, cond))
+                            or check(cond, what))
+        for level in (4, 5, 6):
+            checked.clear()
+            config = _config(operators, level=level, reynolds=10.0, dt=0.01,
+                             bc=bc)
+            assemble_lhs(config)
+            nodal, _ = _nodal_operators(config)
+            exact = (np.linalg.norm(nodal, 1)
+                     * np.linalg.norm(np.linalg.inv(nodal), 1))
+            values, values_cond = solver._interpolation_matrix(level)
+            assert values_cond == (np.linalg.norm(values, 1)
+                                   * np.linalg.norm(np.linalg.inv(values), 1))
+            assert [what for what, _ in checked] == [
+                "nodal collocation system", "collocation system"]
+            assert checked[0][1] == pytest.approx(exact, rel=1e-12)
+            assert checked[1][1] == checked[0][1] * values_cond
+
+    @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
+                             ids=["dirichlet", "neumann"])
+    def test_assembly_forms_no_inverse(self, operators, monkeypatch,
+                                       fresh_tables, bc):
+        # with T's and the node rows' tables built, A_n is factorised
+        # once, by the solve that gives P and its condition
+        config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
+        _rows(config)
+        inverses, solves = [], []
+        inv, solve = np.linalg.inv, np.linalg.solve
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: inverses.append(a) or inv(a))
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: solves.append(a) or solve(a, b))
+        assemble_lhs(config)
+        assert not inverses
+        assert len(solves) == 1
+
+    def test_ill_conditioned_interpolation_refused_before_any_step(
+            self, operators, monkeypatch, fresh_tables):
+        # a T whose recorded condition takes the bound cond(A_n) cond(T)
+        # over the limit: cond(A_n) > 1
+        config = _config(operators, level=4, reynolds=10.0, dt=0.01)
+        values, _ = solver._interpolation_matrix(4)
+        monkeypatch.setattr(solver, "_interpolation_matrix",
+                            lambda level: (values, CONDITION_LIMIT))
+
+        def never(*args):
+            raise AssertionError("a step was taken")
+
+        monkeypatch.setattr(solver, "_advance", never)
+        with pytest.raises(ConditioningError,
+                           match="^collocation system") as info:
+            w.solve(config)
+        assert info.value.condition > CONDITION_LIMIT
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
     def test_neumann_rows_are_derivative_rows(self, operators, level):
@@ -553,8 +599,9 @@ class TestInitialCoefficients:
     def test_nodal_matrix_is_guarded_once_per_resolution(
             self, operators, monkeypatch, fresh_tables):
         guarded = []
-        monkeypatch.setattr(solver, "guard_condition",
-                            lambda matrix, what: guarded.append(what))
+        monkeypatch.setattr(solver, "guarded_inverse",
+                            lambda matrix, what: guarded.append(what)
+                            or (None, 1.0))
         for level in (4, 4, 5, 4):
             for bc in (DIRICHLET, NEUMANN):
                 initial_coefficients(_config(operators, level=level, bc=bc))
