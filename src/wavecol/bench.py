@@ -127,11 +127,6 @@ _METHOD_LABELS = {
 }
 
 
-def _published_row(case: CaseDefinition, t: float,
-                   method: str) -> tuple[float, ...] | None:
-    return published.profile_row(case.case_id, case.reynolds, t, method)
-
-
 def error_metrics(case: CaseDefinition, numeric: np.ndarray,
                   exact: np.ndarray) -> ErrorReport:
     """Assemble the error report from the numeric and exact value grids.
@@ -152,7 +147,7 @@ def error_metrics(case: CaseDefinition, numeric: np.ndarray,
     for method in _METHOD_LABELS:
         avgs = {}
         for i, t in enumerate(case.report_times):
-            row = _published_row(case, t, method)
+            row = published.profile_row(case.case_id, case.reynolds, t, method)
             if row is not None:
                 rel = _relative_errors(np.asarray(row), exact[i])
                 avgs[t] = float(np.nanmean(rel))
@@ -193,9 +188,8 @@ class RunResult:
     coeffs[i] is the solver's state at case.report_times[i], before any
     truncation; profiles and report are measured from the reported,
     possibly truncated, states.  Every profile is on the shared grid
-    _profile_grid().  The gram, deriv_inner and deriv_op arrays of
-    operators are shared by every run at the same resolution and are
-    read-only; the operators dict itself is the run's own.
+    _profile_grid().  A run keeps no operator: emit_operator_dump reads
+    them from the resolution's tables.
     """
 
     case: CaseDefinition
@@ -203,7 +197,6 @@ class RunResult:
     report: ErrorReport | Case3Report
     profiles: dict[float, np.ndarray]
     coeffs: np.ndarray
-    operators: dict[str, np.ndarray]
 
 
 def spec_for_points(n_points: int) -> BasisSpec:
@@ -231,11 +224,12 @@ def _resolution_tables(max_level: int):
 
     Returns the basis rows at the profile grid and at the published report
     locations, and the (name, matrix) pairs of the wavelet-space
-    operators: gram, deriv_inner and deriv_op.  The first run at a
-    resolution builds the operators whether or not it dumps them; their
-    builds (gram, dual and deriv_inner inside derivative_matrix, and
-    deriv_inner again) are the four that wavebench/selfcheck.py pins for a
-    run at a new resolution.
+    operators: gram, deriv_inner and deriv_op.  Only emit_operator_dump
+    reads the operators.  They are built here, by the first run at a
+    resolution whether or not it dumps them, only because
+    wavebench/selfcheck.py pins their four builds (gram, dual and
+    deriv_inner inside derivative_matrix, and deriv_inner again) for a run
+    at a new resolution.
     """
     spec = BasisSpec(max_level=max_level)
     gram = gram_matrix(spec)
@@ -255,14 +249,11 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
 
     The run ends at the last report time, and the result keeps solve's
     states, one row per report time.  For Neumann cases the slope residuals
-    and the dumped ``second_deriv`` come from the node rows the solver
-    used, derivative_rows(n_points, bc), composed with T: ``second_deriv``
-    is the weak Laplacian mapping coefficients to nodal u_xx (see
-    ``wavecol.solver``); the Dirichlet second derivative is D*D of the
-    dumped ``deriv_op``.  The first run at
-    a resolution builds its basis rows and wavelet-space operators (four
+    come from the first-derivative node rows the solver used,
+    derivative_rows(n_points, bc), composed with T.  The first run at a
+    resolution builds its basis rows and wavelet-space operators (four
     operator builds); later runs at that resolution share them (see
-    _resolution_tables and RunResult).  Bad run parameters (n_points, dt,
+    _resolution_tables).  Bad run parameters (n_points, dt,
     report times off the dt grid, on one step, printed with one label or
     refused by the oracle, truncate_level) raise ValueError before any
     operator is built or step taken.
@@ -285,10 +276,7 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     if truncate_level is not None:
         check_keep_level(truncate_level, spec)
     coeffs = solve(config)
-    dense_rows, report_rows, operators = _resolution_tables(spec.max_level)
-    # the arrays are shared; the dict is the run's own, since a Neumann run
-    # adds the solver's second derivative, from coefficients to nodal u_xx
-    operators = dict(operators)
+    dense_rows, report_rows, _ = _resolution_tables(spec.max_level)
 
     # the reported state at each report time, truncated once
     states = dict(zip(case.report_times, coeffs))
@@ -306,10 +294,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
     else:
         dense_xs = _profile_grid()
         window = (dense_xs >= FRONT_WINDOW[0]) & (dense_xs <= FRONT_WINDOW[1])
-        first_deriv, second_deriv = derivative_rows(n_points, case.bc)
-        values = _nodal_matrix(spec.max_level)
+        first_deriv, _ = derivative_rows(n_points, case.bc)
         # the nodal slope rows, formed in coefficient space and applied to c
-        endpoint_deriv = first_deriv[[0, -1]] @ values
+        endpoint_deriv = first_deriv[[0, -1]] @ _nodal_matrix(spec.max_level)
         antisymmetry = {}
         center = {}
         residuals = {}
@@ -325,10 +312,9 @@ def run_case(case: CaseDefinition, n_points: int, dt: float = 1e-3,
         report = Case3Report(antisymmetry=antisymmetry, center_abs=center,
                              neumann_residuals=residuals,
                              front_oscillation=oscillation)
-        operators["second_deriv"] = second_deriv @ values
 
     return RunResult(case=case, n_points=n_points, report=report,
-                     profiles=profiles, coeffs=coeffs, operators=operators)
+                     profiles=profiles, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +353,8 @@ def _comparison_csv(result: RunResult) -> str:
     case, report = result.case, result.report
     rows = []
     for i, t in enumerate(case.report_times):
-        ifdm = _published_row(case, t, "ifdm")
-        bem = _published_row(case, t, "bem")
+        ifdm = published.profile_row(case.case_id, case.reynolds, t, "ifdm")
+        bem = published.profile_row(case.case_id, case.reynolds, t, "bem")
         for j, x in enumerate(published.COMPARISON_X):
             rows.append([
                 f"{t:g}", f"{x:g}",
@@ -422,7 +408,8 @@ def _comparison_markdown(result: RunResult) -> str:
     for i, t in enumerate(times):
         rows = [[label, *map(_fmt_pub, row)]
                 for method, label in _METHOD_LABELS.items()
-                if (row := _published_row(case, t, method)) is not None]
+                if (row := published.profile_row(
+                    case.case_id, case.reynolds, t, method)) is not None]
         rows.append(["exact", *map(_fmt_pub, report.exact[i])])
         rows.append([f"this run (N_p={result.n_points})",
                      *map(_fmt_pub, report.numeric[i])])
@@ -506,7 +493,18 @@ def emit_profiles(result: RunResult, out_dir: Path) -> list[Path]:
 
 
 def emit_operator_dump(result: RunResult, out_dir: Path) -> list[Path]:
-    """Write the dense operator matrices as row-major CSV (debug aid)."""
+    """Write the dense operator matrices as row-major CSV (debug aid).
+
+    gram, deriv_inner and deriv_op come from the resolution's tables.  A
+    Neumann run adds second_deriv, derivative_rows' weak Laplacian it
+    stepped with, composed with T (coefficients to nodal u_xx); a
+    Dirichlet run steps with D*D of deriv_op (see wavecol.solver).
+    """
+    max_level = spec_for_points(result.n_points).max_level
+    operators = dict(_resolution_tables(max_level)[2])
+    if result.case.bc == NEUMANN:
+        _, second_deriv = derivative_rows(result.n_points, NEUMANN)
+        operators["second_deriv"] = second_deriv @ _nodal_matrix(max_level)
     return _write(out_dir, {
         f"operators_np{result.n_points}_{name}.csv": _matrix_csv(matrix)
-        for name, matrix in result.operators.items()})
+        for name, matrix in operators.items()})

@@ -7,9 +7,9 @@ sum_a T[a, i] h_a, so every operator is a change of coordinates of the
 closed-form tridiagonal hat matrices of p1_kernel: the Gram matrix is
 T^T M T and the derivative inner products are T^T K T, with M the P1
 mass matrix and K[a, b] = integral of h_a' h_b.  The solver reads the
-kernel directly; the wavelet-space matrices serve the operator dumps.
+kernel directly; the wavelet-space matrices serve only the operator dump.
 Their builders are not cached and return fresh, writable arrays on every
-call (wavecol.bench keeps one read-only set per resolution for its runs).
+call (wavecol.bench keeps one read-only set per resolution for the dump).
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram

@@ -28,8 +28,8 @@ sum of |term| exceeds |sum of terms| by 5 at Re = 10, 9e9 at Re = 100 and
 from the moments' quadrature errors, the summation roundoff and any
 truncation, and raises SeriesAccuracyError above MAX_REL_ERROR (1e-6)
 instead of returning a wrong value.  At t = 0.5 and Re = 1e5 or 1e6 the
-series of cases 1 and 2 runs out of terms with a truncation charge above
-8e5 at every report location; without that charge Re = 1e6 would be
+series of cases 1 and 2 runs out of terms with an estimate above 9e4 at
+every report location; without the truncation charge Re = 1e6 would be
 served, with the wrong sign.
 """
 
@@ -149,24 +149,24 @@ def check_time(t: float) -> None:
                          "cannot be trusted there")
 
 
-def _tail_bounds(decay: float, last: int) -> tuple[float, float]:
+def _tail_bounds(decay: float, last: int,
+                 reynolds: float) -> tuple[float, float]:
     """Bounds on the unsummed tails of the numerator and the denominator.
 
-    theta_0 = exp(-(Re/2) F) lies in (0, 1] for both families, F >= 0
-    being the antiderivative of u_0 >= 0, so |c_n| <= 2 and the tails past
-    term `last` are at most the sums over n > last of 2 n e_n and 2 e_n,
-    e_n = exp(-decay n**2).  Each is bounded by its integral from `last`,
-    plus the peak 2 s e^-1/2 at s = (2 decay)^-1/2 of 2 s e(s) when that
-    lies past `last`, since a unimodal sum exceeds its integral by at most
-    its peak.
+    theta_0 = exp(-(Re/2) F) lies in (0, 1] (F >= 0 is the antiderivative
+    of u_0 >= 0), so |c_n| <= 2; its slope -(Re/2) u_0 theta_0 is 0 at both
+    ends and unimodal, with u_0 theta_0 <= 1, so integrating by parts twice
+    gives |c_n| <= 2 ||theta_0''||_1 / (n pi)^2 <= 2 Re / (n pi)^2 = C / n^2.
+    With x = decay last^2 and e(s) = exp(-decay s^2), the tails past term
+    `last` are at most the integrals from `last` of C e(s) / s and
+    C e(s) / s^2: C e^-x / (2 x) and that over `last`.  |c_n| <= 2 bounds
+    them by the integrals of 2 (s + 1) e(s) and 2 e(s) (erfc(z) <= e^-z^2);
+    each tail takes the smaller, that one only for Re above (pi last)^2.
     """
-    root = math.sqrt(decay)
-    peak = 1.0 / math.sqrt(2.0 * decay)
-    tail_num = math.exp(-decay * last * last) / decay
-    if peak > last:
-        tail_num += 2.0 * peak * math.exp(-0.5)
-    tail_den = math.sqrt(math.pi) / root * math.erfc(last * root)
-    return tail_num, tail_den
+    x = decay * last * last
+    moments = reynolds / math.pi**2 * math.exp(-x) / x
+    flat = math.sqrt(math.pi / decay) * math.exp(-x)
+    return min(moments, math.exp(-x) / decay + flat), min(moments / last, flat)
 
 
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
@@ -225,7 +225,7 @@ def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        tail_num, tail_den = _tail_bounds(decay, MAX_TERMS)
+        tail_num, tail_den = _tail_bounds(decay, MAX_TERMS, spec.reynolds)
         error_num += tail_num
         error_den += tail_den
     error_num += _EPS * abs_num

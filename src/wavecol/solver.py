@@ -49,9 +49,9 @@ the first one included, is the same update.  The propagator does not
 depend on the basis: with F = F_n T, P = F A^-1 = F_n A_n^-1, where
 F_n = [dt I; D1; I + (1 - THETA)(dt/Re) D2] is the stacked nodal
 explicit operator with dt folded into its first block.  assemble_lhs
-forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T,
-whose right-hand side also holds I: the solve gives A_n^-T, and so A_n's
-exact condition, from A_n's one factorisation, and no inverse is formed.
+forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T.
+P's first block is dt A_n^-1, so the same solve gives A_n's exact
+condition from A_n's one factorisation, and no inverse is formed.
 One gemv P r_n gives dt u, u_x and the old-level part
 u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
 dt u u_x is formed in place and subtracted straight into r_{n+1}.  The
@@ -236,9 +236,10 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
 
     A_n = I - THETA (dt/Re) D2 with the identity's end rows (Dirichlet
     data) or D1's (Neumann data), so A's end rows are T's value rows, or
-    the slope rows D1[[0, -1]] T.  A_n's exact condition is checked before
-    P is used, and A ("collocation system") by cond(A_n) cond(T): T's is
-    up to 44 at 65 points, so one check does not bound the other.
+    the slope rows D1[[0, -1]] T.  A_n's exact condition, read off P's
+    first block dt A_n^-1, is checked before P is used, and A ("collocation
+    system") by cond(A_n) cond(T): T's is up to 44 at 65 points, so one
+    check does not bound the other.
     """
     n = config.spec.n_functions
     first_deriv, second_deriv = derivative_rows(n, config.bc)
@@ -249,15 +250,15 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     nodal[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
     explicit = np.vstack([config.dt * identity, first_deriv,
                           identity + (1.0 - THETA) * weight * second_deriv])
-    # [P^T | A_n^-T] = A_n^-T [F_n^T | I], and ||A_n^-1||_1 = ||A_n^-T||_inf
+    # P^T's first block is dt A_n^-T, and ||A_n^-1||_1 = ||A_n^-T||_inf
     try:
-        solved = np.linalg.solve(nodal.T, np.hstack([explicit.T, identity]))
+        solved = np.linalg.solve(nodal.T, explicit.T)
         condition = (float(np.linalg.norm(nodal, 1))
-                     * float(np.linalg.norm(solved[:, 3 * n:], np.inf)))
+                     * float(np.linalg.norm(solved[:, :n], np.inf)) / config.dt)
     except np.linalg.LinAlgError:
         condition = math.inf
     check_condition(condition, "nodal collocation system")
-    propagator = np.ascontiguousarray(solved[:, :3 * n].T)
+    propagator = np.ascontiguousarray(solved.T)
     propagator.flags.writeable = False
     values, values_condition = _interpolation_matrix(config.spec.max_level)
     check_condition(condition * values_condition, "collocation system")

@@ -307,19 +307,24 @@ class TestRunCase:
         with pytest.raises(ValueError, match=message):
             w.run_case(case, n_points, dt=dt)
 
-    def test_case3_builds_the_solver_rows_once(self, fresh_tables):
-        # once per process: the solver and the report of both runs share
-        # one build of the rows, and the dump maps coefficients to the nodal
-        # u_xx they step with
+    def test_case3_builds_the_solver_rows_once(self, fresh_tables,
+                                               tmp_path):
+        # once per process: the solver and the report of both runs, and
+        # their dumps, share one build of the rows; the dump maps
+        # coefficients to the nodal u_xx they step with
         case = w.case_definition(3, times=(0.1,))
         result, again = w.run_case(case, 17), w.run_case(case, 17)
         info = derivative_rows.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         _, second_deriv = derivative_rows(17, case.bc)
         assert not second_deriv.flags.writeable
-        for run in (result, again):
-            np.testing.assert_array_equal(run.operators["second_deriv"],
+        for i, run in enumerate((result, again)):
+            emit_operator_dump(run, tmp_path / str(i))
+            dumped = np.loadtxt(tmp_path / str(i) / "operators_np17_"
+                                "second_deriv.csv", delimiter=",")
+            np.testing.assert_array_equal(dumped,
                                           second_deriv @ _nodal_matrix(4))
+        assert derivative_rows.cache_info().misses == 1
 
     @pytest.mark.parametrize("n_points", [9, 17])
     def test_rows_are_built_once_per_boundary_kind(self, fresh_tables,
@@ -493,9 +498,10 @@ class TestResolutionTables:
             assert _files(tmp_path / f"first{i}") == cold
 
     def test_cached_arrays_refuse_writes(self):
-        result = w.run_case(w.case_definition(1, times=(0.05,)), 17)
-        shared = [bench._profile_grid(), *result.operators.values(),
-                  *bench._resolution_tables(4)[:2],
+        w.run_case(w.case_definition(1, times=(0.05,)), 17)
+        *rows, tables = bench._resolution_tables(4)
+        shared = [bench._profile_grid(), *rows,
+                  *(matrix for _, matrix in tables),
                   *operators.p1_kernel(17)]
         for array in shared:
             assert not array.flags.writeable
@@ -507,29 +513,54 @@ class TestResolutionTables:
             first, second = build(spec), build(spec)
             assert first is not second
             assert first.flags.writeable
-        np.testing.assert_array_equal(w.gram_matrix(spec),
-                                      result.operators["gram"])
+        np.testing.assert_array_equal(w.gram_matrix(spec), dict(tables)["gram"])
 
-    def test_each_run_has_its_own_operators_dict(self):
-        neumann = w.run_case(w.case_definition(3, times=(0.05,)), 17)
-        dirichlet = w.run_case(w.case_definition(1, times=(0.05,)), 17)
-        again = w.run_case(w.case_definition(3, times=(0.05,)), 17)
-        assert neumann.operators is not again.operators
-        assert list(dirichlet.operators) == ["gram", "deriv_inner", "deriv_op"]
-        assert list(neumann.operators) == list(again.operators) == [
-            "gram", "deriv_inner", "deriv_op", "second_deriv"]
-        assert again.operators["gram"] is dirichlet.operators["gram"]
+    def test_a_run_keeps_no_operator(self):
+        # the dump reads the resolution's tables; a run keeps only what it
+        # computed
+        assert [f.name for f in dataclasses.fields(w.RunResult)] == [
+            "case", "n_points", "report", "profiles", "coeffs"]
+
+    def test_each_dump_names_the_operators_of_its_boundary_kind(
+            self, tmp_path):
+        # a Neumann dump adds second_deriv; a Dirichlet dump after it at
+        # the same resolution does not pick it up
+        def dumped(case_id, sub):
+            result = w.run_case(w.case_definition(case_id, times=(0.05,)), 17)
+            return [p.name for p in emit_operator_dump(result, tmp_path / sub)]
+
+        names = [f"operators_np17_{name}.csv"
+                 for name in ("gram", "deriv_inner", "deriv_op")]
+        neumann = names + ["operators_np17_second_deriv.csv"]
+        assert dumped(3, "a") == neumann
+        assert dumped(1, "b") == names
+        assert dumped(3, "c") == neumann
         assert bench._profile_grid() is bench._profile_grid()
+
+    @pytest.mark.parametrize("case_id", [1, 3])
+    def test_dump_files_are_the_same_from_cold_and_warm_tables(
+            self, fresh_tables, tmp_path, case_id):
+        # warm: the tables the run built; cold: the dump rebuilds them
+        result = w.run_case(w.case_definition(case_id, times=(0.05,)), 17)
+        warm = emit_operator_dump(result, tmp_path / "warm")
+        for cache in (bench._resolution_tables, derivative_rows,
+                      operators.p1_kernel, w.basis._nodal_matrix):
+            cache.cache_clear()
+        cold = emit_operator_dump(result, tmp_path / "cold")
+        assert bench._resolution_tables.cache_info().misses == 1
+        assert [p.name for p in cold] == [p.name for p in warm]
+        for cold_path, warm_path in zip(cold, warm):
+            assert cold_path.read_bytes() == warm_path.read_bytes()
 
     def test_each_resolution_has_its_own_tables(self):
         case = w.case_definition(1, times=(0.05,))
         w.run_case(case, 33)
-        result = w.run_case(case, 17)
-        for matrix in result.operators.values():
+        w.run_case(case, 17)
+        dense_rows, report_rows, tables = bench._resolution_tables(4)
+        for _, matrix in tables:
             assert matrix.shape == (17, 17)
-        np.testing.assert_array_equal(result.operators["gram"],
+        np.testing.assert_array_equal(dict(tables)["gram"],
                                       w.gram_matrix(w.spec_for_points(17)))
-        dense_rows, report_rows = bench._resolution_tables(4)[:2]
         assert dense_rows.shape == (PROFILE_POINTS, 17)
         assert report_rows.shape == (5, 17)
 
@@ -610,7 +641,12 @@ def _per_value_texts(result):
         files[f"profile_{stem}_t{t:g}.csv"] = ["x,u"] + [
             f"{full(x)},{full(u)}"
             for x, u in zip(bench._profile_grid(), result.profiles[t])]
-    for name, matrix in result.operators.items():
+    level = w.spec_for_points(result.n_points).max_level
+    matrices = dict(bench._resolution_tables(level)[2])
+    if result.case.bc == NEUMANN:
+        matrices["second_deriv"] = (derivative_rows(result.n_points, NEUMANN)[1]
+                                    @ _nodal_matrix(level))
+    for name, matrix in matrices.items():
         files[f"operators_np{result.n_points}_{name}.csv"] = [
             ",".join(map(full, row)) for row in matrix]
     return {name: "\n".join(lines) + "\n" for name, lines in files.items()}
@@ -691,8 +727,7 @@ class TestEmission:
         case = w.case_definition(1, times=())
         report = w.error_metrics(case, np.empty((0, 5)), np.empty((0, 5)))
         result = w.RunResult(case=case, n_points=33, report=report,
-                             profiles={}, coeffs=np.empty((0, 33)),
-                             operators={})
+                             profiles={}, coeffs=np.empty((0, 33)))
         assert _comparison_csv(result) == ("time,x,numeric,exact,abs_err,"
                                            "rel_err,ifdm,bem\n")
         assert _summary_csv(result).count("\n") == 1

@@ -39,6 +39,29 @@ PUBLISHED_EXACT = {
 LOCATIONS = (0.1, 0.3, 0.5, 0.7, 0.9)
 
 
+def _trapezoid_moments(spec, last, nodes=1 << 16):
+    """c_0 .. c_last by the trapezoid rule on `nodes` equal cells, all
+    from one FFT of the even extension of the transformed data."""
+    theta = oracle._transformed_ic(spec, np.linspace(0.0, 1.0, nodes + 1))
+    sums = np.fft.rfft(np.concatenate([theta, theta[-2:0:-1]])).real
+    moments = sums[:last + 1] / nodes
+    moments[0] /= 2.0
+    return moments
+
+
+def _long_sum(spec, x, t, terms):
+    """u(x, t) from `terms` terms: the oracle's own moments up to
+    MAX_TERMS, trapezoid ones past it, each sum taken exactly (fsum)."""
+    own = [oracle._coefficient(spec, n)[0] for n in range(oracle.MAX_TERMS + 1)]
+    moments = np.concatenate([
+        own, _trapezoid_moments(spec, terms)[oracle.MAX_TERMS + 1:]])
+    n = np.arange(terms + 1)
+    damped = moments * np.exp(-math.pi**2 * t / spec.reynolds * n * n)
+    return (2.0 * math.pi / spec.reynolds
+            * math.fsum(damped * n * np.sin(n * math.pi * x))
+            / math.fsum(damped * np.cos(n * math.pi * x)))
+
+
 class TestSpecValidation:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError, match="reynolds"):
@@ -174,25 +197,55 @@ class TestExactSolution:
 
     def test_truncation_warning_when_terms_run_out(self):
         # at the earliest admitted time these series are still not quiet
-        # after MAX_TERMS terms, and the bound on their unsummed tails
-        # refuses them.  At Re = 60 and x = 0.5 a charge of the last terms
-        # alone served 0.9999801, where 1500 terms give 0.9999866
-        re60 = w.ExactSolutionSpec(reynolds=60.0, ic_family=POLY_4X_1MX)
-        for spec, x in ((POLY_RE10, 0.7), (re60, 0.5)):
+        # after MAX_TERMS terms.  At Re = 10 the moments' n^-2 decay bounds
+        # the unsummed tails well below MAX_REL_ERROR, and the values
+        # served are those of 1500 terms but for the tail past term 400,
+        # 5e-15 and 1.3e-14 of u; at Re = 60 and x = 0.5 the bound
+        # refuses a value that a charge of the last terms alone served as
+        # 0.9999801, where 1500 terms give 0.9999866
+        for x in (0.7, 0.9):
             with pytest.warns(RuntimeWarning, match="MAX_TERMS"):
-                with pytest.raises(SeriesAccuracyError) as info:
-                    w.exact_u(spec, x, MIN_TIME)
-            assert info.value.estimate > MAX_REL_ERROR
+                value = w.exact_u(POLY_RE10, x, MIN_TIME)
+            longer = _long_sum(POLY_RE10, x, MIN_TIME, 1500)
+            assert abs(value - longer) <= 2e-14 * abs(longer)
+        re60 = w.ExactSolutionSpec(reynolds=60.0, ic_family=POLY_4X_1MX)
+        with pytest.warns(RuntimeWarning, match="MAX_TERMS"):
+            with pytest.raises(SeriesAccuracyError) as info:
+                w.exact_u(re60, 0.5, MIN_TIME)
+        assert info.value.estimate > MAX_REL_ERROR
+        assert _long_sum(re60, 0.5, MIN_TIME, 1500) == pytest.approx(
+            0.9999866, abs=1e-7)
+
+    @pytest.mark.parametrize("family", [SIN_PI, POLY_4X_1MX])
+    @pytest.mark.parametrize("reynolds", [1.0, 10.0, 60.0])
+    def test_tail_bounds_hold_the_summed_tails(self, family, reynolds):
+        # the moments themselves obey |c_n| <= 2 Re / (n pi)^2, and their
+        # tails past term 400 stay under the bounds at the earliest
+        # admitted times
+        spec = w.ExactSolutionSpec(reynolds=reynolds, ic_family=family)
+        moments = _trapezoid_moments(spec, 8192)
+        n = np.arange(1, 8193, dtype=float)
+        assert np.all(np.abs(moments[1:]) <= 2.0 * reynolds / (n * math.pi)**2)
+        tail, n = np.abs(moments[401:]), n[400:]
+        for t in (MIN_TIME, 3e-4, 1e-3):
+            decay = math.pi**2 * t / reynolds
+            damping = np.exp(-decay * n * n)
+            tail_num, tail_den = oracle._tail_bounds(decay, 400, reynolds)
+            assert math.fsum(tail * n * damping) <= tail_num
+            assert math.fsum(tail * damping) <= tail_den
 
     @pytest.mark.parametrize("decay", [1e-7, 1e-6, 3.125e-6, 1e-5, 1e-4])
-    def test_tail_bounds_hold_the_summed_tails(self, decay):
-        # with |c_n| <= 2; the numerator's terms peak past term 400 for
-        # decay below 3.125e-6
+    @pytest.mark.parametrize("reynolds", [1.0, 60.0, 1e6, 1e7])
+    def test_tail_bounds_hold_for_the_largest_moments(self, decay, reynolds):
+        # |c_n| <= min(2, 2 Re / (n pi)^2); above Re = (400 pi)^2 = 1.6e6
+        # the first is the smaller past term 400, and the numerator's terms
+        # peak past term 400 for decay below 3.125e-6
         n = np.arange(401, 200_001, dtype=float)
+        largest = np.minimum(2.0, 2.0 * reynolds / (n * math.pi)**2)
         damping = np.exp(-decay * n * n)
-        tail_num, tail_den = oracle._tail_bounds(decay, 400)
-        assert np.sum(2.0 * n * damping) <= tail_num
-        assert np.sum(2.0 * damping) <= tail_den
+        tail_num, tail_den = oracle._tail_bounds(decay, 400, reynolds)
+        assert math.fsum(largest * n * damping) <= tail_num
+        assert math.fsum(largest * damping) <= tail_den
 
     @pytest.mark.parametrize("reynolds", [100.0, 150.0, 200.0])
     def test_cancelled_series_is_refused(self, reynolds):

@@ -394,7 +394,8 @@ class TestAssembleLhs:
     def test_assembly_forms_no_inverse(self, operators, monkeypatch,
                                        fresh_tables, bc):
         # with T's and the node rows' tables built, A_n is factorised
-        # once, by the solve that gives P and its condition
+        # once, by the solve that gives P and its condition: its
+        # right-hand side is F_n^T alone, 3N columns
         config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
         _rows(config)
         inverses, solves = [], []
@@ -402,10 +403,10 @@ class TestAssembleLhs:
         monkeypatch.setattr(np.linalg, "inv",
                             lambda a: inverses.append(a) or inv(a))
         monkeypatch.setattr(np.linalg, "solve",
-                            lambda a, b: solves.append(a) or solve(a, b))
+                            lambda a, b: solves.append(b.shape) or solve(a, b))
         assemble_lhs(config)
         assert not inverses
-        assert len(solves) == 1
+        assert solves == [(33, 3 * 33)]
 
     def test_ill_conditioned_interpolation_refused_before_any_step(
             self, operators, monkeypatch, fresh_tables):
