@@ -153,20 +153,17 @@ def _tail_bounds(decay: float, last: int,
                  reynolds: float) -> tuple[float, float]:
     """Bounds on the unsummed tails of the numerator and the denominator.
 
-    theta_0 = exp(-(Re/2) F) lies in (0, 1] (F >= 0 is the antiderivative
-    of u_0 >= 0), so |c_n| <= 2; its slope -(Re/2) u_0 theta_0 is 0 at both
-    ends and unimodal, with u_0 theta_0 <= 1, so integrating by parts twice
-    gives |c_n| <= 2 ||theta_0''||_1 / (n pi)^2 <= 2 Re / (n pi)^2 = C / n^2.
+    theta_0 = exp(-(Re/2) F), F the antiderivative of u_0, has the slope
+    -(Re/2) u_0 theta_0, 0 at both ends and unimodal, with u_0 theta_0 <= 1,
+    so integrating by parts twice gives
+    |c_n| <= 2 ||theta_0''||_1 / (n pi)^2 <= 2 Re / (n pi)^2 = C / n^2.
     With x = decay last^2 and e(s) = exp(-decay s^2), the tails past term
     `last` are at most the integrals from `last` of C e(s) / s and
-    C e(s) / s^2: C e^-x / (2 x) and that over `last`.  |c_n| <= 2 bounds
-    them by the integrals of 2 (s + 1) e(s) and 2 e(s) (erfc(z) <= e^-z^2);
-    each tail takes the smaller, that one only for Re above (pi last)^2.
+    C e(s) / s^2: C e^-x / (2 x) and that over `last`.
     """
     x = decay * last * last
     moments = reynolds / math.pi**2 * math.exp(-x) / x
-    flat = math.sqrt(math.pi / decay) * math.exp(-x)
-    return min(moments, math.exp(-x) / decay + flat), min(moments / last, flat)
+    return moments, moments / last
 
 
 def exact_u(spec: ExactSolutionSpec, x: float, t: float) -> float:

@@ -236,10 +236,10 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
 
     A_n = I - THETA (dt/Re) D2 with the identity's end rows (Dirichlet
     data) or D1's (Neumann data), so A's end rows are T's value rows, or
-    the slope rows D1[[0, -1]] T.  A_n's exact condition, read off P's
-    first block dt A_n^-1, is checked before P is used, and A ("collocation
-    system") by cond(A_n) cond(T): T's is up to 44 at 65 points, so one
-    check does not bound the other.
+    the slope rows D1[[0, -1]] T.  A_n's condition, read off P's first
+    block dt A_n^-1 (exact while that block is normal: inf where it
+    overflows), is checked before P is used, and A by cond(A_n) cond(T),
+    as T's, up to 44 at 65 points, is not bounded by A_n's check.
     """
     n = config.spec.n_functions
     first_deriv, second_deriv = derivative_rows(n, config.bc)

@@ -389,6 +389,20 @@ class TestAssembleLhs:
             assert checked[0][1] == pytest.approx(exact, rel=1e-12)
             assert checked[1][1] == checked[0][1] * values_cond
 
+    def test_overflowing_first_block_reads_as_infinite_condition(
+            self, operators, fresh_tables):
+        # at dt = 1e300 the block dt A_n^-1 overflows, so the condition
+        # read is inf; the exact one, 4.6e303, is over the limit as well
+        config = _config(operators, level=4, dt=1e300, t_end=1e300)
+        with pytest.raises(ConditioningError,
+                           match="^nodal collocation system") as info:
+            assemble_lhs(config)
+        assert info.value.condition == np.inf
+        nodal, _ = _nodal_operators(config)
+        exact = (np.linalg.norm(nodal, 1)
+                 * np.linalg.norm(np.linalg.inv(nodal), 1))
+        assert CONDITION_LIMIT < exact < np.inf
+
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_assembly_forms_no_inverse(self, operators, monkeypatch,
