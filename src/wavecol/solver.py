@@ -28,9 +28,10 @@ operator keeps case 3 bounded to t = 1.  The paper does not say how u_xx
 is discretised under Neumann data, so this is a deviation from its
 method.
 
-T enters at two places only: c_0 = T^-1 u in initial_coefficients, and
+T enters at three places only: c_0 = T^-1 u in initial_coefficients;
 A = A_n T, the left-hand matrix of the coefficients, with A_n the nodal
-one; A seeds the loop and recovers the report states.  The state stays in
+one, which recovers the report states; and the seed map
+S = [dt I; D1[1:-1]] T, which starts the loop.  The state stays in
 coefficients, and slopes are read by rows formed in coefficient space,
 D1[[0, -1]] T: the node rows applied to T c read case 3's slopes to
 2.4e-13 at 65 points, over its 1e-13 gate, against 9e-15 for those rows.
@@ -42,38 +43,42 @@ gives; the paper's printed wavelet-collocation rows imply it (72 of their
 the data at the nodes).  For Dirichlet data its end values are then set
 to 0.  It is computed as u = M^-1 <f, h>, then c_0 = T^-1 u.
 
-A step solves no linear system.  The left-hand matrix A is constant, so
-the loop carries the right-hand side r_n of step n, with c_n = A^-1 r_n,
-rather than the coefficients.  It starts from r_0 = A c_0, so every step,
-the first one included, is the same update.  The propagator does not
-depend on the basis: with F = F_n T, P = F A^-1 = F_n A_n^-1, where
-F_n = [dt I; D1; I + (1 - THETA)(dt/Re) D2] is the stacked nodal
-explicit operator with dt folded into its first block.  assemble_lhs
-forms F_n only to build P, by one transposed solve, P^T = A_n^-T F_n^T.
-P's first block is dt A_n^-1, so the same solve gives A_n's exact
-condition from A_n's one factorisation, and no inverse is formed.
-One gemv P r_n gives dt u, u_x and the old-level part
-u + (1 - THETA)(dt/Re) u_xx of state n; the lagged convection product
-dt u u_x is formed in place and subtracted straight into r_{n+1}.  The
-ends of every r_n after the seed are the boundary data, 0, which the
-buffers are allocated with, so a step is three numpy calls on prebuilt
-views, the gemv, a multiply and a subtract.  The gemv stays the full
-3N x N product: one over the interior rows alone changed the results in
-their last bits, since BLAS rounds each row according to the layout.
-Carrying the coefficients, c_{n+1} = A^-1 F c_n with A^-1 F precomposed,
-broke case 3's antisymmetry gate, and so did P = F inv(A); carrying r
-with P from the transposed solve keeps every gate (see the README).
+A step solves no linear system and is two numpy calls.  The left-hand
+matrix is constant, so every linear part of a step is precomposed, and
+the loop carries what the one nonlinear operation needs: the pair
+z_n = (dt u_n, w_n), all N nodal values of dt u_n and the N - 2 interior
+entries of the lagged convection product w_n = dt u_n u_x,n.  The next
+right-hand side is r_{n+1} = L z_n, where L's end rows are zero, the
+boundary data, and its interior rows are [B/dt | -I], with
+B = I + (1 - THETA)(dt/Re) D2.  The step map
+M = [dt I; D1[1:-1]] A_n^-1 L, square of side 2N - 2, gives dt u_{n+1}
+and the interior of u_x,{n+1} in one gemv on prebuilt views, and one
+multiply overwrites those u_x entries with w_{n+1}.  M does not depend
+on the basis, since u = T c and A^-1 = T^-1 A_n^-1.  assemble_lhs builds
+it from one forward solve, X = A_n^-1 [L | e_0 e_{N-1}], whose last N
+columns are every column of A_n^-1 (the interior ones negated): the
+same factorisation gives A_n's exact condition, and no inverse is
+formed.  The loop is seeded with the same two calls, S c_0 in place of
+M z, which is u_0 = T c_0 without a second factorisation.  A report
+state is solved for from the pair before it, c_k = A^-1 L z_{k-1}, with
+A's end rows in the solve; recovering it as T^-1 u_k would read case 3's
+slopes as above.  Building M as the rows of P = F_n A_n^-1 (from a
+transposed solve) times L moves case 3's golden profiles by 7.2e-11,
+against 4.6e-11 for the forward solve.  Carrying the coefficients,
+c_{n+1} = A^-1 F c_n with A^-1 F precomposed, broke case 3's
+antisymmetry gate, and so did P = F inv(A) (see the README).
 
 solve runs the steps in blocks of _CHECK_EVERY, the last block shorter.
-A block steps from its first right-hand side, then checks the ones it
-built for finiteness, then solves for the report states that fall in it.
-r_j is built from state j - 1, so the first non-finite r_j fails step
-j - 1: either its right-hand side overflowed, or the state before it did
-and the product P r_{j-1} carried the overflow on.  A report state
-recovered non-finite fails its own step.  The np.errstate that lets a
-diverging run reach the check without overflow warnings is entered once
-around solve's loop, not per step.  A run keeps only the states at its
-report times, so its memory does not grow with the number of steps.
+A block steps from its first pair, then checks its pairs, the first
+one included, for finiteness, then solves for the report states that
+fall in it.  z_j holds state j, so the first non-finite z_j fails step
+j, whether the solve inside M overflowed or the product w_j did; a
+non-finite seed fails step 0.  A report state recovered non-finite
+fails its own step.
+The np.errstate that lets a diverging run reach the check without
+overflow warnings is entered once around solve's loop, not per step.  A
+run keeps only the states at its report times, so its memory does not
+grow with the number of steps.
 """
 
 from __future__ import annotations
@@ -101,14 +106,14 @@ _STEP_TOLERANCE = 1e-9
 
 #: Most steps a run may take.  A report time further than this from 0 is a
 #: usage error, raised before anything is built.  At 33 points a step took
-#: 2.8 us on one core of a 2-vCPU Xeon VM (10**6 steps of case 1 at dt
-#: 1e-6), so 10**8 steps take about 5 minutes, but only while the state
-#: stays normal: case 1 at dt 1e-3 run to t = 100 ends with 31 of 33
-#: coefficients subnormal and averages 19-33 us a step.
+#: 1.2 us on one core of a 2-vCPU Xeon VM (10**6 steps of case 1 at dt
+#: 1e-6, best of three), so 10**8 steps take about 2 minutes, but only
+#: while the state stays normal: case 1 at dt 1e-3 run to t = 100 ends
+#: with all 33 coefficients subnormal and averages 8.4 us a step.
 MAX_STEPS = 10**8
 
 #: solve steps in blocks of this many steps and checks each block's
-#: right-hand sides for non-finite values once, after its last step.
+#: carried pairs for non-finite values once, after its last step.
 _CHECK_EVERY = 64
 
 #: Gauss-Legendre nodes and weights of order 5 on [-1, 1], as
@@ -189,17 +194,24 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class CollocationSystem:
-    """Left-hand side and propagator of one run.
+    """Left-hand side, step map, explicit operator and seed map of one run.
 
     matrix is A = A_n T, whose condition assemble_lhs has bounded.
-    propagator is P = F_n A_n^-1, C-contiguous and read-only: it maps a
-    step's right-hand side to dt u, u_x and the old-level part of the state
-    that step solves for.  The node rows both were built from are
-    derivative_rows(n_points, bc), and T is _interpolation_matrix(level)[0].
+    propagator is the step map M = [dt I; D1[1:-1]] A_n^-1 L, square of
+    side 2N - 2: it maps the pair z_n = (dt u_n, dt u_n u_x,n) of state n,
+    all N values of dt u and the N - 2 interior ones of the convection
+    product, to dt u_{n+1} and the interior of u_x,{n+1}.  explicit is L,
+    N x (2N - 2): L z_n is the right-hand side r_{n+1} = A c_{n+1}.  seed
+    is S = [dt I; D1[1:-1]] T, (2N - 2) x N: it maps c_0 to dt u_0 and the
+    interior of u_x,0.  All three are C-contiguous and read-only.  The
+    node rows they were built from are derivative_rows(n_points, bc), and
+    T is _interpolation_matrix(level)[0].
     """
 
     matrix: np.ndarray
     propagator: np.ndarray
+    explicit: np.ndarray
+    seed: np.ndarray
 
 
 @functools.lru_cache(maxsize=16)
@@ -232,14 +244,19 @@ def _interpolation_matrix(max_level: int) -> tuple[np.ndarray, float]:
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
-    """Build A_n, the propagator P = F_n A_n^-1 and A = A_n T.
+    """Build A = A_n T, the step map M, L and the seed map S.
 
     A_n = I - THETA (dt/Re) D2 with the identity's end rows (Dirichlet
     data) or D1's (Neumann data), so A's end rows are T's value rows, or
-    the slope rows D1[[0, -1]] T.  A_n's condition, read off P's first
-    block dt A_n^-1 (exact while that block is normal: inf where it
-    overflows), is checked before P is used, and A by cond(A_n) cond(T),
-    as T's, up to 44 at 65 points, is not bounded by A_n's check.
+    the slope rows D1[[0, -1]] T.  L maps a carried pair z = (dt u, w) to
+    the next right-hand side: its end rows are zero, the boundary data,
+    and its interior rows are [B/dt | -I], B = I + (1 - THETA)(dt/Re) D2.
+    One forward solve, X = A_n^-1 [L | e_0 e_{N-1}], gives A_n^-1 L and,
+    in its last N columns, every column of A_n^-1 (the interior ones
+    negated), so A_n's condition is exact and no inverse is formed.  It
+    is checked before M = [dt I; D1[1:-1]] A_n^-1 L is built, and A by
+    cond(A_n) cond(T), as T's, up to 44 at 65 points, is not bounded by
+    A_n's check.  The same stacked rows times T give S.
     """
     n = config.spec.n_functions
     first_deriv, second_deriv = derivative_rows(n, config.bc)
@@ -248,60 +265,28 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     nodal = identity - THETA * weight * second_deriv
     ends = first_deriv if config.bc == NEUMANN else identity
     nodal[[0, -1]] = ends[[0, -1]]  # slope or value rows: the boundary rows
-    explicit = np.vstack([config.dt * identity, first_deriv,
-                          identity + (1.0 - THETA) * weight * second_deriv])
-    # P^T's first block is dt A_n^-T, and ||A_n^-1||_1 = ||A_n^-T||_inf
+    explicit = np.zeros((n, 2 * n - 2))
+    explicit[1:-1, :n] = (identity[1:-1] + (1.0 - THETA) * weight
+                          * second_deriv[1:-1]) / config.dt
+    explicit[1:-1, n:] = -identity[1:-1, 1:-1]
+    explicit.flags.writeable = False
     try:
-        solved = np.linalg.solve(nodal.T, explicit.T)
+        solved = np.linalg.solve(nodal, np.hstack([explicit,
+                                                   identity[:, [0, -1]]]))
         condition = (float(np.linalg.norm(nodal, 1))
-                     * float(np.linalg.norm(solved[:, :n], np.inf)) / config.dt)
+                     * float(np.linalg.norm(solved[:, n:], 1)))
     except np.linalg.LinAlgError:
         condition = math.inf
     check_condition(condition, "nodal collocation system")
-    propagator = np.ascontiguousarray(solved.T)
-    propagator.flags.writeable = False
+    rows = np.vstack([config.dt * identity, first_deriv[1:-1]])
+    step_map = rows @ solved[:, :2 * n - 2]
     values, values_condition = _interpolation_matrix(config.spec.max_level)
     check_condition(condition * values_condition, "collocation system")
-    return CollocationSystem(matrix=nodal @ values, propagator=propagator)
-
-
-def _rhs_buffers(n: int):
-    """The buffers solve steps in, and the interior views a step writes.
-
-    Returns the 3N propagator product, the interior views of its three row
-    blocks (dt u, u_x and u + (1 - THETA)(dt/Re) u_xx), the block of
-    _CHECK_EVERY + 1 carried right-hand sides, its rows, and the interior
-    view of each row.  The block is allocated zero, so every row's first
-    and last entries are the boundary data: a step writes only the
-    interior, so they stay, and block[0] = block[size] carries them into
-    the next block.
-    """
-    stacked = np.empty(3 * n)
-    products = (stacked[1:n - 1], stacked[n + 1:2 * n - 1],
-                stacked[2 * n + 1:3 * n - 1])
-    block = np.zeros((_CHECK_EVERY + 1, n))
-    return stacked, products, block, list(block), [row[1:-1] for row in block]
-
-
-def _advance(propagator: np.ndarray, stacked: np.ndarray,
-             products: tuple[np.ndarray, np.ndarray, np.ndarray],
-             rows: list[np.ndarray], interiors: list[np.ndarray]) -> None:
-    """Step each right-hand side in rows into the matching interior view.
-
-    One gemv, the propagator's bound dot (np.dot without its
-    __array_function__ dispatch, bitwise the same), writes the propagator
-    product of a right-hand side into stacked, whose interior views are
-    products; the first is overwritten with the convection product
-    dt u u_x, which is subtracted from the third straight into the
-    interior of the next right-hand side.  The ends are not written (see
-    _rhs_buffers).
-    """
-    dot, multiply, subtract = propagator.dot, np.multiply, np.subtract
-    product, u_x, part = products
-    for rhs, out in zip(rows, interiors):
-        dot(rhs, stacked)
-        multiply(product, u_x, product)
-        subtract(part, product, out)
+    seed = rows @ values
+    for array in (step_map, seed):
+        array.flags.writeable = False
+    return CollocationSystem(matrix=nodal @ values, propagator=step_map,
+                             explicit=explicit, seed=seed)
 
 
 def initial_coefficients(config: SolverConfig) -> np.ndarray:
@@ -344,18 +329,20 @@ def solve(config: SolverConfig) -> np.ndarray:
     """Step to the last report time and return the states at the report times.
 
     Row i of the returned array holds the coefficients at config.times[i].
-    The loop carries right-hand sides from r_0 = A c_0, one propagator
-    gemv per step, and solves for the coefficients only at the report
-    times; the state at a report time of 0 is c_0, stored before the loop.
-    It runs in blocks of _CHECK_EVERY steps, each checked finite once after
-    its last step; then the report states whose steps fall in the block
-    are solved for, earliest first.  The first non-finite r_j raises
-    DivergenceError for step j - 1, the step whose state it was built
-    from; a report state recovered non-finite raises it for its own step.
-    Nothing solve allocates grows with the number of steps.
+    The loop carries the pairs z_n = (dt u_n, dt u_n u_x,n), one step-map
+    gemv and one multiply per step, and solves for the coefficients only
+    at the report times, c_k = A^-1 L z_{k-1}; the state at a report time
+    of 0 is c_0, stored before the loop.  The seed is z_0 = (dt u_0,
+    dt u_0 u_x,0) from u_0 = T c_0, formed as a step is, with the seed map
+    S c_0 in place of M z, so a run factorises no matrix beyond
+    assemble_lhs's and initial_coefficients' solves.  It runs in blocks
+    of _CHECK_EVERY steps, each checked finite once after its last step,
+    from its first pair on; then the report states whose steps fall in
+    the block are solved for, earliest first.  The first non-finite z_j
+    raises DivergenceError for step j, as does a report state recovered
+    non-finite.  Nothing solve allocates grows with the number of steps.
     """
     system = assemble_lhs(config)
-    propagator = system.propagator
     coeffs = initial_coefficients(config)
     report = config.report_steps()
     n_steps = max(report)
@@ -366,22 +353,31 @@ def solve(config: SolverConfig) -> np.ndarray:
     # (step, index) of every later report state, the earliest last
     pending = sorted(((k, i) for i, k in enumerate(report) if k),
                      reverse=True)
-    stacked, products, block, rows, interiors = _rhs_buffers(n)
+    # block[r] is the pair of state base + r; a step writes dt u and u_x
+    # into the next row, then overwrites u_x with dt u u_x in place
+    block = np.empty((_CHECK_EVERY + 1, 2 * n - 2))
+    steps = [(pair, out, out[1:n - 1], out[n:])
+             for pair, out in zip(block, block[1:])]
+    # the bound dot is np.dot without its __array_function__ dispatch,
+    # bitwise the same
+    dot, multiply = system.propagator.dot, np.multiply
     with np.errstate(over="ignore", invalid="ignore"):
-        # block[r] is the right-hand side of step base + r
-        block[0] = np.dot(system.matrix, coeffs)
+        np.dot(system.seed, coeffs, block[0])
+        multiply(block[0, 1:n - 1], block[0, n:], block[0, n:])
         for base in range(0, n_steps, _CHECK_EVERY):
             size = min(_CHECK_EVERY, n_steps - base)
-            _advance(propagator, stacked, products, rows[:size],
-                     interiors[1:size + 1])
-            finite = np.isfinite(block[1:size + 1]).all(axis=1)
+            for pair, out, scaled, product in steps[:size]:
+                dot(pair, out)
+                multiply(scaled, product, product)
+            finite = np.isfinite(block[:size + 1]).all(axis=1)
             if not finite.all():
                 failed = base + int(np.argmin(finite))
                 raise DivergenceError(failed, failed * config.dt)
             while pending and pending[-1][0] <= base + size:
                 k, i = pending.pop()
-                # the state step k solves for, c = A^-1 r
-                kept[i] = np.linalg.solve(system.matrix, block[k - base])
+                # the state step k solves for, c = A^-1 L z_{k-1}
+                rhs = np.dot(system.explicit, block[k - 1 - base])
+                kept[i] = np.linalg.solve(system.matrix, rhs)
                 if not np.isfinite(kept[i]).all():
                     raise DivergenceError(k, k * config.dt)
             block[0] = block[size]

@@ -106,18 +106,20 @@ def _slope_rows(config):
 
 
 def _nodal_operators(config):
-    """A_n and F_n, the nodal left-hand matrix, with the identity's or
-    D1's end rows, and the stacked explicit operator
-    [dt I; D1; I + (1 - THETA)(dt/Re) D2], from derivative_rows."""
+    """A_n and L, the nodal left-hand matrix, with the identity's or D1's
+    end rows, and the explicit operator, zero end rows and interior rows
+    [B/dt | -I] with B = I + (1 - THETA)(dt/Re) D2, from derivative_rows."""
     n = config.spec.n_functions
     first, second = derivative_rows(n, config.bc)
     weight = config.dt / config.reynolds
     identity = np.eye(n)
     nodal = identity - solver.THETA * weight * second
     nodal[[0, -1]] = (first if config.bc == NEUMANN else identity)[[0, -1]]
-    folded = np.vstack([config.dt * identity, first,
-                        identity + (1.0 - solver.THETA) * weight * second])
-    return nodal, folded
+    explicit = np.zeros((n, 2 * n - 2))
+    explicit[1:-1, :n] = (identity + (1.0 - solver.THETA) * weight
+                          * second)[1:-1] / config.dt
+    explicit[1:-1, n:] = -np.eye(n - 2)
+    return nodal, explicit
 
 
 def _step_algebra(config, coeffs):
@@ -142,51 +144,53 @@ def _first_step(config):
     return coeffs[0], rhs
 
 
-def _one_step(rhs):
-    """The next right-hand side, from solve's own buffers and step, under a
-    zero propagator: the ends _rhs_buffers allocates and the interior
-    _advance writes from rhs, from product blocks that are all zero."""
-    n = rhs.shape[0]
-    stacked, products, block, rows, interiors = solver._rhs_buffers(n)
-    block[0] = rhs
-    solver._advance(np.zeros((3 * n, n)), stacked, products, rows[:1],
-                    interiors[1:2])
-    return block[1]
+def _second_step_rhs(config):
+    """r_2, the right-hand side of the second step, that solve hands to its
+    report solve when the step map is all zero: the pair solve's own
+    buffers and step carry after one step from a nonzero seed."""
+    n = config.spec.n_functions
+    with pytest.MonkeyPatch.context() as patch:
+        real_assemble = solver.assemble_lhs
+        patch.setattr(solver, "assemble_lhs",
+                      lambda config: dataclasses.replace(
+                          real_assemble(config),
+                          propagator=np.zeros((2 * n - 2, 2 * n - 2))))
+        report_solves = _wrap_report_solves(patch, lambda solved: solved)
+        w.solve(dataclasses.replace(config, times=(2 * config.dt,)))
+    (rhs,) = report_solves.handed
+    return rhs
 
 
 def _full_vector_history(config):
-    """The states at the report times from the full-vector step: np.dot(P,
-    r) into one 3N buffer, dt u u_x formed over the whole first block and
-    subtracted from the whole third one into a fresh vector, and both ends
-    set to the boundary data, 0, every step; one np.linalg.solve with A
+    """The states at the report times from a plain whole-vector loop: the
+    seed S c_0 and each step's np.dot(M, z) into a fresh vector, whose
+    second block is replaced by a fresh product of the first block's
+    interior with it; every step the right-hand side L z is formed, with
+    both ends set to the boundary data, 0, and one np.linalg.solve with A
     per nonzero report time."""
     system = assemble_lhs(config)
-    coeffs = initial_coefficients(config)
     n = config.spec.n_functions
-    stacked = np.empty(3 * n)
-    product, u_x, part = stacked[:n], stacked[n:2 * n], stacked[2 * n:]
     report = config.report_steps()
-    states = {0: coeffs}
-    rhs = np.dot(system.matrix, coeffs)
+    states = {0: initial_coefficients(config)}
+    stacked = np.dot(system.seed, states[0])
+    pair = np.concatenate([stacked[:n], stacked[1:n - 1] * stacked[n:]])
     for step in range(1, max(report) + 1):
-        np.dot(system.propagator, rhs, out=stacked)
-        product *= u_x
-        rhs = np.empty(n)
-        np.subtract(part, product, out=rhs)
+        rhs = np.dot(system.explicit, pair)
         rhs[0] = rhs[-1] = 0.0
         if step in report:
             states[step] = np.linalg.solve(system.matrix, rhs)
+        stacked = np.dot(system.propagator, pair)
+        pair = np.concatenate([stacked[:n], stacked[1:n - 1] * stacked[n:]])
     return np.array([states[k] for k in report])
 
 
 class _ReportSolves:
-    """Stands in for system.matrix, which solve reads only to seed the
-    loop, np.dot(system.matrix, c_0), and to solve for its report states,
-    np.linalg.solve(system.matrix, r).
+    """Stands in for system.matrix, which solve reads only to solve for
+    its report states, np.linalg.solve(system.matrix, r).
 
-    Passes the seed product through uncounted, counts the solves, keeps a
-    copy of each right-hand side in handed, and hands each real solution
-    to outcome, whose return value is the state solve sees.
+    Counts the solves, keeps a copy of each right-hand side in handed, and
+    hands each real solution to outcome, whose return value is the state
+    solve sees.
     """
 
     def __init__(self, outcome):
@@ -194,8 +198,6 @@ class _ReportSolves:
         self.handed = []
 
     def __array_function__(self, func, types, args, kwargs):
-        if func is np.dot:
-            return func(self.real, *args[1:], **kwargs)
         assert func is np.linalg.solve
         self.solves += 1
         self.handed.append(np.array(args[1]))
@@ -343,8 +345,9 @@ class TestAssembleLhs:
 
     def test_propagator_does_not_depend_on_the_basis(
             self, operators, monkeypatch, fresh_tables):
-        # P = F A^-1 = F_n A_n^-1: another well-conditioned T leaves P
-        # bitwise as it was and enters only A = A_n T
+        # M = [dt I; D1[1:-1]] A_n^-1 L: another well-conditioned T leaves
+        # M and L bitwise as they were and enters only A = A_n T and the
+        # seed map
         config = _config(operators, level=4, reynolds=10.0, dt=0.01,
                          bc=NEUMANN)
         system = assemble_lhs(config)
@@ -356,6 +359,7 @@ class TestAssembleLhs:
                             lambda level: (other, np.linalg.cond(other, 1)))
         patched = assemble_lhs(config)
         assert patched.propagator.tobytes() == system.propagator.tobytes()
+        assert patched.explicit.tobytes() == system.explicit.tobytes()
         nodal, _ = _nodal_operators(config)
         np.testing.assert_array_equal(patched.matrix, nodal @ other)
         np.testing.assert_array_equal(system.matrix,
@@ -365,7 +369,7 @@ class TestAssembleLhs:
                              ids=["dirichlet", "neumann"])
     def test_both_solved_matrices_are_guarded(self, operators, monkeypatch,
                                               fresh_tables, bc):
-        # A_n's condition, read off the solve that builds P, is the exact
+        # A_n's condition, read off the solve that builds M, is the exact
         # one an inverse gives; A is guarded by cond(A_n) cond(T), since
         # T's condition is up to 44 and one check does not bound the other
         checked = []
@@ -389,27 +393,28 @@ class TestAssembleLhs:
             assert checked[0][1] == pytest.approx(exact, rel=1e-12)
             assert checked[1][1] == checked[0][1] * values_cond
 
-    def test_overflowing_first_block_reads_as_infinite_condition(
-            self, operators, fresh_tables):
-        # at dt = 1e300 the block dt A_n^-1 overflows, so the condition
-        # read is inf; the exact one, 4.6e303, is over the limit as well
+    def test_huge_dt_reads_the_exact_condition(self, operators,
+                                               fresh_tables):
+        # at dt = 1e300 the condition is read from A_n^-1's own columns,
+        # with no dt in them, so it is the exact one, 4.6e303, over the
+        # limit, not an overflow
         config = _config(operators, level=4, dt=1e300, t_end=1e300)
         with pytest.raises(ConditioningError,
                            match="^nodal collocation system") as info:
             assemble_lhs(config)
-        assert info.value.condition == np.inf
         nodal, _ = _nodal_operators(config)
         exact = (np.linalg.norm(nodal, 1)
                  * np.linalg.norm(np.linalg.inv(nodal), 1))
         assert CONDITION_LIMIT < exact < np.inf
+        assert info.value.condition == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_assembly_forms_no_inverse(self, operators, monkeypatch,
                                        fresh_tables, bc):
         # with T's and the node rows' tables built, A_n is factorised
-        # once, by the solve that gives P and its condition: its
-        # right-hand side is F_n^T alone, 3N columns
+        # once, by the solve that gives M and its condition: its
+        # right-hand side is L and A_n's two end columns, 2N columns
         config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
         _rows(config)
         inverses, solves = [], []
@@ -420,7 +425,7 @@ class TestAssembleLhs:
                             lambda a, b: solves.append(b.shape) or solve(a, b))
         assemble_lhs(config)
         assert not inverses
-        assert solves == [(33, 3 * 33)]
+        assert solves == [(33, 2 * 33)]
 
     def test_ill_conditioned_interpolation_refused_before_any_step(
             self, operators, monkeypatch, fresh_tables):
@@ -432,9 +437,9 @@ class TestAssembleLhs:
                             lambda level: (values, CONDITION_LIMIT))
 
         def never(*args):
-            raise AssertionError("a step was taken")
+            raise AssertionError("the run went on to its initial state")
 
-        monkeypatch.setattr(solver, "_advance", never)
+        monkeypatch.setattr(solver, "initial_coefficients", never)
         with pytest.raises(ConditioningError,
                            match="^collocation system") as info:
             w.solve(config)
@@ -450,18 +455,29 @@ class TestAssembleLhs:
                              ids=["dirichlet", "neumann"])
     def test_propagator_is_the_explicit_operator_through_the_inverse(
             self, operators, bc):
-        # P = F_n A_n^-1 with dt folded into F_n's first block, so
-        # P A_n = F_n
+        # M = [dt I; D1[1:-1]] A_n^-1 L, square of side 2N - 2: its first
+        # block is dt A_n^-1 L, so A_n times it is dt L, and its second
+        # block is D1's interior rows applied to the first over dt
         config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
         system = assemble_lhs(config)
         n = config.spec.n_functions
-        propagator = system.propagator
-        assert propagator.shape == (3 * n, n)
-        assert propagator.flags.c_contiguous
-        assert not propagator.flags.writeable
-        nodal, folded = _nodal_operators(config)
-        assert (np.max(np.abs(propagator @ nodal - folded))
-                <= 1e-12 * np.max(np.abs(folded)))
+        step_map = system.propagator
+        assert step_map.shape == (2 * n - 2, 2 * n - 2)
+        nodal, explicit = _nodal_operators(config)
+        np.testing.assert_array_equal(system.explicit, explicit)
+        values, first, _ = _rows(config)
+        np.testing.assert_array_equal(
+            system.seed, np.vstack([config.dt * np.eye(n), first[1:-1]])
+            @ values)
+        for array in (step_map, system.explicit, system.seed):
+            assert array.flags.c_contiguous
+            assert not array.flags.writeable
+        scaled = config.dt * explicit
+        assert (np.max(np.abs(nodal @ step_map[:n] - scaled))
+                <= 1e-12 * np.max(np.abs(scaled)))
+        slopes = first[1:-1] @ step_map[:n] / config.dt
+        assert (np.max(np.abs(step_map[n:] - slopes))
+                <= 1e-12 * np.max(np.abs(slopes)))
 
 
 class TestWeakSecondDerivative:
@@ -624,16 +640,14 @@ class TestInitialCoefficients:
 
 
 class TestBuildRhs:
-    """The right-hand side a step builds: from _rhs_buffers and _advance
-    themselves, and through solve, as the first step's right-hand side
-    solve hands to its report solve or read back as A c_{k+1} from the
-    state a step solved for, the first step from the seed r_0 = A c_0."""
+    """The right-hand side r_{k+1} = L z_k built from a carried pair: as
+    solve hands it to its report solve, or read back as A c_{k+1} from the
+    state a step solved for, the first step from the seed z_0 = S c_0."""
 
     def test_zero_state_leaves_only_boundary_values(self, operators):
-        # a zero propagator product leaves exactly the boundary data, 0,
-        # whatever right-hand side it came from
-        n = _config(operators).spec.n_functions
-        rhs = _one_step(np.ones(n))
+        # a zero step map leaves a zero pair, whose right-hand side is
+        # exactly the boundary data, 0, whatever state it came from
+        rhs = _second_step_rhs(_config(operators))
         assert np.max(np.abs(rhs)) == 0.0
         # through solve: the zero state stays zero exactly
         config = _config(operators, ic=np.zeros_like)
@@ -647,9 +661,9 @@ class TestBuildRhs:
     ], ids=["dirichlet", "neumann"])
     def test_carried_rhs_ends_are_exactly_zero(self, operators, monkeypatch,
                                                bc, ic):
-        # from a nonzero state every carried right-hand side after the
-        # seed has a nonzero interior and ends of exactly 0, the boundary
-        # data, across the first block edge too
+        # from a nonzero state every right-hand side L z built from a
+        # carried pair has a nonzero interior and ends of exactly 0, the
+        # boundary data, across the first block edge too
         config = _config(operators, bc=bc, ic=ic)
         report_solves = _wrap_report_solves(monkeypatch, lambda solved: solved)
         w.solve(config)
@@ -853,7 +867,7 @@ class TestSolve:
     ], ids=["case1-dirichlet", "case3-neumann"])
     def test_history_matches_the_dense_reference_algebra(
             self, operators, bc, ic, reynolds):
-        # solve carries right-hand sides through a precomposed propagator;
+        # solve carries (dt u, dt u u_x) through a precomposed step map;
         # over 500 steps its node values must stay within the golden
         # gates of a per-step dense solve, at 17, 33 and 65 points
         gate = 1e-12 if bc == DIRICHLET else 1e-10
@@ -873,12 +887,12 @@ class TestSolve:
     ], ids=["dirichlet", "neumann"])
     def test_states_are_bitwise_the_full_vector_step(
             self, operators, bc, ic, reynolds, level):
-        # solve's rows keep the zero ends they are allocated with, and it
-        # steps only the interior; its states must equal, bit for bit,
-        # those of a step that works on whole vectors and sets the ends
-        # every step.  The report times fall at 0, inside the first block,
-        # on the block edges 64 and 128, and at step 160, inside the third
-        # block
+        # solve steps in place, in prebuilt views of one block of pairs,
+        # and solves each report state from the pair before it; its states
+        # must equal, bit for bit, those of a plain loop over fresh whole
+        # vectors that sets the right-hand side's ends every step.  The
+        # report times fall at 0, inside the first block, on the block
+        # edges 64 and 128, and at step 160, inside the third block
         assert solver._CHECK_EVERY == 64
         config = _config(operators, level=level, reynolds=reynolds,
                          t_end=0.16, bc=bc, ic=ic)
@@ -922,7 +936,8 @@ class TestSolve:
 
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     @pytest.mark.parametrize("level, dt, bc, ic, reynolds, diverges_at", [
-        # the convection product overflows in the first right-hand side
+        # the convection product overflows in the seed pair z_0, as in
+        # the reference's first right-hand side
         (5, 1e-3, DIRICHLET,
          lambda x: 1e160 * np.sin(np.pi * x), 1.0, 0),
         # case 3 past its Courant limit, at 33 and at 65 points
@@ -946,10 +961,9 @@ class TestSolve:
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     def test_overflowing_solve_fails_the_next_step(self, operators,
                                                    monkeypatch, check_every):
-        # the 7th propagation product maps the right-hand side of step 6 to
-        # the next one through state 6; an overflow there stands for a
-        # state 6 that is not finite, so step 6 fails, though the first bad
-        # right-hand side is step 7's
+        # the 6th step-map product solves for state 6 from the pair of
+        # state 5; an overflow there stands for a solve that overflowed,
+        # so step 6 fails, the step after the last finite pair
         if check_every is not None:
             monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
         real_assemble = solver.assemble_lhs
@@ -958,10 +972,10 @@ class TestSolve:
             def __init__(self, real):
                 self.real, self.calls = real, 0
 
-            def dot(self, rhs, out):
+            def dot(self, pair, out):
                 self.calls += 1
-                self.real.dot(rhs, out)
-                if self.calls == 7:
+                self.real.dot(pair, out)
+                if self.calls == 6:
                     out[:] = np.inf
                 return out
 
