@@ -8,9 +8,7 @@ from .approx import (
 from .basis import (
     BasisIndex,
     BasisSpec,
-    PiecewiseLinear,
     basis_matrix,
-    basis_piecewise,
 )
 from .bench import (
     CaseDefinition,
@@ -53,14 +51,12 @@ __all__ = [
     "ErrorReport",
     "ExactSolutionSpec",
     "LevelSplit",
-    "PiecewiseLinear",
     "QuadratureError",
     "RunResult",
     "SeriesAccuracyError",
     "SolverConfig",
     "assemble_lhs",
     "basis_matrix",
-    "basis_piecewise",
     "case_definition",
     "derivative_inner_products",
     "derivative_matrix",

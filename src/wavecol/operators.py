@@ -10,6 +10,9 @@ mass matrix and K[a, b] = integral of h_a' h_b.  The solver reads the
 kernel directly; the wavelet-space matrices serve only the operator dump.
 Their builders are not cached and return fresh, writable arrays on every
 call (wavecol.bench keeps one read-only set per resolution for the dump).
+The package's one quadrature rule, Gauss-Legendre of order 10, sits
+beside the kernel: the initial projection and the oracle's moments both
+integrate with it.
 
 Everything here is dense: with at most 65 basis functions at desk scale
 there is nothing to gain from exploiting the block sparsity of the Gram
@@ -29,6 +32,19 @@ from .errors import ConditioningError
 #: Condition-number guard for the dense solves.  Failures must be
 #: loud: a silently inaccurate dual basis corrupts every later expansion.
 CONDITION_LIMIT = 1e12
+
+#: Gauss-Legendre nodes and weights of order 10 on [-1, 1], as
+#: numpy.polynomial.legendre.leggauss(10) gives them.
+_GAUSS10_X = np.array([
+    -0.9739065285171717, -0.8650633666889845, -0.6794095682990244,
+    -0.4333953941292472, -0.14887433898163122, 0.14887433898163122,
+    0.4333953941292472, 0.6794095682990244, 0.8650633666889845,
+    0.9739065285171717])
+_GAUSS10_W = np.array([
+    0.06667134430868814, 0.1494513491505804, 0.219086362515982,
+    0.2692667193099965, 0.2955242247147528, 0.2955242247147528,
+    0.2692667193099965, 0.219086362515982, 0.1494513491505804,
+    0.06667134430868814])
 
 
 def gram_matrix(spec: BasisSpec) -> np.ndarray:
@@ -57,8 +73,8 @@ def check_condition(condition: float, what: str) -> float:
 def guarded_inverse(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """matrix^-1 and its exact 1-norm condition ||A||_1 ||A^-1||_1, checked.
 
-    The package's one explicit inverse, for T once per resolution and for
-    dual_transform.  A matrix numpy cannot invert counts as infinitely
+    The package's one explicit inverse, for T once per resolution (the
+    solver keeps it for the initial state) and for dual_transform.  A matrix numpy cannot invert counts as infinitely
     ill-conditioned; check_condition raises ConditioningError.
     """
     try:

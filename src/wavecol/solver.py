@@ -28,7 +28,8 @@ operator keeps case 3 bounded to t = 1.  The paper does not say how u_xx
 is discretised under Neumann data, so this is a deviation from its
 method.
 
-T enters at three places only: c_0 = T^-1 u in initial_coefficients;
+T enters at three places only: c_0 = T^-1 u in initial_coefficients,
+with the inverse that T's condition guard forms;
 A = A_n T, the left-hand matrix of the coefficients, with A_n the nodal
 one, which recovers the report states; and the seed map
 S = [dt I; D1[1:-1]] T, which starts the loop.  The state stays in
@@ -41,7 +42,8 @@ span, c_0 = G^-1 <f, psi>, what expanding the data through the dual basis
 gives; the paper's printed wavelet-collocation rows imply it (72 of their
 75 entries are reproduced to five decimals, none from an interpolation of
 the data at the nodes).  For Dirichlet data its end values are then set
-to 0.  It is computed as u = M^-1 <f, h>, then c_0 = T^-1 u.
+to 0.  It is computed as u = M^-1 <f, h>, the moments <f, h> by
+Gauss-10 on every grid cell, then c_0 = T^-1 u.
 
 A step solves no linear system and is two numpy calls.  The left-hand
 matrix is constant, so every linear part of a step is precomposed, and
@@ -92,7 +94,8 @@ import numpy as np
 
 from .basis import BasisSpec, _nodal_matrix
 from .errors import DivergenceError
-from .operators import check_condition, guarded_inverse, p1_kernel
+from .operators import (_GAUSS10_W, _GAUSS10_X, check_condition,
+                        guarded_inverse, p1_kernel)
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -115,15 +118,6 @@ MAX_STEPS = 10**8
 #: solve steps in blocks of this many steps and checks each block's
 #: carried pairs for non-finite values once, after its last step.
 _CHECK_EVERY = 64
-
-#: Gauss-Legendre nodes and weights of order 5 on [-1, 1], as
-#: numpy.polynomial.legendre.leggauss(5) gives them: the initial data's
-#: hat moments are integrated with them on every grid cell.
-_GAUSS5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
-                      0.5384693101056831, 0.906179845938664])
-_GAUSS5_W = np.array([0.23692688505618928, 0.4786286704993663,
-                      0.5688888888888887, 0.4786286704993663,
-                      0.23692688505618928])
 
 
 def steps_to(t: float, dt: float) -> int:
@@ -205,7 +199,9 @@ class CollocationSystem:
     is S = [dt I; D1[1:-1]] T, (2N - 2) x N: it maps c_0 to dt u_0 and the
     interior of u_x,0.  All three are C-contiguous and read-only.  The
     node rows they were built from are derivative_rows(n_points, bc), and
-    T is _interpolation_matrix(level)[0].
+    T is _interpolation_matrix(level)[0].  propagator starts 64-byte
+    aligned: 16 bytes past a 32-byte boundary, where the heap may put it,
+    a step took about 10% longer (33 points, one core).
     """
 
     matrix: np.ndarray
@@ -237,10 +233,14 @@ def derivative_rows(n_points: int, bc: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation_matrix(max_level: int) -> tuple[np.ndarray, float]:
-    """T, the basis values at the grid nodes, and its checked condition."""
+def _interpolation_matrix(
+        max_level: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """T, the basis values at the grid nodes, its read-only inverse, the
+    one T's condition guard forms, and that checked condition."""
     values = _nodal_matrix(max_level)
-    return values, guarded_inverse(values, "initial interpolation")[1]
+    inverse, condition = guarded_inverse(values, "initial interpolation")
+    inverse.flags.writeable = False
+    return values, inverse, condition
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
@@ -279,8 +279,11 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
         condition = math.inf
     check_condition(condition, "nodal collocation system")
     rows = np.vstack([config.dt * identity, first_deriv[1:-1]])
-    step_map = rows @ solved[:, :2 * n - 2]
-    values, values_condition = _interpolation_matrix(config.spec.max_level)
+    side = 2 * n - 2
+    flat = np.empty(side**2 + 8)  # room to start M 64-byte aligned
+    step_map = flat[-flat.ctypes.data % 64 // 8:][:side**2].reshape(side, -1)
+    np.matmul(rows, solved[:, :side], out=step_map)
+    values, _, values_condition = _interpolation_matrix(config.spec.max_level)
     check_condition(condition * values_condition, "collocation system")
     seed = rows @ values
     for array in (step_map, seed):
@@ -292,28 +295,29 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
 def initial_coefficients(config: SolverConfig) -> np.ndarray:
     """The L2 projection of the initial condition onto the basis span.
 
-    The hat moments of the data are integrated with Gauss-5 on every grid
-    cell: the initial condition is called once on the 5 (N - 1)
+    The hat moments of the data are integrated with Gauss-10 on every grid
+    cell: the initial condition is called once on the 10 (N - 1)
     quadrature nodes, cell by cell, and ValueError is raised unless it
     returns one finite value per node.  u = M^-1 moments, with M the P1
     mass matrix, are the nodal values of the projection; for Dirichlet
     data the end values are then set to 0, so the state at t = 0 meets
-    the boundary data.  The coefficients are c_0 = T^-1 u.  Expanding
+    the boundary data.  The coefficients are c_0 = T^-1 u, from the
+    inverse cached with T, so the one solve is with M.  Expanding
     the data through the dual basis, G^-1 <f, psi> with G = T^T M T, is
     the same projection: its nodal values are M^-1 times the moments.
     """
     n = config.spec.n_functions
     cells = n - 1
     half = 0.5 / cells
-    nodes = ((np.arange(cells) + 0.5) / cells)[:, None] + half * _GAUSS5_X
+    nodes = ((np.arange(cells) + 0.5) / cells)[:, None] + half * _GAUSS10_X
     samples = np.array(config.ic(nodes.ravel()), float)
     if samples.shape != (nodes.size,):
         raise ValueError(f"initial condition returned shape {samples.shape}, "
                          f"expected {(nodes.size,)}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("initial condition returned non-finite values")
-    weighted = half * _GAUSS5_W * samples.reshape(nodes.shape)
-    rising = (1.0 + _GAUSS5_X) / 2.0  # the cell's right hat at its nodes
+    weighted = half * _GAUSS10_W * samples.reshape(nodes.shape)
+    rising = (1.0 + _GAUSS10_X) / 2.0  # the cell's right hat at its nodes
     moments = np.zeros(n)
     moments[:-1] += weighted @ (1.0 - rising)
     moments[1:] += weighted @ rising
@@ -321,8 +325,7 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     nodal = np.linalg.solve(mass, moments)
     if config.bc == DIRICHLET:
         nodal[0] = nodal[-1] = 0.0
-    return np.linalg.solve(_interpolation_matrix(config.spec.max_level)[0],
-                           nodal)
+    return _interpolation_matrix(config.spec.max_level)[1] @ nodal
 
 
 def solve(config: SolverConfig) -> np.ndarray:
@@ -334,11 +337,10 @@ def solve(config: SolverConfig) -> np.ndarray:
     at the report times, c_k = A^-1 L z_{k-1}; the state at a report time
     of 0 is c_0, stored before the loop.  The seed is z_0 = (dt u_0,
     dt u_0 u_x,0) from u_0 = T c_0, formed as a step is, with the seed map
-    S c_0 in place of M z, so a run factorises no matrix beyond
-    assemble_lhs's and initial_coefficients' solves.  It runs in blocks
-    of _CHECK_EVERY steps, each checked finite once after its last step,
-    from its first pair on; then the report states whose steps fall in
-    the block are solved for, earliest first.  The first non-finite z_j
+    S c_0 in place of M z, so the seed factorises no matrix.  It runs in
+    blocks of _CHECK_EVERY steps, each checked finite once after its last
+    step, from its first pair on; then the report states whose steps fall
+    in the block are solved for, earliest first.  The first non-finite z_j
     raises DivergenceError for step j, as does a report state recovered
     non-finite.  Nothing solve allocates grows with the number of steps.
     """

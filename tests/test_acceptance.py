@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import ive
 
 import wavecol as w
-from wavecol.basis import WAVELET
+from wavecol.basis import WAVELET, PiecewiseLinear, basis_piecewise
 from wavecol.errors import DivergenceError
 from wavecol.oracle import POLY_4X_1MX, SIN_PI
 from wavecol.published import AVERAGE_REL_ERRORS, COMPARISON_X, PROFILE_ROWS
@@ -315,11 +315,11 @@ def test_criterion_7_basis_and_operator_properties():
 
 def _rescaling_invariance_failures() -> list[str]:
     spec = w.BasisSpec(max_level=3)
-    pieces = w.basis_piecewise(spec)
+    pieces = basis_piecewise(spec)
     n = spec.n_functions
     k, factor = 7, 3.0
     scaled = list(pieces)
-    scaled[k] = w.PiecewiseLinear(
+    scaled[k] = PiecewiseLinear(
         pieces[k].breakpoints,
         tuple(factor * s for s in pieces[k].slopes),
         tuple(factor * b for b in pieces[k].intercepts))

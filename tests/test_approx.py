@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wavecol as w
+from wavecol.basis import PiecewiseLinear, basis_piecewise
 
 from exact_reference import integrate_product, interpolate, project_l2
 
@@ -175,11 +176,11 @@ class TestRescalingInvariance:
         # scale one basis function, rebuild the Gram matrix and duals from
         # the scaled pieces: projections must reconstruct the same function
         spec = w.BasisSpec(max_level=3)
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         n = spec.n_functions
         k, factor = 6, 2.5
         scaled = list(pieces)
-        scaled[k] = w.PiecewiseLinear(
+        scaled[k] = PiecewiseLinear(
             pieces[k].breakpoints,
             tuple(factor * s for s in pieces[k].slopes),
             tuple(factor * b for b in pieces[k].intercepts))

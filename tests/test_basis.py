@@ -7,7 +7,8 @@ import pytest
 
 import wavecol as w
 from wavecol import basis
-from wavecol.basis import SCALING, WAVELET, BasisIndex
+from wavecol.basis import (SCALING, WAVELET, BasisIndex, PiecewiseLinear,
+                           basis_piecewise)
 
 from exact_reference import constant_one, integrate_product
 
@@ -129,7 +130,7 @@ class TestStencilTable:
     @pytest.mark.parametrize("max_level", range(2, 9))
     def test_pieces_are_bitwise_the_branch_formula(self, max_level):
         spec = w.BasisSpec(max_level=max_level)
-        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+        for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             breakpoints, slopes, intercepts = _branch_piece(idx)
             assert piece.breakpoints == breakpoints
             assert _bits(piece.slopes) == _bits(slopes)
@@ -224,7 +225,7 @@ class TestPartitionOfUnity:
 class TestPiecewiseRepresentation:
     def test_agrees_with_closed_form_at_random_points(self):
         spec = SPEC4
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         rng = np.random.default_rng(3)
         xs = np.append(rng.uniform(0.0, 1.0, 1000), [0.0, 1.0])
         rows = w.basis_matrix(spec, xs)
@@ -233,19 +234,19 @@ class TestPiecewiseRepresentation:
             assert np.max(np.abs(column - exact)) <= 1e-13
 
     def test_inner_hat_segments(self):
-        piece = w.basis_piecewise(w.BasisSpec(max_level=2))[1]  # first full hat
+        piece = basis_piecewise(w.BasisSpec(max_level=2))[1]  # first full hat
         assert piece.breakpoints == (Fraction(0), Fraction(1, 4), Fraction(1, 2))
         assert piece.slopes == (4.0, -4.0)
 
     def test_left_boundary_wavelet_breakpoints(self):
         spec = SPEC3
-        piece = w.basis_piecewise(spec)[5]  # first wavelet, shift -1
+        piece = basis_piecewise(spec)[5]  # first wavelet, shift -1
         assert piece.breakpoints == (Fraction(0), Fraction(1, 8), Fraction(1, 4),
                                      Fraction(3, 8), Fraction(1, 2))
 
     def test_breakpoints_are_dyadic_per_level(self):
         spec = w.BasisSpec(max_level=5)
-        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+        for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             grid = 2 ** (idx.level + 1)
             for b in piece.breakpoints:
                 assert (b * grid).denominator == 1
@@ -254,14 +255,14 @@ class TestPiecewiseRepresentation:
         spec = SPEC4
         rng = np.random.default_rng(11)
         xs = rng.uniform(0.0, 1.0, 10_000)
-        for piece in w.basis_piecewise(spec):
+        for piece in basis_piecewise(spec):
             lo, hi = piece.support
             outside = xs[(xs < lo) | (xs > hi)]
             assert all(piece(float(x)) == 0.0 for x in outside[:50])
 
     def test_continuous_at_interior_breakpoints(self):
         spec = w.BasisSpec(max_level=5)
-        for piece in w.basis_piecewise(spec):
+        for piece in basis_piecewise(spec):
             for seg in range(len(piece.slopes) - 1):
                 x = float(piece.breakpoints[seg + 1])
                 left = piece.slopes[seg] * x + piece.intercepts[seg]
@@ -270,7 +271,7 @@ class TestPiecewiseRepresentation:
 
     def test_compact_support_ends_vanish_for_inner_functions(self):
         spec = SPEC4
-        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+        for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             lo, hi = piece.support
             if lo > 0:
                 assert abs(piece(float(lo))) <= 1e-12
@@ -280,16 +281,16 @@ class TestPiecewiseRepresentation:
 
     def test_malformed_segments_rejected(self):
         with pytest.raises(ValueError, match="breakpoint"):
-            w.PiecewiseLinear((Fraction(0),), (1.0,), (0.0,))
+            PiecewiseLinear((Fraction(0),), (1.0,), (0.0,))
         with pytest.raises(ValueError, match="increasing"):
-            w.PiecewiseLinear((Fraction(1), Fraction(0)), (1.0,), (0.0,))
+            PiecewiseLinear((Fraction(1), Fraction(0)), (1.0,), (0.0,))
 
 
 class TestMoments:
     def test_inner_wavelets_have_zero_mean(self, operators):
         spec, _, _, _ = operators(4)
         one = constant_one()
-        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+        for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             if idx.kind == WAVELET and 0 <= idx.shift <= 2**idx.level - 3:
                 assert abs(integrate_product(piece, one)) <= 1e-12
 
@@ -298,6 +299,6 @@ class TestMoments:
         # the hat space (which contains the constants)
         spec, _, _, _ = operators(4)
         one = constant_one()
-        for idx, piece in zip(spec.index_map, w.basis_piecewise(spec)):
+        for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             if idx.kind == WAVELET:
                 assert abs(integrate_product(piece, one)) <= 1e-12

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import get_lapack_funcs
 
 import wavecol as w
-from wavecol import cli
-from wavecol.basis import SCALING, WAVELET
+from wavecol import cli, operators, oracle, solver
+from wavecol.basis import SCALING, WAVELET, PiecewiseLinear, basis_piecewise
 from wavecol.errors import ConditioningError
 from wavecol.operators import guarded_inverse, p1_kernel
 from wavecol.solver import DIRICHLET, derivative_rows
@@ -20,15 +21,15 @@ from exact_reference import constant_one, integrate_product, interpolate
 def _pieces(max_level):
     spec = w.BasisSpec(max_level=max_level)
     return spec, {(idx.kind, idx.level, idx.shift): piece
-                  for idx, piece in zip(spec.index_map, w.basis_piecewise(spec))}
+                  for idx, piece in zip(spec.index_map, basis_piecewise(spec))}
 
 
 SPEC4, P4 = _pieces(4)
 ONE = constant_one()
-IDENTITY_X = w.PiecewiseLinear((Fraction(0), Fraction(1)), (1.0,), (0.0,))
+IDENTITY_X = PiecewiseLinear((Fraction(0), Fraction(1)), (1.0,), (0.0,))
 # a level-3 hat built by hand (the basis itself only carries level-2 hats)
-HAT_L3 = w.PiecewiseLinear((Fraction(0), Fraction(1, 8), Fraction(1, 4)),
-                           (8.0, -8.0), (0.0, 2.0))
+HAT_L3 = PiecewiseLinear((Fraction(0), Fraction(1, 8), Fraction(1, 4)),
+                         (8.0, -8.0), (0.0, 2.0))
 
 # hand-integrated pairs: (first factor, second factor, exact value)
 HAND_INTEGRALS = [
@@ -125,7 +126,7 @@ class TestNodalKernel:
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_gram_matches_reference_quadrature(self, level):
         spec = w.BasisSpec(max_level=level)
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         reference = np.array([[integrate_product(a, b) for b in pieces]
                               for a in pieces])
         assert self._relative_gap(w.gram_matrix(spec), reference) <= 1e-13
@@ -133,7 +134,7 @@ class TestNodalKernel:
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_derivative_inner_products_match_reference_quadrature(self, level):
         spec = w.BasisSpec(max_level=level)
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         reference = np.array([[integrate_product(a.derivative(), b)
                                for b in pieces] for a in pieces])
         assert self._relative_gap(w.derivative_inner_products(spec),
@@ -144,7 +145,7 @@ class TestNodalKernel:
         def refuse(*args, **kwargs):
             raise AssertionError("reference quadrature reached")
 
-        originals = (w.basis_piecewise,)
+        originals = (basis_piecewise,)
         sites = []
         for name, module in list(sys.modules.items()):
             if name == "wavecol" or name.startswith("wavecol."):
@@ -198,7 +199,7 @@ class TestDualTransform:
     def test_dual_pairing_is_kronecker(self, operators):
         # quadrature route: the dual of one hat integrated against the basis
         spec, gram, dual, _ = operators(2)
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         k = 1  # first full hat
         for j, piece in enumerate(pieces):
             pairing = sum(dual[k, m] * integrate_product(pieces[m], piece)
@@ -207,11 +208,11 @@ class TestDualTransform:
 
     def test_rescaling_one_function_scales_its_dual_inversely(self):
         spec = w.BasisSpec(max_level=3)
-        pieces = w.basis_piecewise(spec)
+        pieces = basis_piecewise(spec)
         c = 2.5
         k = 3
         scaled = list(pieces)
-        scaled[k] = w.PiecewiseLinear(
+        scaled[k] = PiecewiseLinear(
             pieces[k].breakpoints,
             tuple(c * s for s in pieces[k].slopes),
             tuple(c * b for b in pieces[k].intercepts))
@@ -393,3 +394,22 @@ class TestP1MassAndStiffness:
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError, match="two nodes"):
             p1_kernel(1)
+
+
+def test_gauss_rule_literals_are_leggauss():
+    # written out so that importing wavecol does not load numpy.polynomial;
+    # the one table serves the initial projection and the oracle alike
+    nodes, weights = operators._GAUSS10_X, operators._GAUSS10_W
+    assert solver._GAUSS10_X is nodes and oracle._GAUSS10_X is nodes
+    assert solver._GAUSS10_W is weights and oracle._GAUSS10_W is weights
+    expected_nodes, expected_weights = leggauss(10)
+    np.testing.assert_allclose(nodes, expected_nodes, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, expected_weights, rtol=0, atol=1e-15)
+    # exact for every monomial up to degree 19 on [-1, 1], not beyond
+    for degree in range(21):
+        exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+        error = abs(float(np.sum(weights * nodes**degree)) - exact)
+        if degree < 20:
+            assert error <= 1e-15
+        else:
+            assert error > 1e-7

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wavecol as w
+from wavecol.basis import basis_piecewise
 
 from exact_reference import interpolate
 
@@ -23,7 +24,7 @@ unit_points = st.floats(min_value=0.0, max_value=1.0)
 
 @functools.lru_cache(maxsize=None)
 def _pieces(level):
-    return w.basis_piecewise(w.BasisSpec(max_level=level))
+    return basis_piecewise(w.BasisSpec(max_level=level))
 
 
 @st.composite
