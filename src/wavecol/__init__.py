@@ -24,7 +24,6 @@ from .bench import (
 from .errors import (
     ConditioningError,
     DivergenceError,
-    QuadratureError,
     SeriesAccuracyError,
 )
 from .operators import (
@@ -51,7 +50,6 @@ __all__ = [
     "ErrorReport",
     "ExactSolutionSpec",
     "LevelSplit",
-    "QuadratureError",
     "RunResult",
     "SeriesAccuracyError",
     "SolverConfig",

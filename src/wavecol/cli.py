@@ -3,8 +3,9 @@
 Runs one benchmark case at one resolution, writes comparison reports and
 optional profile / operator dumps, and reports failures through exit codes:
 0 success, 1 usage error, 2 solver divergence, 3 conditioning failure,
-4 I/O failure, 5 exact solution not trustworthy (the Cole-Hopf series lost
-its accuracy to cancellation, or a moment's quadrature did not converge).
+4 I/O failure, 5 exact solution not trustworthy (the Cole-Hopf series'
+error estimate, which covers cancellation, truncation and each moment's
+quadrature, exceeds its bound).
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ from .bench import (
     emit_reports,
     run_case,
 )
-from .errors import (
-    ConditioningError,
-    DivergenceError,
-    QuadratureError,
-    SeriesAccuracyError,
-)
+from .errors import ConditioningError, DivergenceError, SeriesAccuracyError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -98,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConditioningError as exc:
         print(f"wavecol: conditioning failure: {exc}", file=sys.stderr)
         return EXIT_CONDITIONING
-    except (SeriesAccuracyError, QuadratureError) as exc:
+    except SeriesAccuracyError as exc:
         print(f"wavecol: exact solution unavailable: {exc}", file=sys.stderr)
         return EXIT_ORACLE
     except ValueError as exc:

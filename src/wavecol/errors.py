@@ -30,17 +30,15 @@ class DivergenceError(RuntimeError):
         self.time = time
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 class SeriesAccuracyError(RuntimeError):
     """The exact series solution cannot be trusted at this point.
 
-    At high Reynolds numbers the transformed initial data span many orders
-    of magnitude and the series sums large terms of both signs, so the
-    quadrature tolerance and roundoff swamp the result.  Carries the
-    estimated relative error of u that exceeded the oracle's bound.
+    The oracle's one refusal.  At high Reynolds numbers the transformed
+    initial data span many orders of magnitude and the series sums large
+    terms of both signs, so the moments' quadrature errors and roundoff
+    swamp the result; a series that runs out of terms is charged its
+    unsummed tails too.  Carries the estimated relative error of u that
+    exceeded the oracle's bound.
     """
 
     def __init__(self, message: str, estimate: float):
