@@ -26,12 +26,6 @@ from .errors import (
     DivergenceError,
     SeriesAccuracyError,
 )
-from .operators import (
-    derivative_inner_products,
-    derivative_matrix,
-    dual_transform,
-    gram_matrix,
-)
 from .oracle import ExactSolutionSpec, exact_u, table_values
 from .solver import (
     SolverConfig,
@@ -56,12 +50,8 @@ __all__ = [
     "assemble_lhs",
     "basis_matrix",
     "case_definition",
-    "derivative_inner_products",
-    "derivative_matrix",
-    "dual_transform",
     "error_metrics",
     "exact_u",
-    "gram_matrix",
     "initial_coefficients",
     "oscillation_excess",
     "run_case",

@@ -226,10 +226,8 @@ def _resolution_tables(max_level: int):
     locations, and the (name, matrix) pairs of the wavelet-space
     operators: gram, deriv_inner and deriv_op.  Only emit_operator_dump
     reads the operators.  They are built here, by the first run at a
-    resolution whether or not it dumps them, only because
-    wavebench/selfcheck.py pins their four builds (gram, dual and
-    deriv_inner inside derivative_matrix, and deriv_inner again) for a run
-    at a new resolution.
+    resolution whether or not it dumps them, only for the benchmark's
+    pins (README, "What the benchmark keeps in the package").
     """
     spec = BasisSpec(max_level=max_level)
     gram = gram_matrix(spec)

@@ -45,7 +45,7 @@ def _parse_times(text: str) -> tuple[float, ...]:
         times = tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
-    if not times or any(t <= 0 for t in times):
+    if any(t <= 0 for t in times):  # an empty list is SolverConfig's to refuse
         raise argparse.ArgumentTypeError("times must be positive")
     return times
 

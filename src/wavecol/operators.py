@@ -7,9 +7,10 @@ sum_a T[a, i] h_a, so every operator is a change of coordinates of the
 closed-form tridiagonal hat matrices of p1_kernel: the Gram matrix is
 T^T M T and the derivative inner products are T^T K T, with M the P1
 mass matrix and K[a, b] = integral of h_a' h_b.  The solver reads the
-kernel directly; the wavelet-space matrices serve only the operator dump.
-Their builders are not cached and return fresh, writable arrays on every
-call (wavecol.bench keeps one read-only set per resolution for the dump).
+kernel directly; the wavelet-space matrices serve only the operator dump
+and the tests, and the package namespace does not export their builders.
+They are not cached and return fresh, writable arrays on every call
+(wavecol.bench keeps one read-only set per resolution for the dump).
 The package's one quadrature rule, Gauss-Legendre of order 10, sits
 beside the kernel: the initial projection and the oracle's moments both
 integrate with it.
@@ -74,8 +75,9 @@ def guarded_inverse(matrix: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """matrix^-1 and its exact 1-norm condition ||A||_1 ||A^-1||_1, checked.
 
     The package's one explicit inverse, for T once per resolution (the
-    solver keeps it for the initial state) and for dual_transform.  A matrix numpy cannot invert counts as infinitely
-    ill-conditioned; check_condition raises ConditioningError.
+    solver keeps it for the initial state) and for dual_transform.  A
+    matrix numpy cannot invert counts as infinitely ill-conditioned;
+    check_condition raises ConditioningError.
     """
     try:
         inverse = np.linalg.inv(matrix)

@@ -28,10 +28,11 @@ operator keeps case 3 bounded to t = 1.  The paper does not say how u_xx
 is discretised under Neumann data, so this is a deviation from its
 method.
 
-T enters at three places only: c_0 = T^-1 u in initial_coefficients,
-with the inverse that T's condition guard forms;
-A = A_n T, the left-hand matrix of the coefficients, with A_n the nodal
-one, which recovers the report states; and the seed map
+T is basis._nodal_matrix(level); the solver caches only the inverse
+and condition that T's guard forms (_interpolation_matrix).  T enters
+at three places only: c_0 = T^-1 u in initial_coefficients, with that
+inverse; A = A_n T, the left-hand matrix of the coefficients, with A_n
+the nodal one, which recovers the report states; and the seed map
 S = [dt I; D1[1:-1]] T, which starts the loop.  The state stays in
 coefficients, and slopes are read by rows formed in coefficient space,
 D1[[0, -1]] T: the node rows applied to T c read case 3's slopes to
@@ -199,7 +200,7 @@ class CollocationSystem:
     is S = [dt I; D1[1:-1]] T, (2N - 2) x N: it maps c_0 to dt u_0 and the
     interior of u_x,0.  All three are C-contiguous and read-only.  The
     node rows they were built from are derivative_rows(n_points, bc), and
-    T is _interpolation_matrix(level)[0].  propagator starts 64-byte
+    T is basis._nodal_matrix(level).  propagator starts 64-byte
     aligned: 16 bytes past a 32-byte boundary, where the heap may put it,
     a step took about 10% longer (33 points, one core).
     """
@@ -233,14 +234,13 @@ def derivative_rows(n_points: int, bc: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=8)
-def _interpolation_matrix(
-        max_level: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """T, the basis values at the grid nodes, its read-only inverse, the
-    one T's condition guard forms, and that checked condition."""
-    values = _nodal_matrix(max_level)
-    inverse, condition = guarded_inverse(values, "initial interpolation")
+def _interpolation_matrix(max_level: int) -> tuple[np.ndarray, float]:
+    """T^-1, read-only, the inverse T's condition guard forms, and that
+    checked condition; T itself is basis._nodal_matrix(max_level)."""
+    inverse, condition = guarded_inverse(_nodal_matrix(max_level),
+                                         "initial interpolation")
     inverse.flags.writeable = False
-    return values, inverse, condition
+    return inverse, condition
 
 
 def assemble_lhs(config: SolverConfig) -> CollocationSystem:
@@ -283,8 +283,9 @@ def assemble_lhs(config: SolverConfig) -> CollocationSystem:
     flat = np.empty(side**2 + 8)  # room to start M 64-byte aligned
     step_map = flat[-flat.ctypes.data % 64 // 8:][:side**2].reshape(side, -1)
     np.matmul(rows, solved[:, :side], out=step_map)
-    values, _, values_condition = _interpolation_matrix(config.spec.max_level)
+    _, values_condition = _interpolation_matrix(config.spec.max_level)
     check_condition(condition * values_condition, "collocation system")
+    values = _nodal_matrix(config.spec.max_level)
     seed = rows @ values
     for array in (step_map, seed):
         array.flags.writeable = False
@@ -302,9 +303,10 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     mass matrix, are the nodal values of the projection; for Dirichlet
     data the end values are then set to 0, so the state at t = 0 meets
     the boundary data.  The coefficients are c_0 = T^-1 u, from the
-    inverse cached with T, so the one solve is with M.  Expanding
-    the data through the dual basis, G^-1 <f, psi> with G = T^T M T, is
-    the same projection: its nodal values are M^-1 times the moments.
+    inverse _interpolation_matrix keeps, so the one solve is with M.
+    Expanding the data through the dual basis, G^-1 <f, psi> with
+    G = T^T M T, is the same projection: its nodal values are M^-1 times
+    the moments.
     """
     n = config.spec.n_functions
     cells = n - 1
@@ -325,7 +327,7 @@ def initial_coefficients(config: SolverConfig) -> np.ndarray:
     nodal = np.linalg.solve(mass, moments)
     if config.bc == DIRICHLET:
         nodal[0] = nodal[-1] = 0.0
-    return _interpolation_matrix(config.spec.max_level)[1] @ nodal
+    return _interpolation_matrix(config.spec.max_level)[0] @ nodal
 
 
 def solve(config: SolverConfig) -> np.ndarray:

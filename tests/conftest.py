@@ -5,14 +5,15 @@ import functools
 import pytest
 
 import wavecol as w
+from wavecol.operators import derivative_matrix, dual_transform, gram_matrix
 
 
 @functools.lru_cache(maxsize=None)
 def _operator_bundle(max_level: int):
     spec = w.BasisSpec(max_level=max_level)
-    gram = w.gram_matrix(spec)
-    dual = w.dual_transform(gram)
-    deriv_op = w.derivative_matrix(spec, gram)
+    gram = gram_matrix(spec)
+    dual = dual_transform(gram)
+    deriv_op = derivative_matrix(spec, gram)
     return spec, gram, dual, deriv_op
 
 

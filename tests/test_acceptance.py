@@ -33,6 +33,7 @@ from scipy.special import ive
 import wavecol as w
 from wavecol.basis import WAVELET, PiecewiseLinear, basis_piecewise
 from wavecol.errors import DivergenceError
+from wavecol.operators import dual_transform, gram_matrix
 from wavecol.oracle import POLY_4X_1MX, SIN_PI
 from wavecol.published import AVERAGE_REL_ERRORS, COMPARISON_X, PROFILE_ROWS
 
@@ -328,8 +329,8 @@ def _rescaling_invariance_failures() -> list[str]:
         for j in range(i, n):
             gram_scaled[i, j] = gram_scaled[j, i] = integrate_product(
                 scaled[i], scaled[j])
-    dual = w.dual_transform(w.gram_matrix(spec))
-    dual_scaled = w.dual_transform(gram_scaled)
+    dual = dual_transform(gram_matrix(spec))
+    dual_scaled = dual_transform(gram_scaled)
 
     f = lambda x: np.sin(np.pi * x)
     gauss_x, gauss_w = np.polynomial.legendre.leggauss(5)

@@ -5,6 +5,7 @@ import pytest
 
 import wavecol as w
 from wavecol.basis import PiecewiseLinear, basis_piecewise
+from wavecol.operators import dual_transform, gram_matrix
 
 from exact_reference import integrate_product, interpolate, project_l2
 
@@ -44,22 +45,22 @@ class TestProjection:
 
 
 class TestInterpolation:
-    def test_grid_point_values_match_exactly(self, operators):
-        spec, _, _, _ = operators(5)
+    def test_grid_point_values_match_exactly(self):
+        spec = w.BasisSpec(max_level=5)
         f = lambda x: 4.0 * x * (1.0 - x)
         coeffs = interpolate(f, spec)
         grid = np.linspace(0.0, 1.0, spec.n_functions)
         values = w.basis_matrix(spec, grid) @ coeffs
         np.testing.assert_allclose(values, f(grid), atol=1e-10)
 
-    def test_sine_hits_one_at_the_center_grid_point(self, operators):
-        spec, _, _, _ = operators(5)
+    def test_sine_hits_one_at_the_center_grid_point(self):
+        spec = w.BasisSpec(max_level=5)
         coeffs = interpolate(lambda x: np.sin(np.pi * x), spec)
         assert w.basis_matrix(spec, [0.5])[0] @ coeffs == pytest.approx(
             1.0, abs=1e-10)
 
-    def test_constants_are_reproduced_everywhere(self, operators):
-        spec, _, _, _ = operators(4)
+    def test_constants_are_reproduced_everywhere(self):
+        spec = w.BasisSpec(max_level=4)
         coeffs = interpolate(lambda x: np.full_like(x, 0.37), spec)
         xs = np.linspace(0.0, 1.0, 101)
         np.testing.assert_allclose(w.basis_matrix(spec, xs) @ coeffs, 0.37,
@@ -80,20 +81,20 @@ class TestInterpolation:
 
 
 class TestReconstruct:
-    def test_unit_coefficient_picks_one_basis_function(self, operators):
-        spec, _, _, _ = operators(3)
+    def test_unit_coefficient_picks_one_basis_function(self):
+        spec = w.BasisSpec(max_level=3)
         coeffs = np.zeros(spec.n_functions)
         coeffs[1] = 1.0  # first full hat, peak at 1/4
         assert w.basis_matrix(spec, [0.25])[0] @ coeffs == 1.0
 
-    def test_zero_coefficients_give_zero(self, operators):
-        spec, _, _, _ = operators(3)
+    def test_zero_coefficients_give_zero(self):
+        spec = w.BasisSpec(max_level=3)
         assert w.basis_matrix(spec, [0.62])[0] @ np.zeros(spec.n_functions) == 0.0
 
 
 class TestLevelSplit:
-    def test_round_trip_is_exact(self, operators):
-        spec, _, _, _ = operators(5)
+    def test_round_trip_is_exact(self):
+        spec = w.BasisSpec(max_level=5)
         rng = np.random.default_rng(9)
         coeffs = rng.standard_normal(spec.n_functions)
         parts = w.split_levels(coeffs, spec)
@@ -103,14 +104,14 @@ class TestLevelSplit:
         np.testing.assert_array_equal(
             np.concatenate([parts.coarse, *parts.details.values()]), coeffs)
 
-    def test_wrong_length_rejected(self, operators):
-        spec, _, _, _ = operators(3)
+    def test_wrong_length_rejected(self):
+        spec = w.BasisSpec(max_level=3)
         with pytest.raises(ValueError, match="coefficients"):
             w.split_levels(np.zeros(7), spec)
 
-    def test_blocks_are_copies(self, operators):
+    def test_blocks_are_copies(self):
         # writing into a block leaves the coefficients it came from alone
-        spec, _, _, _ = operators(4)
+        spec = w.BasisSpec(max_level=4)
         coeffs = np.arange(spec.n_functions, dtype=float)
         parts = w.split_levels(coeffs, spec)
         parts.coarse[:] = -1.0
@@ -120,8 +121,8 @@ class TestLevelSplit:
 
 
 class TestTruncate:
-    def test_keeping_everything_is_a_no_op(self, operators):
-        spec, _, _, _ = operators(4)
+    def test_keeping_everything_is_a_no_op(self):
+        spec = w.BasisSpec(max_level=4)
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal(spec.n_functions)
         np.testing.assert_array_equal(w.truncate(coeffs, spec, spec.max_level),
@@ -132,8 +133,8 @@ class TestTruncate:
         coeffs = project_l2(lambda x: 1.0 - 0.5 * x, spec, dual)
         np.testing.assert_allclose(w.truncate(coeffs, spec, 2), coeffs, atol=1e-10)
 
-    def test_out_of_range_level_rejected(self, operators):
-        spec, _, _, _ = operators(4)
+    def test_out_of_range_level_rejected(self):
+        spec = w.BasisSpec(max_level=4)
         coeffs = np.zeros(spec.n_functions)
         with pytest.raises(ValueError, match="keep_level"):
             w.truncate(coeffs, spec, 1)
@@ -141,9 +142,9 @@ class TestTruncate:
             w.truncate(coeffs, spec, 5)
 
     @pytest.mark.parametrize("level", [2.5, 3.0])
-    def test_non_integer_level_rejected(self, operators, level):
+    def test_non_integer_level_rejected(self, level):
         # 2.5 used to keep level 2, and 3.0 level 3
-        spec, _, _, _ = operators(4)
+        spec = w.BasisSpec(max_level=4)
         coeffs = np.ones(spec.n_functions)
         with pytest.raises(ValueError, match="not an integer"):
             w.truncate(coeffs, spec, level)
@@ -151,10 +152,10 @@ class TestTruncate:
                                       w.truncate(coeffs, spec, 3))
 
     @pytest.mark.parametrize("shape", [(5,), (40,), (16,), (18,), (17, 1)])
-    def test_wrong_length_rejected(self, operators, shape):
+    def test_wrong_length_rejected(self, shape):
         # a level-4 spec has 17 functions; a 5-vector used to come back
         # unchanged and a 40-vector with only some slices zeroed
-        spec, _, _, _ = operators(4)
+        spec = w.BasisSpec(max_level=4)
         with pytest.raises(ValueError, match="expected 17 coefficients"):
             w.truncate(np.ones(shape), spec, 2)
 
@@ -189,8 +190,8 @@ class TestRescalingInvariance:
             for j in range(i, n):
                 gram_scaled[i, j] = gram_scaled[j, i] = integrate_product(
                     scaled[i], scaled[j])
-        dual = w.dual_transform(w.gram_matrix(spec))
-        dual_scaled = w.dual_transform(gram_scaled)
+        dual = dual_transform(gram_matrix(spec))
+        dual_scaled = dual_transform(gram_scaled)
 
         f = lambda x: np.sin(np.pi * x) + 0.3 * x
         base = project_l2(f, spec, dual)

@@ -287,17 +287,17 @@ class TestPiecewiseRepresentation:
 
 
 class TestMoments:
-    def test_inner_wavelets_have_zero_mean(self, operators):
-        spec, _, _, _ = operators(4)
+    def test_inner_wavelets_have_zero_mean(self):
+        spec = w.BasisSpec(max_level=4)
         one = constant_one()
         for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             if idx.kind == WAVELET and 0 <= idx.shift <= 2**idx.level - 3:
                 assert abs(integrate_product(piece, one)) <= 1e-12
 
-    def test_boundary_wavelets_turn_out_to_have_zero_mean_too(self, operators):
+    def test_boundary_wavelets_turn_out_to_have_zero_mean_too(self):
         # not required by construction, but follows from orthogonality to
         # the hat space (which contains the constants)
-        spec, _, _, _ = operators(4)
+        spec = w.BasisSpec(max_level=4)
         one = constant_one()
         for idx, piece in zip(spec.index_map, basis_piecewise(spec)):
             if idx.kind == WAVELET:

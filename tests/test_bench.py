@@ -509,11 +509,13 @@ class TestResolutionTables:
                 array[0] = 0.0
         # the public builders stay uncached: fresh, writable arrays
         spec = w.spec_for_points(17)
-        for build in (w.gram_matrix, w.derivative_inner_products):
+        for build in (operators.gram_matrix,
+                      operators.derivative_inner_products):
             first, second = build(spec), build(spec)
             assert first is not second
             assert first.flags.writeable
-        np.testing.assert_array_equal(w.gram_matrix(spec), dict(tables)["gram"])
+        np.testing.assert_array_equal(operators.gram_matrix(spec),
+                                      dict(tables)["gram"])
 
     def test_a_run_keeps_no_operator(self):
         # the dump reads the resolution's tables; a run keeps only what it
@@ -559,8 +561,8 @@ class TestResolutionTables:
         dense_rows, report_rows, tables = bench._resolution_tables(4)
         for _, matrix in tables:
             assert matrix.shape == (17, 17)
-        np.testing.assert_array_equal(dict(tables)["gram"],
-                                      w.gram_matrix(w.spec_for_points(17)))
+        np.testing.assert_array_equal(
+            dict(tables)["gram"], operators.gram_matrix(w.spec_for_points(17)))
         assert dense_rows.shape == (PROFILE_POINTS, 17)
         assert report_rows.shape == (5, 17)
 

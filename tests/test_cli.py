@@ -170,6 +170,18 @@ def test_usage_errors_name_the_times_as_given(tmp_path, capsys, times,
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("times", [",", " , ", ""],
+                         ids=["comma", "blank-parts", "empty"])
+def test_empty_time_list_is_named_as_such(tmp_path, capsys, times):
+    # no time was given, so none is called non-positive: the run
+    # configuration refuses the empty list
+    code = cli.main(["--case", "1", "--times", times, "--out", str(tmp_path)])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "wavecol: times must hold at least one report time\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_report_times_with_one_label_are_a_usage_error(tmp_path, capsys):
     # both times would be written to profile_case3_re10_np5_t0.05.csv
     code = cli.main(["--case", "3", "--np", "5", "--dt", "1e-8",

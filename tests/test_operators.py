@@ -12,7 +12,8 @@ import wavecol as w
 from wavecol import cli, operators, oracle, solver
 from wavecol.basis import SCALING, WAVELET, PiecewiseLinear, basis_piecewise
 from wavecol.errors import ConditioningError
-from wavecol.operators import guarded_inverse, p1_kernel
+from wavecol.operators import (derivative_inner_products, dual_transform,
+                                gram_matrix, guarded_inverse, p1_kernel)
 from wavecol.solver import DIRICHLET, derivative_rows
 
 from exact_reference import constant_one, integrate_product, interpolate
@@ -129,7 +130,7 @@ class TestNodalKernel:
         pieces = basis_piecewise(spec)
         reference = np.array([[integrate_product(a, b) for b in pieces]
                               for a in pieces])
-        assert self._relative_gap(w.gram_matrix(spec), reference) <= 1e-13
+        assert self._relative_gap(gram_matrix(spec), reference) <= 1e-13
 
     @pytest.mark.parametrize("level", [2, 3, 4, 5])
     def test_derivative_inner_products_match_reference_quadrature(self, level):
@@ -137,7 +138,7 @@ class TestNodalKernel:
         pieces = basis_piecewise(spec)
         reference = np.array([[integrate_product(a.derivative(), b)
                                for b in pieces] for a in pieces])
-        assert self._relative_gap(w.derivative_inner_products(spec),
+        assert self._relative_gap(derivative_inner_products(spec),
                                   reference) <= 1e-13
 
     def test_program_never_reaches_the_reference(self, monkeypatch, tmp_path,
@@ -177,7 +178,7 @@ class TestDualTransform:
     def test_is_the_guard_inverse_and_bitwise_the_solve(self, n_points,
                                                         monkeypatch):
         # the guard's inverse is returned: the Gram matrix is factored once
-        gram = w.gram_matrix(w.spec_for_points(n_points))
+        gram = gram_matrix(w.spec_for_points(n_points))
         reference = np.linalg.solve(gram, np.eye(n_points))
         inverses = []
         real_inv = np.linalg.inv
@@ -191,7 +192,7 @@ class TestDualTransform:
 
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(np.linalg, "solve", no_solve)
-        dual = w.dual_transform(gram)
+        dual = dual_transform(gram)
         monkeypatch.undo()
         assert len(inverses) == 1
         np.testing.assert_array_equal(dual, reference)
@@ -221,8 +222,8 @@ class TestDualTransform:
         for i in range(n):
             for j in range(n):
                 gram_scaled[i, j] = integrate_product(scaled[i], scaled[j])
-        dual = w.dual_transform(w.gram_matrix(spec))
-        dual_scaled = w.dual_transform(gram_scaled)
+        dual = dual_transform(gram_matrix(spec))
+        dual_scaled = dual_transform(gram_scaled)
         xs = np.linspace(0.0, 1.0, 37)
         for x in xs:
             base = sum(dual[k, m] * pieces[m](float(x)) for m in range(n))
@@ -231,13 +232,13 @@ class TestDualTransform:
 
     def test_singular_matrix_rejected(self):
         with pytest.raises(ConditioningError, match="Gram matrix") as info:
-            w.dual_transform(np.ones((4, 4)))
+            dual_transform(np.ones((4, 4)))
         assert info.value.condition == np.inf
 
     def test_ill_conditioned_matrix_rejected(self):
         nearly_singular = np.diag([1.0, 1e-15])
         with pytest.raises(ConditioningError, match="condition"):
-            w.dual_transform(nearly_singular)
+            dual_transform(nearly_singular)
 
 
 def _gecon_condition(matrix):
@@ -275,7 +276,7 @@ class TestConditionGuard:
         spec = w.spec_for_points(n_points)
         nodal = w.basis_matrix(spec,
                                np.linspace(0.0, 1.0, spec.n_functions))
-        for matrix, bound in ((w.gram_matrix(spec), 55.0), (nodal, 45.0)):
+        for matrix, bound in ((gram_matrix(spec), 55.0), (nodal, 45.0)):
             cond = guarded_inverse(matrix, "matrix")[1]
             assert cond >= _gecon_condition(matrix) * (1.0 - 1e-12)
             assert cond <= bound
@@ -315,17 +316,17 @@ class TestDerivativeOperator:
         coeffs = interpolate(lambda x: np.ones_like(x), spec)
         assert np.max(np.abs(deriv_op.T @ coeffs)) <= 1e-10
 
-    def test_row_sums_equal_endpoint_differences(self, operators):
+    def test_row_sums_equal_endpoint_differences(self):
         # integrating each basis derivative against the constant 1
-        spec, _, _, _ = operators(3)
-        inner = w.derivative_inner_products(spec)
+        spec = w.BasisSpec(max_level=3)
+        inner = derivative_inner_products(spec)
         right, left = w.basis_matrix(spec, [1.0, 0.0])
         ends = right - left
         np.testing.assert_allclose(inner.sum(axis=1), ends, atol=1e-12)
 
     def test_projection_consistency(self, operators):
         spec, gram, _, deriv_op = operators(4)
-        inner = w.derivative_inner_products(spec)
+        inner = derivative_inner_products(spec)
         assert np.max(np.abs(deriv_op @ gram - inner)) <= 1e-10
 
 
@@ -339,17 +340,17 @@ def _dirichlet_rows(spec):
 class TestSecondDerivative:
     """The paper's D*D, as the solver's node rows for Dirichlet data."""
 
-    def test_is_the_square_of_the_first(self, operators):
+    def test_is_the_square_of_the_first(self):
         # the nodal first derivative G = first V^-1 applied to the first
         # rows gives the second rows
-        spec, _, _, _ = operators(3)
+        spec = w.BasisSpec(max_level=3)
         values, first, second = _dirichlet_rows(spec)
         nodal = np.linalg.solve(values.T, first.T).T
         np.testing.assert_allclose(second, nodal @ first, rtol=0,
                                    atol=1e-12 * np.max(np.abs(second)))
 
-    def test_affine_second_derivative_vanishes(self, operators):
-        spec, _, _, _ = operators(4)
+    def test_affine_second_derivative_vanishes(self):
+        spec = w.BasisSpec(max_level=4)
         _, _, second = _dirichlet_rows(spec)
         coeffs = interpolate(lambda x: 0.3 + 2.0 * x, spec)
         assert np.max(np.abs(second @ coeffs)) <= 1e-8
@@ -357,10 +358,10 @@ class TestSecondDerivative:
         assert np.max(np.abs(second @ constant)) <= 1e-9
 
     @pytest.mark.parametrize("level, bound", [(4, 3e-4), (5, 3e-5), (6, 2e-6)])
-    def test_sine_curvature_converges(self, operators, level, bound):
+    def test_sine_curvature_converges(self, level, bound):
         # midpoint errors measured once over levels 4-6 and frozen; the
         # spec-level guarantee is the much looser O(2**-level)
-        spec, _, _, _ = operators(level)
+        spec = w.BasisSpec(max_level=level)
         _, _, second = _dirichlet_rows(spec)
         coeffs = interpolate(lambda x: np.sin(np.pi * x), spec)
         value = float(second[2**(level - 1)] @ coeffs)  # node x = 1/2

@@ -32,6 +32,20 @@ def test_every_exported_name_resolves():
     assert len(set(wavecol.__all__)) == len(wavecol.__all__)
 
 
+def test_wavelet_space_builders_stay_out_of_the_package_namespace():
+    # the scheme needs only the nodal kernel and T; the builders live in
+    # wavecol.operators, and wavecol.bench keeps the binding that
+    # wavebench/selfcheck.py checks
+    builders = ("gram_matrix", "dual_transform", "derivative_inner_products",
+                "derivative_matrix")
+    for name in builders:
+        assert not hasattr(wavecol, name)
+        assert name not in wavecol.__all__
+        assert callable(getattr(wavecol.operators, name))
+    assert len(wavecol.__all__) == 25
+    assert bench.gram_matrix is wavecol.operators.gram_matrix
+
+
 def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from wavecol import *", namespace)

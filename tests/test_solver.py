@@ -24,10 +24,10 @@ from wavecol.solver import (
 from exact_reference import project_l2
 
 
-def _config(operators, level=4, reynolds=1.0, t_end=0.1, dt=1e-3,
+def _config(level=4, reynolds=1.0, t_end=0.1, dt=1e-3,
             bc=DIRICHLET, ic=None):
     # every step up to t_end is a report time, so coeffs[k] is step k
-    spec, _, _, _ = operators(level)
+    spec = w.BasisSpec(max_level=level)
     times = tuple(k * dt for k in range(round(t_end / dt))) + (t_end,)
     return w.SolverConfig(
         reynolds=reynolds, times=times, dt=dt,
@@ -42,8 +42,8 @@ CASE3_IC = lambda x: 50.0 * (0.5 - x) ** 3
 
 def _rows(config):
     """T and the nodal rows D1 and D2 that assemble_lhs builds the run's
-    system from, read from the solver's shared tables."""
-    return (solver._interpolation_matrix(config.spec.max_level)[0],
+    system from, read from the shared tables: T from basis._nodal_matrix."""
+    return (basis._nodal_matrix(config.spec.max_level),
             *derivative_rows(config.spec.n_functions, config.bc))
 
 
@@ -218,8 +218,8 @@ def _wrap_report_solves(monkeypatch, outcome):
 
 
 class TestConfigValidation:
-    def test_bad_parameters_rejected(self, operators):
-        spec, _, _, _ = operators(3)
+    def test_bad_parameters_rejected(self):
+        spec = w.BasisSpec(max_level=3)
         bc = DIRICHLET
         ic = lambda x: np.zeros_like(x)
         with pytest.raises(ValueError, match="reynolds"):
@@ -235,8 +235,8 @@ class TestConfigValidation:
             w.SolverConfig(reynolds=1.0, times=(0.1, 0.05, 0.1 + 1e-13),
                            bc=bc, ic=ic, spec=spec)
 
-    def test_report_time_past_the_step_ceiling_rejected(self, operators):
-        spec, _, _, _ = operators(3)
+    def test_report_time_past_the_step_ceiling_rejected(self):
+        spec = w.BasisSpec(max_level=3)
         config = dict(reynolds=1.0, dt=1e-3, bc=DIRICHLET,
                       ic=lambda x: np.zeros_like(x), spec=spec)
         at_ceiling = w.SolverConfig(times=(solver.MAX_STEPS * 1e-3,), **config)
@@ -259,14 +259,14 @@ class TestConfigValidation:
                       basis._nodal_matrix):
             assert cache.cache_info().currsize == 0
 
-    def test_step_count_is_robust_to_roundoff(self, operators):
-        config = _config(operators, t_end=0.1, dt=1e-3)
+    def test_step_count_is_robust_to_roundoff(self):
+        config = _config(t_end=0.1, dt=1e-3)
         assert config.n_steps() == 100
 
 
 class TestAssembleLhs:
-    def test_value_rows_are_the_shared_nodal_matrix(self, operators):
-        config = _config(operators, level=4)
+    def test_value_rows_are_the_shared_nodal_matrix(self):
+        config = _config(level=4)
         system = assemble_lhs(config)
         values, _, _ = _rows(config)
         assert values is basis._nodal_matrix(4)
@@ -278,29 +278,29 @@ class TestAssembleLhs:
         np.testing.assert_array_equal(system.matrix[[0, -1]],
                                       values[[0, -1]])
 
-    def test_zero_coefficients_satisfy_homogeneous_boundary_rows(self, operators):
-        config = _config(operators)
+    def test_zero_coefficients_satisfy_homogeneous_boundary_rows(self):
+        config = _config()
         system = assemble_lhs(config)
         applied = system.matrix @ np.zeros(config.spec.n_functions)
         assert applied[0] == 0.0 and applied[-1] == 0.0
 
     def test_vanishing_dt_reduces_interior_rows_to_point_evaluation(
-            self, operators):
-        config = _config(operators, t_end=0.0, dt=1e-12)
+            self):
+        config = _config(t_end=0.0, dt=1e-12)
         system = assemble_lhs(config)
         np.testing.assert_allclose(system.matrix[1:-1],
                                    basis._nodal_matrix(4)[1:-1], atol=1e-8)
 
-    def test_smallest_admissible_space_yields_invertible_5x5(self, operators):
-        config = _config(operators, level=2)
+    def test_smallest_admissible_space_yields_invertible_5x5(self):
+        config = _config(level=2)
         system = assemble_lhs(config)
         assert system.matrix.shape == (5, 5)
         assert np.isfinite(np.linalg.cond(system.matrix))
 
-    def test_singular_system_rejected(self, operators, monkeypatch,
+    def test_singular_system_rejected(self, monkeypatch,
                                       fresh_tables):
         # THETA * dt / Re = 1/4 and D*D = 4 I: every interior row vanishes
-        spec, _, _, _ = operators(2)
+        spec = w.BasisSpec(max_level=2)
         config = w.SolverConfig(reynolds=1.0, times=(0.5,), dt=0.5,
                                 bc=DIRICHLET,
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
@@ -313,11 +313,11 @@ class TestAssembleLhs:
         assert info.value.condition == np.inf
 
     def test_node_rows_are_built_once_per_resolution_and_boundary_data(
-            self, operators, fresh_tables):
+            self, fresh_tables):
         # a hit hands back the built arrays themselves
-        assemble_lhs(_config(operators, level=4))
-        assemble_lhs(_config(operators, level=4, reynolds=10.0, dt=0.01))
-        assemble_lhs(_config(operators, level=4, bc=NEUMANN))
+        assemble_lhs(_config(level=4))
+        assemble_lhs(_config(level=4, reynolds=10.0, dt=0.01))
+        assemble_lhs(_config(level=4, bc=NEUMANN))
         info = solver.derivative_rows.cache_info()
         assert (info.misses, info.hits) == (2, 1)
         for bc in (DIRICHLET, NEUMANN):
@@ -325,13 +325,13 @@ class TestAssembleLhs:
                 assert not array.flags.writeable
 
     def test_derivative_rows_are_shared_across_dt_and_reynolds(
-            self, operators, fresh_tables):
+            self, fresh_tables):
         # keyed by the grid size and the boundary kind alone: the other
         # kind has its own rows
         rows = derivative_rows(33, NEUMANN)
         runs = ((1.0, 1e-3), (10.0, 0.01), (100.0, 0.05))
         for hits, (reynolds, dt) in enumerate(runs, start=1):
-            config = _config(operators, level=5, reynolds=reynolds, dt=dt,
+            config = _config(level=5, reynolds=reynolds, dt=dt,
                              t_end=dt, bc=NEUMANN, ic=CASE3_IC)
             w.solve(config)
             info = derivative_rows.cache_info()
@@ -344,19 +344,20 @@ class TestAssembleLhs:
                 array[0] = 0.0
 
     def test_propagator_does_not_depend_on_the_basis(
-            self, operators, monkeypatch, fresh_tables):
+            self, monkeypatch, fresh_tables):
         # M = [dt I; D1[1:-1]] A_n^-1 L: another well-conditioned T leaves
         # M and L bitwise as they were and enters only A = A_n T and the
         # seed map
-        config = _config(operators, level=4, reynolds=10.0, dt=0.01,
+        config = _config(level=4, reynolds=10.0, dt=0.01,
                          bc=NEUMANN)
         system = assemble_lhs(config)
         n = config.spec.n_functions
         other = np.eye(n) + np.triu(
             np.random.default_rng(4).uniform(-0.5, 0.5, (n, n)), 1)
         assert np.linalg.cond(other, 1) < 1e3
+        monkeypatch.setattr(solver, "_nodal_matrix", lambda level: other)
         monkeypatch.setattr(solver, "_interpolation_matrix",
-                            lambda level: (other, np.linalg.inv(other),
+                            lambda level: (np.linalg.inv(other),
                                            np.linalg.cond(other, 1)))
         patched = assemble_lhs(config)
         assert patched.propagator.tobytes() == system.propagator.tobytes()
@@ -368,7 +369,7 @@ class TestAssembleLhs:
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
-    def test_both_solved_matrices_are_guarded(self, operators, monkeypatch,
+    def test_both_solved_matrices_are_guarded(self, monkeypatch,
                                               fresh_tables, bc):
         # A_n's condition, read off the solve that builds M, is the exact
         # one an inverse gives; A is guarded by cond(A_n) cond(T), since
@@ -380,13 +381,14 @@ class TestAssembleLhs:
                             or check(cond, what))
         for level in (4, 5, 6):
             checked.clear()
-            config = _config(operators, level=level, reynolds=10.0, dt=0.01,
+            config = _config(level=level, reynolds=10.0, dt=0.01,
                              bc=bc)
             assemble_lhs(config)
             nodal, _ = _nodal_operators(config)
             exact = (np.linalg.norm(nodal, 1)
                      * np.linalg.norm(np.linalg.inv(nodal), 1))
-            values, inverse, values_cond = solver._interpolation_matrix(level)
+            values = basis._nodal_matrix(level)
+            inverse, values_cond = solver._interpolation_matrix(level)
             np.testing.assert_array_equal(inverse, np.linalg.inv(values))
             assert values_cond == (np.linalg.norm(values, 1)
                                    * np.linalg.norm(inverse, 1))
@@ -395,12 +397,11 @@ class TestAssembleLhs:
             assert checked[0][1] == pytest.approx(exact, rel=1e-12)
             assert checked[1][1] == checked[0][1] * values_cond
 
-    def test_huge_dt_reads_the_exact_condition(self, operators,
-                                               fresh_tables):
+    def test_huge_dt_reads_the_exact_condition(self, fresh_tables):
         # at dt = 1e300 the condition is read from A_n^-1's own columns,
         # with no dt in them, so it is the exact one, 4.6e303, over the
         # limit, not an overflow
-        config = _config(operators, level=4, dt=1e300, t_end=1e300)
+        config = _config(level=4, dt=1e300, t_end=1e300)
         with pytest.raises(ConditioningError,
                            match="^nodal collocation system") as info:
             assemble_lhs(config)
@@ -412,13 +413,14 @@ class TestAssembleLhs:
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
-    def test_assembly_forms_no_inverse(self, operators, monkeypatch,
+    def test_assembly_forms_no_inverse(self, monkeypatch,
                                        fresh_tables, bc):
         # with T's and the node rows' tables built, A_n is factorised
         # once, by the solve that gives M and its condition: its
         # right-hand side is L and A_n's two end columns, 2N columns
-        config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
+        config = _config(level=5, reynolds=10.0, dt=0.01, bc=bc)
         _rows(config)
+        solver._interpolation_matrix(config.spec.max_level)
         inverses, solves = [], []
         inv, solve = np.linalg.inv, np.linalg.solve
         monkeypatch.setattr(np.linalg, "inv",
@@ -430,13 +432,13 @@ class TestAssembleLhs:
         assert solves == [(33, 2 * 33)]
 
     def test_ill_conditioned_interpolation_refused_before_any_step(
-            self, operators, monkeypatch, fresh_tables):
+            self, monkeypatch, fresh_tables):
         # a T whose recorded condition takes the bound cond(A_n) cond(T)
         # over the limit: cond(A_n) > 1
-        config = _config(operators, level=4, reynolds=10.0, dt=0.01)
-        values, inverse, _ = solver._interpolation_matrix(4)
+        config = _config(level=4, reynolds=10.0, dt=0.01)
+        inverse, _ = solver._interpolation_matrix(4)
         monkeypatch.setattr(solver, "_interpolation_matrix",
-                            lambda level: (values, inverse, CONDITION_LIMIT))
+                            lambda level: (inverse, CONDITION_LIMIT))
 
         def never(*args):
             raise AssertionError("the run went on to its initial state")
@@ -448,19 +450,19 @@ class TestAssembleLhs:
         assert info.value.condition > CONDITION_LIMIT
 
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
-    def test_neumann_rows_are_derivative_rows(self, operators, level):
-        config = _config(operators, level=level, bc=NEUMANN)
+    def test_neumann_rows_are_derivative_rows(self, level):
+        config = _config(level=level, bc=NEUMANN)
         system = assemble_lhs(config)
         assert np.array_equal(system.matrix[[0, -1]], _slope_rows(config))
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_propagator_is_the_explicit_operator_through_the_inverse(
-            self, operators, bc):
+            self, bc):
         # M = [dt I; D1[1:-1]] A_n^-1 L, square of side 2N - 2: its first
         # block is dt A_n^-1 L, so A_n times it is dt L, and its second
         # block is D1's interior rows applied to the first over dt
-        config = _config(operators, level=5, reynolds=10.0, dt=0.01, bc=bc)
+        config = _config(level=5, reynolds=10.0, dt=0.01, bc=bc)
         system = assemble_lhs(config)
         n = config.spec.n_functions
         step_map = system.propagator
@@ -483,21 +485,21 @@ class TestAssembleLhs:
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
-    def test_step_map_starts_64_byte_aligned(self, operators, bc):
+    def test_step_map_starts_64_byte_aligned(self, bc):
         # the heap may place a fresh array 16 bytes past a 32-byte
         # boundary, where the step's gemv ran about 10% slower
         for level in (2, 3, 4, 5, 6):
             for dt in (5e-5, 1e-3, 1e-2):
-                config = _config(operators, level=level, dt=dt, t_end=dt,
+                config = _config(level=level, dt=dt, t_end=dt,
                                  bc=bc)
                 assert assemble_lhs(config).propagator.ctypes.data % 64 == 0
 
 
 class TestWeakSecondDerivative:
     @pytest.mark.parametrize("level", [3, 4, 5, 6])
-    def test_boundary_rows_stay_derivative_rows(self, operators, level):
+    def test_boundary_rows_stay_derivative_rows(self, level):
         # the weak Laplacian changes A's interior rows only
-        config = _config(operators, level=level, reynolds=10.0, dt=0.01,
+        config = _config(level=level, reynolds=10.0, dt=0.01,
                          bc=NEUMANN)
         system = assemble_lhs(config)
         assert np.array_equal(system.matrix[[0, -1]], _slope_rows(config))
@@ -527,7 +529,7 @@ class TestWeakSecondDerivative:
         # wavelet-space D, so in coefficient space they agree with
         # V (D D)^T to roundoff only
         _, _, _, deriv_op = operators(4)
-        values, _, second = _rows(_config(operators))
+        values, _, second = _rows(_config())
         paper = values @ (deriv_op @ deriv_op).T
         assert (np.max(np.abs(second @ values - paper))
                 <= 1e-14 * np.max(np.abs(paper)))
@@ -545,7 +547,7 @@ class TestInitialCoefficients:
         # expansion through the dual basis, G^-1 <f, psi>, at every node
         # but the Dirichlet ends, which the boundary data replace
         spec, _, dual, _ = operators(level)
-        config = _config(operators, level=level, bc=bc, ic=ic)
+        config = _config(level=level, bc=bc, ic=ic)
         values = basis._nodal_matrix(level)
         state = values @ initial_coefficients(config)
         reference = values @ project_l2(ic, spec, dual)
@@ -554,12 +556,11 @@ class TestInitialCoefficients:
                 <= 1e-12 * np.max(np.abs(reference)))
 
     @pytest.mark.parametrize("level", [4, 5, 6])
-    def test_dirichlet_ends_meet_the_boundary_data_at_t0(self, operators,
-                                                         level):
+    def test_dirichlet_ends_meet_the_boundary_data_at_t0(self, level):
         # 1 + x is 1 and 2 at the ends, so the projection's end values are
         # far from the boundary data unless they are replaced
         config = dataclasses.replace(
-            _config(operators, level=level, ic=lambda x: 1.0 + x),
+            _config(level=level, ic=lambda x: 1.0 + x),
             times=(0.0,))
         (initial,) = w.solve(config)
         np.testing.assert_array_equal(initial, initial_coefficients(config))
@@ -569,16 +570,16 @@ class TestInitialCoefficients:
 
     @pytest.mark.parametrize("level", [3, 4, 6])
     @pytest.mark.parametrize("kind", [DIRICHLET, NEUMANN])
-    def test_grid_piecewise_linear_datum_is_reproduced(self, operators, kind,
+    def test_grid_piecewise_linear_datum_is_reproduced(self, kind,
                                                        level):
         # a member of the span is its own projection: Gauss-10 integrates
         # its products with the hats exactly, cell by cell
-        spec, _, _, _ = operators(level)
+        spec = w.BasisSpec(max_level=level)
         grid = np.linspace(0.0, 1.0, spec.n_functions)
         nodal = np.random.default_rng(level).uniform(-1.0, 1.0, grid.size)
         if kind == DIRICHLET:  # a datum that meets the boundary data
             nodal[[0, -1]] = 0.0
-        config = _config(operators, level=level, bc=kind,
+        config = _config(level=level, bc=kind,
                          ic=lambda x: np.interp(x, grid, nodal))
         state = basis._nodal_matrix(level) @ initial_coefficients(config)
         np.testing.assert_allclose(state, nodal, rtol=0, atol=1e-13)
@@ -586,15 +587,15 @@ class TestInitialCoefficients:
     @pytest.mark.parametrize("ic", [lambda x: 1.0, lambda x: np.zeros(3),
                                     lambda x: x[:, None]],
                              ids=["scalar", "3-vector", "column"])
-    def test_initial_data_of_the_wrong_shape_rejected(self, operators, ic):
+    def test_initial_data_of_the_wrong_shape_rejected(self, ic):
         # one value per quadrature node: ten on each of the 8 cells
-        config = _config(operators, level=3, ic=ic)
+        config = _config(level=3, ic=ic)
         with pytest.raises(ValueError, match=r"initial condition returned "
                                              r"shape .*expected \(80,\)"):
             initial_coefficients(config)
 
-    def test_non_finite_samples_rejected(self, operators):
-        config = _config(operators, level=3,
+    def test_non_finite_samples_rejected(self):
+        config = _config(level=3,
                          ic=lambda x: np.full_like(x, np.nan))
         with pytest.raises(ValueError, match="non-finite"):
             initial_coefficients(config)
@@ -603,7 +604,7 @@ class TestInitialCoefficients:
                                               (-np.inf, -1)],
                              ids=["nan-left-end", "inf-interior",
                                   "minus-inf-right-end"])
-    def test_one_non_finite_sample_rejected(self, operators, value, index):
+    def test_one_non_finite_sample_rejected(self, value, index):
         # the samples nearest the ends, whose node values the Dirichlet data
         # replace, are checked too
         def ic(x):
@@ -611,11 +612,11 @@ class TestInitialCoefficients:
             out[index] = value
             return out
 
-        config = _config(operators, level=3, ic=ic)
+        config = _config(level=3, ic=ic)
         with pytest.raises(ValueError, match="non-finite"):
             initial_coefficients(config)
 
-    def test_initial_data_are_not_written_through(self, operators):
+    def test_initial_data_are_not_written_through(self):
         # an initial condition that returns its argument: the quadrature
         # nodes it was handed stay as they were
         handed = []
@@ -624,15 +625,15 @@ class TestInitialCoefficients:
             handed.append((x, x.copy()))
             return x
 
-        initial_coefficients(_config(operators, level=3, ic=ic))
+        initial_coefficients(_config(level=3, ic=ic))
         ((nodes, before),) = handed
         np.testing.assert_array_equal(nodes, before)
 
-    def test_singular_interpolation_rejected(self, operators, monkeypatch,
+    def test_singular_interpolation_rejected(self, monkeypatch,
                                              fresh_tables):
         # T's condition is checked on the first run at a resolution, through
         # the cache; a failed check is not cached
-        config = _config(operators, level=3)
+        config = _config(level=3)
         monkeypatch.setattr(solver, "_nodal_matrix",
                             lambda level: np.ones((9, 9)))
         for _ in range(2):
@@ -641,7 +642,7 @@ class TestInitialCoefficients:
                 initial_coefficients(config)
 
     def test_nodal_matrix_is_guarded_once_per_resolution(
-            self, operators, monkeypatch, fresh_tables):
+            self, monkeypatch, fresh_tables):
         guarded = []
         guard = solver.guarded_inverse
         monkeypatch.setattr(solver, "guarded_inverse",
@@ -649,21 +650,21 @@ class TestInitialCoefficients:
                             or guard(matrix, what))
         for level in (4, 4, 5, 4):
             for bc in (DIRICHLET, NEUMANN):
-                initial_coefficients(_config(operators, level=level, bc=bc))
+                initial_coefficients(_config(level=level, bc=bc))
         assert guarded == ["initial interpolation"] * 2
         for level in (4, 5):
-            _, inverse, _ = solver._interpolation_matrix(level)
+            inverse, _ = solver._interpolation_matrix(level)
             with pytest.raises(ValueError, match="read-only"):
                 inverse[0, 0] = 0.0
 
     @pytest.mark.parametrize("bc", [DIRICHLET, NEUMANN],
                              ids=["dirichlet", "neumann"])
     def test_warm_tables_leave_one_solve_with_the_mass_matrix(
-            self, operators, monkeypatch, fresh_tables, bc):
+            self, monkeypatch, fresh_tables, bc):
         # c_0 = T^-1 u reads the inverse T's guard formed, so once a
         # resolution's tables are built T is not factorised again: the one
         # solve is u = M^-1 moments
-        config = _config(operators, level=5, bc=bc)
+        config = _config(level=5, bc=bc)
         initial = initial_coefficients(config)
         inverses, solves = [], []
         inv, solve = np.linalg.inv, np.linalg.solve
@@ -682,13 +683,13 @@ class TestBuildRhs:
     solve hands it to its report solve, or read back as A c_{k+1} from the
     state a step solved for, the first step from the seed z_0 = S c_0."""
 
-    def test_zero_state_leaves_only_boundary_values(self, operators):
+    def test_zero_state_leaves_only_boundary_values(self):
         # a zero step map leaves a zero pair, whose right-hand side is
         # exactly the boundary data, 0, whatever state it came from
-        rhs = _second_step_rhs(_config(operators))
+        rhs = _second_step_rhs(_config())
         assert np.max(np.abs(rhs)) == 0.0
         # through solve: the zero state stays zero exactly
-        config = _config(operators, ic=np.zeros_like)
+        config = _config(ic=np.zeros_like)
         initial, rhs = _first_step(config)
         assert np.max(np.abs(initial)) == 0.0
         assert np.max(np.abs(rhs)) == 0.0
@@ -697,12 +698,12 @@ class TestBuildRhs:
         (DIRICHLET, lambda x: np.sin(np.pi * x)),
         (NEUMANN, CASE3_IC),
     ], ids=["dirichlet", "neumann"])
-    def test_carried_rhs_ends_are_exactly_zero(self, operators, monkeypatch,
+    def test_carried_rhs_ends_are_exactly_zero(self, monkeypatch,
                                                bc, ic):
         # from a nonzero state every right-hand side L z built from a
         # carried pair has a nonzero interior and ends of exactly 0, the
         # boundary data, across the first block edge too
-        config = _config(operators, bc=bc, ic=ic)
+        config = _config(bc=bc, ic=ic)
         report_solves = _wrap_report_solves(monkeypatch, lambda solved: solved)
         w.solve(config)
         carried = np.array(report_solves.handed)
@@ -711,21 +712,20 @@ class TestBuildRhs:
         assert np.all(np.abs(carried[:, 1:-1]).max(axis=1) > 0.0)
         assert not carried[:, [0, -1]].any()
 
-    def test_constant_state_is_nearly_stationary_inside(self, operators):
+    def test_constant_state_is_nearly_stationary_inside(self):
         # under zero slopes a constant is an exact steady state
-        config = _config(operators, bc=NEUMANN,
+        config = _config(bc=NEUMANN,
                          ic=lambda x: np.full_like(x, 0.7))
         _, rhs = _first_step(config)
         np.testing.assert_allclose(rhs[1:-1], 0.7, atol=1e-10)
 
     @pytest.mark.parametrize("level", [4, 5])
-    def test_sine_state_matches_analytic_step_target_at_center(self, operators,
-                                                               level):
+    def test_sine_state_matches_analytic_step_target_at_center(self, level):
         # at the center the convection term vanishes and the diffusion share
         # gives (1 - dt pi^2 / 2) times the state's centre value, which the
         # projection puts at 1 + O(h^2); discrete curvature error is
         # O(2**-level)
-        config = _config(operators, level=level)
+        config = _config(level=level)
         initial, rhs = _first_step(config)
         center = config.spec.n_functions // 2
         value = (basis._nodal_matrix(level) @ initial)[center]
@@ -737,12 +737,12 @@ class TestBuildRhs:
         (DIRICHLET, lambda x: np.sin(np.pi * x), 1.0),
         (NEUMANN, CASE3_IC, 10.0),
     ], ids=["dirichlet", "neumann"])
-    def test_matches_the_three_mat_vec_algebra(self, operators, bc, ic,
-                                              reynolds):
+    def test_matches_the_three_mat_vec_algebra(self, bc, ic,
+                                               reynolds):
         # each step's right-hand side, read back as A c_{k+1}, against the
         # scheme applied to c_k, spelled out from rows built apart from
         # assemble_lhs: the seeded first step and two carried ones
-        config = _config(operators, level=5, reynolds=reynolds, dt=0.01,
+        config = _config(level=5, reynolds=reynolds, dt=0.01,
                          bc=bc, ic=ic)
         coeffs = w.solve(dataclasses.replace(
             config, times=tuple(k * config.dt for k in range(4))))
@@ -755,12 +755,12 @@ class TestBuildRhs:
 
 
 class TestStep:
-    def test_zero_is_a_fixed_point(self, operators):
-        config = _config(operators, ic=np.zeros_like)
+    def test_zero_is_a_fixed_point(self):
+        config = _config(ic=np.zeros_like)
         np.testing.assert_allclose(w.solve(config), 0.0, atol=1e-14)
 
-    def test_linear_system_residual_stays_tiny(self, operators):
-        config = _config(operators, level=5, t_end=0.005)
+    def test_linear_system_residual_stays_tiny(self):
+        config = _config(level=5, t_end=0.005)
         coeffs = w.solve(config)
         matrix = assemble_lhs(config).matrix
         for old, new in zip(coeffs, coeffs[1:]):
@@ -768,16 +768,16 @@ class TestStep:
             residual = np.max(np.abs(matrix @ new - rhs))
             assert residual <= 1e-10 * max(np.max(np.abs(rhs)), 1.0)
 
-    def test_fifty_steps_reach_published_anchor(self, operators):
+    def test_fifty_steps_reach_published_anchor(self):
         # sin initial data, Re = 1: u(0.5, 0.05) = 0.60907 published
-        config = _config(operators, level=5, t_end=0.05)
+        config = _config(level=5, t_end=0.05)
         coeffs = w.solve(config)[50]
         assert w.basis_matrix(config.spec, [0.5])[0] @ coeffs == pytest.approx(
             0.60907, abs=1e-3)
 
-    def test_antisymmetric_state_stays_antisymmetric(self, operators):
-        config = _config(operators, level=4, reynolds=10.0,
-                                   bc=NEUMANN, ic=CASE3_IC)
+    def test_antisymmetric_state_stays_antisymmetric(self):
+        config = _config(level=4, reynolds=10.0,
+                         bc=NEUMANN, ic=CASE3_IC)
         values = basis._nodal_matrix(4)
         for coeffs in w.solve(config)[1:]:
             u = values @ coeffs
@@ -785,24 +785,24 @@ class TestStep:
 
 
 class TestSolve:
-    def test_zero_horizon_returns_initial_state_only(self, operators):
-        config = _config(operators, t_end=0.0)
+    def test_zero_horizon_returns_initial_state_only(self):
+        config = _config(t_end=0.0)
         assert w.solve(config).shape == (1, config.spec.n_functions)
 
-    def test_horizon_off_the_step_grid_is_rejected(self, operators):
+    def test_horizon_off_the_step_grid_is_rejected(self):
         # 0.0105 is 10.5 steps of 1e-3: no step count reaches it
         with pytest.raises(ValueError, match="not a multiple"):
-            _config(operators, t_end=0.0105, dt=1e-3)
+            _config(t_end=0.0105, dt=1e-3)
 
-    def test_published_anchor_case1_re10(self, operators):
-        config = _config(operators, level=5, reynolds=10.0, t_end=0.5)
+    def test_published_anchor_case1_re10(self):
+        config = _config(level=5, reynolds=10.0, t_end=0.5)
         coeffs = w.solve(config)
         assert _values_at(config, coeffs, 0.5, [0.7])[0] == pytest.approx(
             0.57585, abs=1e-3)
 
-    def test_published_anchor_case2_re1(self, operators):
-        config = _config(operators, level=5, t_end=0.05,
-                                   ic=lambda x: 4.0 * x * (1.0 - x))
+    def test_published_anchor_case2_re1(self):
+        config = _config(level=5, t_end=0.05,
+                         ic=lambda x: 4.0 * x * (1.0 - x))
         coeffs = w.solve(config)
         assert _values_at(config, coeffs, 0.05, [0.3])[0] == pytest.approx(
             0.49093, abs=1e-3)
@@ -814,8 +814,8 @@ class TestSolve:
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
         assert w.solve(config).shape == (3, spec.n_functions)
 
-    def test_one_report_time_keeps_one_state_bitwise(self, operators):
-        config = _config(operators, level=5, t_end=0.05)
+    def test_one_report_time_keeps_one_state_bitwise(self):
+        config = _config(level=5, t_end=0.05)
         every = w.solve(config)
         only = w.solve(dataclasses.replace(config, times=(0.05,)))
         assert only.shape == (1, config.spec.n_functions)
@@ -823,17 +823,17 @@ class TestSolve:
 
     @pytest.mark.parametrize("check_every", [None, 1, 7])
     def test_states_come_in_the_order_of_the_report_times(
-            self, operators, monkeypatch, check_every):
+            self, monkeypatch, check_every):
         if check_every is not None:
             monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
-        config = _config(operators, level=5, t_end=0.1)
+        config = _config(level=5, t_end=0.1)
         every = w.solve(config)
         kept = w.solve(dataclasses.replace(config, times=(0.1, 0.0, 0.05)))
         assert np.array_equal(kept, every[[100, 0, 50]])
 
-    def test_memory_does_not_grow_with_the_step_count(self, operators):
+    def test_memory_does_not_grow_with_the_step_count(self):
         # 20 000 steps at 33 points: a stored history alone would be 5.3 MB
-        spec, _, _, _ = operators(5)
+        spec = w.BasisSpec(max_level=5)
         config = w.SolverConfig(reynolds=1.0, times=(2.0,), dt=1e-4,
                                 bc=DIRICHLET,
                                 ic=lambda x: np.sin(np.pi * x), spec=spec)
@@ -850,28 +850,27 @@ class TestSolve:
         (DIRICHLET, lambda x: np.sin(np.pi * x)),
         (NEUMANN, CASE3_IC),
     ], ids=["dirichlet", "neumann"])
-    def test_needs_no_wavelet_space_operator(self, operators, monkeypatch,
-                                             bc, ic):
+    def test_needs_no_wavelet_space_operator(self, monkeypatch, bc, ic):
         def forbidden(*args, **kwargs):
             raise AssertionError("the solver built a wavelet-space operator")
 
         for name in ("gram_matrix", "dual_transform", "derivative_matrix"):
             assert not hasattr(solver, name)
             monkeypatch.setattr(f"wavecol.operators.{name}", forbidden)
-            monkeypatch.setattr(f"wavecol.{name}", forbidden)
-        config = _config(operators, level=4, reynolds=10.0, t_end=0.01,
+            assert not hasattr(w, name)
+        config = _config(level=4, reynolds=10.0, t_end=0.01,
                          bc=bc, ic=ic)
         assert w.solve(config).shape == (11, config.spec.n_functions)
 
-    def test_dirichlet_boundaries_enforced_every_step(self, operators):
-        config = _config(operators, level=4, t_end=0.05)
+    def test_dirichlet_boundaries_enforced_every_step(self):
+        config = _config(level=4, t_end=0.05)
         ends = w.basis_matrix(config.spec, [0.0, 1.0])
         for coeffs in w.solve(config):
             assert np.max(np.abs(ends @ coeffs)) <= 1e-9
 
     def test_neumann_boundaries_enforced_every_step(self, operators):
-        config = _config(operators, level=4, reynolds=10.0, t_end=0.05,
-                                   bc=NEUMANN, ic=CASE3_IC)
+        config = _config(level=4, reynolds=10.0, t_end=0.05,
+                         bc=NEUMANN, ic=CASE3_IC)
         _, _, _, deriv_op = operators(4)
         slope_rows = w.basis_matrix(config.spec, [0.0, 1.0]) @ deriv_op.T
         for coeffs in w.solve(config)[1:]:
@@ -879,22 +878,22 @@ class TestSolve:
 
     @pytest.mark.parametrize("ic", [lambda x: np.sin(np.pi * x),
                                     lambda x: 4.0 * x * (1.0 - x)])
-    def test_peak_magnitude_never_grows(self, operators, ic):
-        config = _config(operators, level=4, t_end=0.1, ic=ic)
+    def test_peak_magnitude_never_grows(self, ic):
+        config = _config(level=4, t_end=0.1, ic=ic)
         grid = np.linspace(0.0, 1.0, config.spec.n_functions)
         grid_values = w.solve(config) @ w.basis_matrix(config.spec, grid).T
         peaks = np.max(np.abs(grid_values), axis=1)
         assert all(b <= a + 1e-6 for a, b in zip(peaks, peaks[1:]))
 
-    def test_steep_neumann_front_diverges_and_is_reported(self, operators):
+    def test_steep_neumann_front_diverges_and_is_reported(self):
         # with dt = 0.05 at 33 points (h = 1/32) and max|u| of about 5.6,
         # the convective Courant number dt * max|u| / h is about 9; the
         # explicit convection term cannot hold the front and the run
         # overflows near t = 0.55; the failure must be loud and carry the
         # blow-up time
-        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=NEUMANN,
-                                   ic=CASE3_IC)
+        config = _config(level=5, reynolds=10.0, t_end=1.0,
+                         dt=0.05, bc=NEUMANN,
+                         ic=CASE3_IC)
         with pytest.raises(DivergenceError, match="t = 0.5") as info:
             w.solve(config)
         assert 0.5 <= info.value.time <= 0.6
@@ -904,13 +903,13 @@ class TestSolve:
         (NEUMANN, CASE3_IC, 10.0),
     ], ids=["case1-dirichlet", "case3-neumann"])
     def test_history_matches_the_dense_reference_algebra(
-            self, operators, bc, ic, reynolds):
+            self, bc, ic, reynolds):
         # solve carries (dt u, dt u u_x) through a precomposed step map;
         # over 500 steps its node values must stay within the golden
         # gates of a per-step dense solve, at 17, 33 and 65 points
         gate = 1e-12 if bc == DIRICHLET else 1e-10
         for level in (4, 5, 6):
-            config = _config(operators, level=level, reynolds=reynolds,
+            config = _config(level=level, reynolds=reynolds,
                              t_end=0.5, bc=bc, ic=ic)
             reference = _reference_history(config)
             assert reference.shape == (501, config.spec.n_functions)
@@ -924,7 +923,7 @@ class TestSolve:
         (NEUMANN, CASE3_IC, 10.0),
     ], ids=["dirichlet", "neumann"])
     def test_states_are_bitwise_the_full_vector_step(
-            self, operators, bc, ic, reynolds, level):
+            self, bc, ic, reynolds, level):
         # solve steps in place, in prebuilt views of one block of pairs,
         # and solves each report state from the pair before it; its states
         # must equal, bit for bit, those of a plain loop over fresh whole
@@ -932,7 +931,7 @@ class TestSolve:
         # report times fall at 0, inside the first block, on the block
         # edges 64 and 128, and at step 160, inside the third block
         assert solver._CHECK_EVERY == 64
-        config = _config(operators, level=level, reynolds=reynolds,
+        config = _config(level=level, reynolds=reynolds,
                          t_end=0.16, bc=bc, ic=ic)
         config = dataclasses.replace(
             config, times=(0.0, 0.03, 0.064, 0.128, 0.16))
@@ -947,12 +946,12 @@ class TestSolve:
         (NEUMANN, CASE3_IC, 10.0),
     ], ids=["dirichlet", "neumann"])
     def test_run_ending_on_a_block_edge_matches_the_reference_algebra(
-            self, operators, bc, ic, reynolds, n_steps):
+            self, bc, ic, reynolds, n_steps):
         # the last step closes a block of _CHECK_EVERY = 64 steps, so the
         # only report state is solved from that block's last row
         gate = 1e-12 if bc == DIRICHLET else 1e-10
         assert solver._CHECK_EVERY == 64
-        config = _config(operators, level=5, reynolds=reynolds,
+        config = _config(level=5, reynolds=reynolds,
                          t_end=n_steps * 1e-3, bc=bc, ic=ic)
         reference = _reference_history(config)
         assert reference.shape == (n_steps + 1, config.spec.n_functions)
@@ -962,10 +961,10 @@ class TestSolve:
         drift = np.max(np.abs((last - reference[-1]) @ values.T))
         assert drift <= gate, drift
 
-    def test_divergence_step_matches_the_reference_algebra(self, operators):
-        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=NEUMANN,
-                                   ic=CASE3_IC)
+    def test_divergence_step_matches_the_reference_algebra(self):
+        config = _config(level=5, reynolds=10.0, t_end=1.0,
+                         dt=0.05, bc=NEUMANN,
+                         ic=CASE3_IC)
         reference = _reference_history(config)
         assert isinstance(reference, DivergenceError)
         with pytest.raises(DivergenceError) as info:
@@ -983,11 +982,11 @@ class TestSolve:
         (6, 0.0125, NEUMANN, CASE3_IC, 10.0, 15),
     ], ids=["rhs-overflow", "case3-np33", "case3-np65"])
     def test_divergence_step_is_pinned_under_the_block_check(
-            self, operators, monkeypatch, check_every, level, dt, bc, ic,
+            self, monkeypatch, check_every, level, dt, bc, ic,
             reynolds, diverges_at):
         if check_every is not None:
             monkeypatch.setattr(solver, "_CHECK_EVERY", check_every)
-        config = _config(operators, level=level, reynolds=reynolds,
+        config = _config(level=level, reynolds=reynolds,
                          t_end=1.0, dt=dt, bc=bc, ic=ic)
         reference = _reference_history(config)
         assert isinstance(reference, DivergenceError)
@@ -997,8 +996,8 @@ class TestSolve:
         assert info.value.step == diverges_at
 
     @pytest.mark.parametrize("check_every", [None, 1, 7])
-    def test_overflowing_solve_fails_the_next_step(self, operators,
-                                                   monkeypatch, check_every):
+    def test_overflowing_solve_fails_the_next_step(self, monkeypatch,
+                                                   check_every):
         # the 6th step-map product solves for state 6 from the pair of
         # state 5; an overflow there stands for a solve that overflowed,
         # so step 6 fails, the step after the last finite pair
@@ -1023,38 +1022,36 @@ class TestSolve:
                 system, propagator=OverflowingPropagator(system.propagator))
 
         monkeypatch.setattr(solver, "assemble_lhs", assemble)
-        config = _config(operators, level=4, t_end=0.05)
+        config = _config(level=4, t_end=0.05)
         with pytest.raises(DivergenceError) as info:
             w.solve(config)
         assert info.value.step == 6
 
-    def test_solves_only_at_the_nonzero_report_times(self, operators,
-                                                     monkeypatch):
+    def test_solves_only_at_the_nonzero_report_times(self, monkeypatch):
         # 100 steps, three report times: the state is solved for at t = 0.05
         # and 0.1 only, never per step
         report_solves = _wrap_report_solves(monkeypatch, lambda solved: solved)
-        config = dataclasses.replace(_config(operators, level=5, t_end=0.1),
+        config = dataclasses.replace(_config(level=5, t_end=0.1),
                                      times=(0.1, 0.0, 0.05))
         assert config.n_steps() == 100
         w.solve(config)
         assert report_solves.solves == 2
 
-    def test_non_finite_report_state_fails_its_step(self, operators,
-                                                    monkeypatch):
+    def test_non_finite_report_state_fails_its_step(self, monkeypatch):
         # a finite right-hand side whose solution is not finite: the state
         # solved for at t = 0.05 fails step 50
         _wrap_report_solves(monkeypatch, lambda solved: np.full_like(solved,
                                                                      np.inf))
-        config = dataclasses.replace(_config(operators, level=4, t_end=0.05),
+        config = dataclasses.replace(_config(level=4, t_end=0.05),
                                      times=(0.0, 0.05))
         with pytest.raises(DivergenceError) as info:
             w.solve(config)
         assert info.value.step == 50
 
-    def test_divergence_escapes_as_an_error_not_a_warning(self, operators):
-        config = _config(operators, level=5, reynolds=10.0, t_end=1.0,
-                                   dt=0.05, bc=NEUMANN,
-                                   ic=CASE3_IC)
+    def test_divergence_escapes_as_an_error_not_a_warning(self):
+        config = _config(level=5, reynolds=10.0, t_end=1.0,
+                         dt=0.05, bc=NEUMANN,
+                         ic=CASE3_IC)
         # with every warning an error, an overflow warning from the loop
         # would surface here instead of the DivergenceError
         with warnings.catch_warnings():
@@ -1064,13 +1061,13 @@ class TestSolve:
 
 
 class TestSample:
-    def test_boundary_samples_match_prescribed_values(self, operators):
-        config = _config(operators, t_end=0.02)
+    def test_boundary_samples_match_prescribed_values(self):
+        config = _config(t_end=0.02)
         left, right = _values_at(config, w.solve(config), 0.02, [0.0, 1.0])
         assert abs(left) <= 1e-9 and abs(right) <= 1e-9
 
-    def test_published_row_sampled_from_one_series(self, operators):
-        config = _config(operators, level=5, t_end=0.1)
+    def test_published_row_sampled_from_one_series(self):
+        config = _config(level=5, t_end=0.1)
         values = _values_at(config, w.solve(config), 0.1,
                             [0.1, 0.3, 0.5, 0.7, 0.9])
         published = (0.10954, 0.29190, 0.37158, 0.30991, 0.12069)
